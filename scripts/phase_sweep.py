@@ -7,7 +7,6 @@ the recovery phase transition sits for a given matrix size.
 """
 
 import argparse
-import os
 import time
 
 from taskclust.bench import phase_sweep
@@ -40,7 +39,6 @@ def main():
     ap.add_argument("--m2-max", type=float, default=0.10, help="largest corruption fraction")
     ap.add_argument("--lam", type=float, default=None)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     ap.add_argument("--out", default="sweep.csv")
     args = ap.parse_args()
 
@@ -50,7 +48,7 @@ def main():
     t0 = time.perf_counter()
     cells = phase_sweep(
         n=args.n, k=args.clusters, m1_fracs=m1_fracs, m2_fracs=m2_fracs,
-        trials=args.trials, seed=args.seed, lam=args.lam, threads=args.threads,
+        trials=args.trials, seed=args.seed, lam=args.lam,
     )
     elapsed = time.perf_counter() - t0
 

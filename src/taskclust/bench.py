@@ -9,7 +9,6 @@ run the completion solver, and check entrywise recovery of X*.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -219,12 +218,11 @@ def phase_sweep(
     lam: float | None = None,
     solver: SolverConfig | None = None,
     pair_aware: bool = True,
-    threads: int = 1,
 ) -> list[SweepCell]:
     """Empirical recovery probability over a (m1 fraction, m2 fraction) grid.
 
     m1 = round(frac * n^2), m2 = round(frac * m1). Per-trial seeds derive
-    from (seed, cell, trial), so results are independent of thread count.
+    from (seed, cell, trial).
     """
     m1_fracs = list(m1_fracs)
     m2_fracs = list(m2_fracs)
@@ -232,40 +230,19 @@ def phase_sweep(
         raise InputError("empty-grid", "phase sweep needs a nonempty grid")
     inst = generate_planted(n, k, equal_sizes(n, k), seed=seed)
 
-    jobs = []
-    for ci, f1 in enumerate(m1_fracs):
-        for cj, f2 in enumerate(m2_fracs):
-            m1 = int(round(f1 * n * n))
-            m2 = int(round(f2 * m1))
-            for t in range(trials):
-                trial_seed = int(derive_rng(seed, "sweep", ci, cj, t).integers(2**63))
-                jobs.append((ci, cj, m1, m2, trial_seed))
-
-    def run(job):
-        ci, cj, m1, m2, trial_seed = job
-        res = recovery_trial(
-            inst, m1, m2, lam=lam, seed=trial_seed, solver=solver, pair_aware=pair_aware
-        )
-        return ci, cj, res.recovered
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, jobs))
-    else:
-        outcomes = [run(j) for j in jobs]
-
-    counts: dict[tuple[int, int], int] = {}
-    for ci, cj, rec in outcomes:
-        counts[(ci, cj)] = counts.get((ci, cj), 0) + int(rec)
-
     cells = []
     for ci, f1 in enumerate(m1_fracs):
         for cj, f2 in enumerate(m2_fracs):
             m1 = int(round(f1 * n * n))
             m2 = int(round(f2 * m1))
+            recovered = 0
+            for t in range(trials):
+                trial_seed = int(derive_rng(seed, "sweep", ci, cj, t).integers(2**63))
+                recovered += recovery_trial(
+                    inst, m1, m2, lam=lam, seed=trial_seed, solver=solver, pair_aware=pair_aware
+                ).recovered
             cells.append(
-                SweepCell(n=n, k=k, m1=m1, m2=m2, trials=trials,
-                          recovered_count=counts.get((ci, cj), 0))
+                SweepCell(n=n, k=k, m1=m1, m2=m2, trials=trials, recovered_count=recovered)
             )
     return cells
 

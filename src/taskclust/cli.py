@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -63,7 +62,7 @@ def _settings(args, stage: str) -> dict:
         raise InputError("bad-format", f"config section {stage!r} must be an object")
     merged = dict(section)
     for key, value in vars(args).items():
-        if key in ("config", "command", "threads", "func") or value is None:
+        if key in ("config", "command", "func") or value is None:
             continue
         merged[key] = value
     if "seed" not in merged:
@@ -163,6 +162,8 @@ def _solve(ps, s: dict):
         "converged": result.converged,
         "lambda": lam,
         "clipped_fraction": clipped,
+        "rho_final": result.rho_final,
+        "presym_asymmetry": result.presym_asymmetry,
     }
     return X, result, diagnostics
 
@@ -283,7 +284,6 @@ def cmd_sweep(args) -> int:
         trials=int(s.get("trials", 5)),
         seed=int(s["seed"]),
         lam=float(s["lam"]) if s.get("lam") is not None else None,
-        threads=args.threads,
     )
     fileio.write_sweep_csv(cells, s["out"])
     print(f"swept {len(cells)} grid cells -> {s['out']}")
@@ -312,10 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="taskclust",
         description="Task clustering by robust matrix completion, end to end.",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1,
-        help="worker threads for embarrassingly parallel stages",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

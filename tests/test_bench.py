@@ -143,11 +143,6 @@ def test_phase_sweep_grid_and_monotonicity():
         assert hi >= lo - 2 / 4  # allow Monte-Carlo noise of 2 trials
 
 
-def test_phase_sweep_thread_determinism():
-    kw = dict(m1_fracs=(0.5, 1.0), m2_fracs=(0.0, 0.05), trials=3, seed=3)
-    assert phase_sweep(10, 2, **kw, threads=1) == phase_sweep(10, 2, **kw, threads=4)
-
-
 def test_phase_sweep_empty_grid():
     with pytest.raises(InputError) as err:
         phase_sweep(10, 2, (), (0.0,), trials=2, seed=0)

@@ -97,6 +97,8 @@ class TestFilterAndComplete:
         diag = fileio.read_json(tmp_path / "diag.json")
         assert diag["converged"] is True
         assert diag["final_residual"] < 1e-7
+        assert diag["rho_final"] > 0
+        assert 0 <= diag["presym_asymmetry"] < 1e-6
         X = fileio.read_dense_csv(tmp_path / "X.csv")
         assert X.shape == (12, 12)
         assert X.min() >= 0.0 and X.max() <= 1.0

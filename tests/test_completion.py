@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from taskclust import completion
 from taskclust.bench import generate_planted, observe_and_corrupt
 from taskclust.completion import (
     CompletionProblem,
@@ -24,6 +27,15 @@ finite_matrices = arrays(
 )
 
 
+# Both shrink paths: the SVD (any M) and the eigendecomposition (symmetric
+# M). The symmetric path runs on symmetrized inputs.
+SVT_PATHS = (False, True)
+
+
+def symmetrize_if(M, symmetric):
+    return (M + M.T) / 2.0 if symmetric else M
+
+
 def planted_objective(inst, plan, lam):
     E_star = np.where(plan.delta, plan.Y - inst.X_star, 0.0)
     return nuclear_norm(inst.X_star) + lam * np.abs(E_star).sum()
@@ -35,12 +47,25 @@ def planted_objective(inst, plan, lam):
 
 def test_svt_diagonal_example():
     M = np.diag([3.0, 1.0, 0.2])
-    assert np.allclose(svt(M, 0.5), np.diag([2.5, 0.5, 0.0]), atol=1e-12)
+    for symmetric in SVT_PATHS:
+        assert np.allclose(svt(M, 0.5, symmetric), np.diag([2.5, 0.5, 0.0]), atol=1e-12)
 
 
 def test_svt_zero_matrix():
-    for tau in (0.1, 1.0, 10.0):
-        assert np.array_equal(svt(np.zeros((4, 4)), tau), np.zeros((4, 4)))
+    for symmetric in SVT_PATHS:
+        for tau in (0.1, 1.0, 10.0):
+            assert np.array_equal(svt(np.zeros((4, 4)), tau, symmetric), np.zeros((4, 4)))
+
+
+def test_svt_symmetric_path_matches_svd_path():
+    rng = np.random.default_rng(4)
+    for trial in range(20):
+        A = rng.standard_normal((9, 9))
+        M = A + A.T
+        w = np.linalg.eigvalsh(M)
+        assert w.min() < 0 < w.max(), trial  # indefinite: both signs are shrunk
+        for tau in (0.1, 1.0, 3.0):
+            assert np.abs(svt(M, tau, True) - svt(M, tau)).max() < 1e-10, (trial, tau)
 
 
 def test_svt_is_nuclear_norm_prox():
@@ -48,10 +73,10 @@ def test_svt_is_nuclear_norm_prox():
     ||.||_* at Z: equal to U V^T on Z's singular-subspace and spectral norm
     <= 1 on the orthogonal complement."""
     rng = np.random.default_rng(0)
-    for trial in range(20):
-        M = rng.standard_normal((8, 8))
+    for trial, symmetric in itertools.product(range(20), SVT_PATHS):
+        M = symmetrize_if(rng.standard_normal((8, 8)), symmetric)
         tau = 0.3
-        Z = svt(M, tau)
+        Z = svt(M, tau, symmetric)
         G = (M - Z) / tau
         U, s, Vt = np.linalg.svd(Z)
         r = int((s > 1e-9).sum())
@@ -79,17 +104,21 @@ def test_svt_beats_random_competitors():
 @settings(max_examples=30, deadline=None)
 @given(A=finite_matrices, B=finite_matrices)
 def test_svt_non_expansive(A, B):
-    assert np.linalg.norm(svt(A, 0.7) - svt(B, 0.7)) <= np.linalg.norm(A - B) + 1e-9
+    for symmetric in SVT_PATHS:
+        P, Q = symmetrize_if(A, symmetric), symmetrize_if(B, symmetric)
+        d = np.linalg.norm(svt(P, 0.7, symmetric) - svt(Q, 0.7, symmetric))
+        assert d <= np.linalg.norm(P - Q) + 1e-9
 
 
 def test_svt_rejects_non_finite():
     M = np.zeros((3, 3))
     M[0, 0] = np.nan
-    with pytest.raises(NumericalError) as err:
-        svt(M, 0.5)
-    assert err.value.code == "non-finite"
-    with pytest.raises(InputError):
-        svt(np.eye(3), 0.0)
+    for symmetric in SVT_PATHS:
+        with pytest.raises(NumericalError) as err:
+            svt(M, 0.5, symmetric)
+        assert err.value.code == "non-finite"
+        with pytest.raises(InputError):
+            svt(np.eye(3), 0.0, symmetric)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +194,38 @@ def test_partial_observation_planted_recovery():
     support = set(map(tuple, np.argwhere(np.abs(res.E) > 1e-4)))
     flips = set(map(tuple, np.argwhere(plan.delta)))
     assert support == flips
+
+
+def test_asymmetric_observations_reach_planted_certificate():
+    # Unrestricted sampling observes (i, j) without (j, i), so the solver
+    # cannot take the symmetric shrink and runs the SVD path throughout.
+    inst = generate_planted(12, 3, (4, 4, 4), seed=3)
+    plan = observe_and_corrupt(inst, m1=130, m2=2, seed=3, pair_aware=False)
+    assert not np.array_equal(plan.omega, plan.omega.T)
+    lam = 0.5
+    res = complete(CompletionProblem(plan.Y, plan.omega, lam))
+    assert res.converged
+    obj_star = planted_objective(inst, plan, lam)
+    assert abs(res.objective() - obj_star) <= 1e-6 * max(1.0, obj_star)
+    assert np.abs(res.X - inst.X_star).max() < 1e-3
+
+
+@pytest.mark.parametrize("sampling", ["pairs", "free", "one-sided-flip"])
+def test_complete_picks_the_shrink_from_the_input(sampling, monkeypatch):
+    inst = generate_planted(12, 3, (4, 4, 4), seed=3)
+    plan = observe_and_corrupt(inst, m1=130, m2=2, seed=3, pair_aware=sampling != "free")
+    if sampling == "one-sided-flip":
+        i, j = np.argwhere(plan.omega & ~np.eye(12, dtype=bool))[0]
+        plan.Y[i, j] = 1.0 - plan.Y[i, j]
+    flags = []
+
+    def recording_svt(M, tau, symmetric=False):
+        flags.append(symmetric)
+        return svt(M, tau, symmetric)
+
+    monkeypatch.setattr(completion, "svt", recording_svt)
+    complete(CompletionProblem(plan.Y, plan.omega, 0.5))
+    assert flags and set(flags) == {sampling == "pairs"}
 
 
 def test_objective_never_beats_planted_point():
