@@ -30,7 +30,7 @@ from .learning import (
     TrainConfig,
     adaptive_fsl,
     fsl_combine,
-    train_cluster_model,
+    train_cluster_models,
 )
 from .seeding import derive_rng
 from .spectral import spectral_cluster
@@ -54,8 +54,11 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _settings(args, stage: str) -> dict:
-    """Stage settings: config-file section overridden by explicit flags."""
+def _settings(args, stage: str, *required: str) -> dict:
+    """Stage settings: config-file section overridden by explicit flags.
+
+    Every name in ``required`` must be set by one or the other.
+    """
     config = _load_config(args.config)
     section = config.get(stage, {})
     if not isinstance(section, dict):
@@ -65,6 +68,9 @@ def _settings(args, stage: str) -> dict:
         if key in ("config", "command", "func") or value is None:
             continue
         merged[key] = value
+    for key in required:
+        if key not in merged:
+            raise InputError("missing-setting", f"required setting {key!r} was not provided")
     if "seed" not in merged:
         merged["seed"] = stage_seed(int(config.get("seed", 0)), stage)
     return merged
@@ -86,7 +92,7 @@ def _pick(settings: dict, cls, **renames):
 
 
 def cmd_synth(args) -> int:
-    s = _settings(args, "synth")
+    s = _settings(args, "synth", "out")
     fc = _pick(s, FamilyConfig)
     out = Path(s["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -109,7 +115,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    s = _settings(args, "estimate")
+    s = _settings(args, "estimate", "tasks", "out")
     tasks = fileio.read_task_dir(s["tasks"])
     n = len(tasks)
     budget = s.get("pairs")
@@ -134,7 +140,7 @@ def _filter_params(s: dict) -> FilterParams:
 
 
 def cmd_filter(args) -> int:
-    s = _settings(args, "filter")
+    s = _settings(args, "filter", "scores", "out")
     tm = fileio.read_transfer_csv(s["scores"])
     ps = filter_scores(tm, _filter_params(s))
     fileio.write_partial_csv(ps, s["out"])
@@ -169,7 +175,7 @@ def _solve(ps, s: dict):
 
 
 def cmd_complete(args) -> int:
-    s = _settings(args, "complete")
+    s = _settings(args, "complete", "similarity", "out_x", "out_e")
     ps = fileio.read_partial_csv(s["similarity"])
     X, result, diagnostics = _solve(ps, s)
     fileio.write_dense_csv(X, s["out_x"])
@@ -183,7 +189,7 @@ def cmd_complete(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    s = _settings(args, "cluster")
+    s = _settings(args, "cluster", "scores", "out")
     K = int(s.get("clusters", 0))
     if K < 1:
         raise InputError("bad-K", "clusters must be >= 1")
@@ -215,14 +221,14 @@ def _mtl_accuracy(model, ds) -> float:
 
 
 def cmd_mtl(args) -> int:
-    s = _settings(args, "mtl")
+    s = _settings(args, "mtl", "tasks", "partition", "out")
     tasks = fileio.read_task_dir(s["tasks"])
     part = fileio.read_partition_json(s["partition"])
     kind = str(s.get("kind", "shared_classifier"))
     config = _pick(s, TrainConfig)
+    clusters = _cluster_members(tasks, part)
     rows = []
-    for k, members in enumerate(_cluster_members(tasks, part)):
-        model = train_cluster_model(members, kind, config, cluster_id=k)
+    for members, model in zip(clusters, train_cluster_models(clusters, kind, config)):
         for ds in members:
             rows.append(
                 {"task_id": ds.task_id, "method": f"mtl-{kind}",
@@ -236,7 +242,7 @@ def cmd_mtl(args) -> int:
 
 
 def cmd_fsl(args) -> int:
-    s = _settings(args, "fsl")
+    s = _settings(args, "fsl", "tasks", "partition", "targets", "out")
     tasks = fileio.read_task_dir(s["tasks"])
     part = fileio.read_partition_json(s["partition"])
     targets = fileio.read_task_dir(s["targets"])
@@ -246,10 +252,7 @@ def cmd_fsl(args) -> int:
     shots = int(s.get("shots", 5))
     adaptive = bool(s.get("adaptive", False))
     threshold = float(s.get("threshold", 0.20))
-    models = [
-        train_cluster_model(members, kind, config, cluster_id=k)
-        for k, members in enumerate(_cluster_members(tasks, part))
-    ]
+    models = train_cluster_models(_cluster_members(tasks, part), kind, config)
     rows = []
     for ds in targets:
         fs = fewshot_from_dataset(ds, shots=shots, seed=int(s["seed"]))
@@ -275,7 +278,7 @@ def cmd_fsl(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    s = _settings(args, "sweep")
+    s = _settings(args, "sweep", "out")
     cells = phase_sweep(
         n=int(s.get("n", 30)),
         k=int(s.get("clusters", 3)),
@@ -424,9 +427,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except KeyError as exc:
-        _report_error("missing-setting", f"required setting {exc} was not provided")
-        return 2
     except NumericalError as exc:
         _report_error(exc.code, exc.message)
         return 3

@@ -16,7 +16,6 @@ import numpy as np
 from .bench import SweepCell
 from .errors import InputError
 from .filtering import PartialSimilarity
-from .learning import KINDS, ClusterModel
 from .spectral import TaskPartition
 from .transfer import TaskDataset, TransferMatrix
 
@@ -280,58 +279,3 @@ def read_sweep_csv(path) -> list[SweepCell]:
             raise InputError("bad-format", f"{p}: bad row {line!r}")
         cells.append(SweepCell(n=n, k=k, m1=m1, m2=m2, trials=trials, recovered_count=rec))
     return cells
-
-
-# ---------------------------------------------------------------------------
-# cluster models
-
-
-def model_to_doc(model: ClusterModel) -> dict:
-    doc = {
-        "kind": model.kind,
-        "cluster_id": model.cluster_id,
-        "shapes": {"W_enc": list(model.W_enc.shape), "b_enc": list(model.b_enc.shape)},
-        "W_enc": model.W_enc,
-        "b_enc": model.b_enc,
-    }
-    if model.W_cls is not None:
-        doc["W_cls"] = model.W_cls
-        doc["b_cls"] = model.b_cls
-        doc["shapes"]["W_cls"] = list(model.W_cls.shape)
-    if model.label_count is not None:
-        doc["label_count"] = model.label_count
-    if model.heads:
-        doc["heads"] = {tid: [W, b] for tid, (W, b) in model.heads.items()}
-    return doc
-
-
-def write_model_json(model: ClusterModel, path) -> None:
-    write_json(model_to_doc(model), path)
-
-
-def read_model_json(path) -> ClusterModel:
-    doc = read_json(path)
-    try:
-        if doc["kind"] not in KINDS:
-            raise InputError("bad-format", f"{path}: unknown model kind {doc['kind']!r}")
-        heads = {
-            tid: (np.array(W, dtype=float), np.array(b, dtype=float))
-            for tid, (W, b) in doc.get("heads", {}).items()
-        }
-        model = ClusterModel(
-            cluster_id=int(doc["cluster_id"]),
-            kind=str(doc["kind"]),
-            W_enc=np.array(doc["W_enc"], dtype=float),
-            b_enc=np.array(doc["b_enc"], dtype=float),
-            W_cls=np.array(doc["W_cls"], dtype=float) if "W_cls" in doc else None,
-            b_cls=np.array(doc["b_cls"], dtype=float) if "b_cls" in doc else None,
-            heads=heads,
-            label_count=int(doc["label_count"]) if "label_count" in doc else None,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("bad-format", f"{path} is not a model file: {exc}") from exc
-    for name, shape in doc.get("shapes", {}).items():
-        arr = getattr(model, name)
-        if list(arr.shape) != list(shape):
-            raise InputError("bad-format", f"{path}: {name} shape {arr.shape} != {shape}")
-    return model

@@ -8,6 +8,11 @@ episodically so that examples sit closer to same-label anchors
 learned convex combination of frozen cluster predictors or, when every
 cluster scores at or below an accuracy threshold on the support set, by a
 fresh model trained on the support set alone.
+
+train_cluster_models trains the shared_classifier or
+shared_encoder_multihead models of same-shaped clusters as one stack, with
+the kernel in ``transfer``; each cluster keeps its own random stream, so its
+model does not depend on the other clusters.
 """
 
 from __future__ import annotations
@@ -18,7 +23,17 @@ import numpy as np
 
 from .errors import InputError
 from .seeding import derive_rng
-from .transfer import TaskDataset, TaskModel, TrainConfig, softmax, train_single_task, _onehot
+from .transfer import (
+    TaskDataset,
+    TaskModel,
+    TrainConfig,
+    _init_model_stack,
+    _onehot,
+    _sgd,
+    _stacks,
+    softmax,
+    train_single_task,
+)
 
 KINDS = ("shared_classifier", "shared_encoder_multihead", "metric_encoder")
 
@@ -119,86 +134,87 @@ def _pool(cluster: list[TaskDataset]) -> tuple[np.ndarray, np.ndarray]:
     return Xs, ys
 
 
-def train_cluster_model(
-    cluster: list[TaskDataset],
-    kind: str,
-    config: TrainConfig | None = None,
-    cluster_id: int = 0,
-) -> ClusterModel:
-    """Fit one model of the requested kind on all tasks in the cluster."""
-    config = config or TrainConfig()
+def _check_cluster(cluster: list[TaskDataset], kind: str) -> None:
     if kind not in KINDS:
         raise InputError("bad-kind", f"kind must be one of {KINDS}")
     if not cluster:
         raise InputError("empty-cluster", "cannot train on an empty cluster")
-    dims = {t.dim for t in cluster}
-    if len(dims) != 1:
+    if len({t.dim for t in cluster}) != 1:
         raise InputError("dim-mismatch", "cluster tasks disagree on feature dimension")
-    d = dims.pop()
-    h = config.hidden
-    rng = derive_rng(config.seed, "cluster", cluster_id, kind)
-
     if kind == "shared_classifier":
-        counts = {t.label_count for t in cluster}
-        if len(counts) != 1:
+        if len({t.label_count for t in cluster}) != 1:
             raise InputError(
                 "label-space-mismatch",
                 "shared_classifier needs identical label spaces across the cluster",
             )
-        L = counts.pop()
-        X, y = _pool(cluster)
-        if X.shape[0] == 0:
+        if sum(t.train[0].shape[0] for t in cluster) == 0:
             raise InputError("empty-train", "cluster has no training data")
-        W_e = 0.01 * rng.standard_normal((d, h))
-        b_e = np.zeros(h)
-        W_c = 0.01 * rng.standard_normal((h, L))
-        b_c = np.zeros(L)
-        m = X.shape[0]
-        for _ in range(config.epochs):
-            order = rng.permutation(m)
-            for start in range(0, m, config.batch_size):
-                idx = order[start:start + config.batch_size]
-                Xb, yb = X[idx], y[idx]
-                Z = Xb @ W_e + b_e
-                G = (softmax(Z @ W_c + b_c) - _onehot(yb, L)) / len(idx)
-                dZ = G @ W_c.T
-                W_c -= config.lr * (Z.T @ G)
-                b_c -= config.lr * G.sum(axis=0)
-                W_e -= config.lr * (Xb.T @ dZ)
-                b_e -= config.lr * dZ.sum(axis=0)
-        return ClusterModel(cluster_id=cluster_id, kind=kind, W_enc=W_e, b_enc=b_e,
-                            W_cls=W_c, b_cls=b_c, label_count=L)
-
-    if kind == "shared_encoder_multihead":
-        W_e = 0.01 * rng.standard_normal((d, h))
-        b_e = np.zeros(h)
-        heads = {}
+    elif kind == "shared_encoder_multihead":
         for t in cluster:
             if t.train[0].shape[0] == 0:
                 raise InputError("empty-train", f"task {t.task_id} has no training data")
-            heads[t.task_id] = (0.01 * rng.standard_normal((h, t.label_count)),
-                                np.zeros(t.label_count))
-        for _ in range(config.epochs):
-            for t in cluster:
-                X, y = t.train
-                W_c, b_c = heads[t.task_id]
-                order = rng.permutation(X.shape[0])
-                for start in range(0, X.shape[0], config.batch_size):
-                    idx = order[start:start + config.batch_size]
-                    Xb, yb = X[idx], y[idx]
-                    Z = Xb @ W_e + b_e
-                    G = (softmax(Z @ W_c + b_c) - _onehot(yb, t.label_count)) / len(idx)
-                    dZ = G @ W_c.T
-                    W_c -= config.lr * (Z.T @ G)
-                    b_c -= config.lr * G.sum(axis=0)
-                    W_e -= config.lr * (Xb.T @ dZ)
-                    b_e -= config.lr * dZ.sum(axis=0)
-                heads[t.task_id] = (W_c, b_c)
-        return ClusterModel(cluster_id=cluster_id, kind=kind, W_enc=W_e, b_enc=b_e, heads=heads)
 
-    # metric_encoder: episodic training; each episode draws one anchor per
-    # label and a query batch from one task, then steps the encoder on the
-    # softmax loss over anchor-query inner products.
+
+def _head_slots(cluster: list[TaskDataset]) -> list[int]:
+    """For each member, the position of the first member with its task id (the head it trains)."""
+    ids = [t.task_id for t in cluster]
+    return [ids.index(tid) for tid in ids]
+
+
+def _stack_key(cluster: list[TaskDataset], kind: str):
+    """Clusters with equal keys train as one stack."""
+    if kind == "shared_classifier":
+        return sum(t.train[0].shape[0] for t in cluster), cluster[0].dim, cluster[0].label_count
+    return (cluster[0].dim, tuple((t.train[0].shape[0], t.label_count) for t in cluster),
+            tuple(_head_slots(cluster)))
+
+
+def _train_stack(clusters: list[list[TaskDataset]], ids: list[int], kind: str,
+                 config: TrainConfig) -> list[ClusterModel]:
+    """shared_classifier or shared_encoder_multihead models for same-shaped clusters."""
+    rngs = [derive_rng(config.seed, "cluster", k, kind) for k in ids]
+    B, d, h = len(clusters), clusters[0][0].dim, config.hidden
+    if kind == "shared_classifier":
+        L = clusters[0][0].label_count
+        W_e, b_e, W_c, b_c = _init_model_stack(rngs, d, h, L)
+        pooled = [_pool(cluster) for cluster in clusters]
+        X, y = (np.stack(arrays) for arrays in zip(*pooled))
+        _sgd(X, y, L, W_c, b_c, rngs, config.epochs, config, W_e, b_e)
+        return [ClusterModel(cluster_id=k, kind=kind, W_enc=W_e[b], b_enc=b_e[b],
+                             W_cls=W_c[b], b_cls=b_c[b], label_count=L)
+                for b, k in enumerate(ids)]
+
+    # shared_encoder_multihead: one encoder per cluster, stepped by every
+    # member's batches in turn, and one head per task id.
+    slots = _head_slots(clusters[0])
+    W_e, heads = [], []
+    for rng in rngs:
+        W_e.append(0.01 * rng.standard_normal((d, h)))
+        inits = {}
+        for slot, t in zip(slots, clusters[0]):
+            inits[slot] = 0.01 * rng.standard_normal((h, t.label_count))
+        heads.append(inits)
+    W_e, b_e = np.stack(W_e), np.zeros((B, h))
+    W_h = {slot: np.stack([inits[slot] for inits in heads]) for slot in heads[0]}
+    b_h = {slot: np.zeros((B, W.shape[2])) for slot, W in W_h.items()}
+    data = [(np.stack([c[p].train[0] for c in clusters]), np.stack([c[p].train[1] for c in clusters]))
+            for p in range(len(slots))]
+    for _ in range(config.epochs):
+        for slot, t, (X, y) in zip(slots, clusters[0], data):
+            _sgd(X, y, t.label_count, W_h[slot], b_h[slot], rngs, 1, config, W_e, b_e)
+    return [ClusterModel(cluster_id=k, kind=kind, W_enc=W_e[b], b_enc=b_e[b],
+                         heads={t.task_id: (W_h[slot][b], b_h[slot][b])
+                                for slot, t in zip(slots, cluster)})
+            for b, (k, cluster) in enumerate(zip(ids, clusters))]
+
+
+def _train_metric_encoder(cluster: list[TaskDataset], config: TrainConfig, cluster_id: int) -> ClusterModel:
+    """Episodic training: each episode draws one anchor per label and a query
+    batch from one task, then steps the encoder on the softmax loss over
+    anchor-query inner products."""
+    kind = "metric_encoder"
+    rng = derive_rng(config.seed, "cluster", cluster_id, kind)
+    d, h = cluster[0].dim, config.hidden
     W = 0.01 * rng.standard_normal((d, h))
     b = np.zeros(h)
     episodes = config.epochs * len(cluster)
@@ -229,6 +245,43 @@ def train_cluster_model(
         W -= config.lr * dW
         b -= config.lr * db
     return ClusterModel(cluster_id=cluster_id, kind=kind, W_enc=W, b_enc=b)
+
+
+def train_cluster_models(
+    clusters: list[list[TaskDataset]],
+    kind: str,
+    config: TrainConfig | None = None,
+) -> list[ClusterModel]:
+    """One model of the requested kind per cluster; cluster k gets cluster_id k.
+
+    Clusters of the same shape train as one stack. Each draws from its own
+    stream, so every model equals train_cluster_model(clusters[k], kind,
+    config, cluster_id=k). metric_encoder clusters train one at a time.
+    """
+    config = config or TrainConfig()
+    for cluster in clusters:
+        _check_cluster(cluster, kind)
+    if kind == "metric_encoder":
+        return [_train_metric_encoder(cluster, config, k) for k, cluster in enumerate(clusters)]
+    models: list = [None] * len(clusters)
+    for ids in _stacks(_stack_key(cluster, kind) for cluster in clusters):
+        for k, model in zip(ids, _train_stack([clusters[k] for k in ids], ids, kind, config)):
+            models[k] = model
+    return models
+
+
+def train_cluster_model(
+    cluster: list[TaskDataset],
+    kind: str,
+    config: TrainConfig | None = None,
+    cluster_id: int = 0,
+) -> ClusterModel:
+    """Fit one model of the requested kind on all tasks in the cluster."""
+    config = config or TrainConfig()
+    _check_cluster(cluster, kind)
+    if kind == "metric_encoder":
+        return _train_metric_encoder(cluster, config, cluster_id)
+    return _train_stack([cluster], [cluster_id], kind, config)[0]
 
 
 @dataclass

@@ -6,6 +6,13 @@ freezing i's encoder, fitting a fresh classifier on j's training split, and
 scoring accuracy on j's validation split. Scores for a sampled set of task
 pairs are assembled into an asymmetric, partially observed matrix with unit
 diagonal.
+
+All training runs through one kernel that steps a stack of same-shaped
+problems at once: tasks of one shape train together, and so do the
+transfer heads of targets of one shape. The heads of one target share the
+target's random stream (initialization and batch orders); everything else
+draws from a stream of its own. Every step works on each problem alone, so
+a result is bit for bit the same whatever else is in the stack.
 """
 
 from __future__ import annotations
@@ -124,60 +131,163 @@ class TaskModel:
 
 
 def softmax(Z: np.ndarray) -> np.ndarray:
-    Z = Z - Z.max(axis=1, keepdims=True)
+    """Row-wise softmax over the last axis; leading axes are a stack of problems."""
+    Z = Z - Z.max(axis=-1, keepdims=True)
     P = np.exp(Z)
-    return P / P.sum(axis=1, keepdims=True)
+    return P / P.sum(axis=-1, keepdims=True)
 
 
 def _onehot(y: np.ndarray, L: int) -> np.ndarray:
-    H = np.zeros((y.size, L))
-    H[np.arange(y.size), y] = 1.0
-    return H
+    return (y[..., None] == np.arange(L)).astype(float)
 
 
-def _fit_classifier(Z, y, L, config, rng):
-    """Softmax head on fixed features Z by mini-batch gradient descent."""
-    h = Z.shape[1]
-    W = 0.01 * rng.standard_normal((h, L))
-    b = np.zeros(L)
-    m = Z.shape[0]
-    for _ in range(config.transfer_epochs):
-        order = rng.permutation(m)
+def _sgd(X, y, L, W_cls, b_cls, rngs, epochs, config, W_enc=None, b_enc=None, owner=None):
+    """Mini-batch softmax SGD on a stack of B same-shaped problems, in place.
+
+    X is (B, m, d) and y is (B, m). W_cls (B, h, L) and b_cls (B, L) are the
+    heads. With W_enc (B, d, h) and b_enc (B, h) the linear encoder is
+    trained with its head; without them X holds fixed features (d = h) and
+    only the head moves. Each epoch draws one permutation from each
+    generator in ``rngs``; problem b takes its batch order from
+    rngs[owner[b]], or from rngs[b] when owner is None. A problem's result
+    therefore does not depend on what else is in the stack: every step is a
+    stacked matmul that works on each problem alone.
+    """
+    m = X.shape[1]
+    rows = np.arange(X.shape[0])[:, None]
+    for _ in range(epochs):
+        order = np.stack([rng.permutation(m) for rng in rngs])
+        if owner is not None:
+            order = order[owner]
         for start in range(0, m, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            Zb, yb = Z[idx], y[idx]
-            G = (softmax(Zb @ W + b) - _onehot(yb, L)) / len(idx)
-            W -= config.lr * (Zb.T @ G)
-            b -= config.lr * G.sum(axis=0)
+            idx = order[:, start:start + config.batch_size]
+            Xb = X[rows, idx]
+            Z = Xb if W_enc is None else Xb @ W_enc + b_enc[:, None, :]
+            G = (softmax(Z @ W_cls + b_cls[:, None, :]) - _onehot(y[rows, idx], L)) / idx.shape[1]
+            if W_enc is not None:
+                dZ = G @ W_cls.transpose(0, 2, 1)
+            W_cls -= config.lr * (Z.transpose(0, 2, 1) @ G)
+            b_cls -= config.lr * G.sum(axis=1)
+            if W_enc is not None:
+                W_enc -= config.lr * (Xb.transpose(0, 2, 1) @ dZ)
+                b_enc -= config.lr * dZ.sum(axis=1)
+
+
+def _fit_classifier(Z, y, L, config, rngs, owner):
+    """Softmax heads on a stack of fixed features Z (B, m, h) with labels y (B, m).
+
+    Head b draws its initialization and batch orders from rngs[owner[b]],
+    so heads that share a generator share both.
+    """
+    W = np.stack([0.01 * rng.standard_normal((Z.shape[2], L)) for rng in rngs])[owner]
+    b = np.zeros((len(owner), L))
+    _sgd(Z, y, L, W, b, rngs, config.transfer_epochs, config, owner=owner)
     return W, b
+
+
+def _init_model_stack(rngs, d, h, L):
+    """Encoder and head weights for a stack, each problem drawing its
+    encoder and then its head from its own stream; biases start at 0."""
+    inits = [(0.01 * rng.standard_normal((d, h)), 0.01 * rng.standard_normal((h, L))) for rng in rngs]
+    W_e, W_c = (np.stack(ws) for ws in zip(*inits))
+    return W_e, np.zeros((len(rngs), h)), W_c, np.zeros((len(rngs), L))
+
+
+# Most problems stepped in one stack. It bounds the memory a step holds:
+# 64 problems of 60 rows and 16 hidden units are 0.5 MB per feature array.
+_STACK_LIMIT = 64
+
+
+def _stacks(keys, sizes=None) -> list[list[int]]:
+    """Positions grouped into stacks of equal key, in first-seen order.
+
+    A stack holds at most _STACK_LIMIT problems, position p counting as
+    sizes[p] of them (default 1); a position larger than that stands alone.
+    """
+    groups: dict = {}
+    for pos, key in enumerate(keys):
+        groups.setdefault(key, []).append(pos)
+    stacks = []
+    for members in groups.values():
+        stack, total = [], 0
+        for pos in members:
+            size = 1 if sizes is None else sizes[pos]
+            if stack and total + size > _STACK_LIMIT:
+                stacks.append(stack)
+                stack, total = [], 0
+            stack.append(pos)
+            total += size
+        stacks.append(stack)
+    return stacks
+
+
+def train_tasks(datasets: list[TaskDataset], config: TrainConfig | None = None) -> list[TaskModel]:
+    """Jointly train encoder and classifier on each task's training split.
+
+    Tasks with the same training shape are stepped together as one stack.
+    Each task draws from its own stream, so its model is the same whatever
+    other tasks are trained with it.
+    """
+    config = config or TrainConfig()
+    for ds in datasets:
+        if ds.train[0].shape[0] == 0:
+            raise InputError("empty-train", f"task {ds.task_id} has no training data")
+    models: list = [None] * len(datasets)
+    for members in _stacks((ds.train[0].shape, ds.label_count) for ds in datasets):
+        stack = [datasets[pos] for pos in members]
+        L = stack[0].label_count
+        rngs = [derive_rng(config.seed, "single", ds.task_id) for ds in stack]
+        W_e, b_e, W_c, b_c = _init_model_stack(rngs, stack[0].dim, config.hidden, L)
+        X = np.stack([ds.train[0] for ds in stack])
+        y = np.stack([ds.train[1] for ds in stack])
+        _sgd(X, y, L, W_c, b_c, rngs, config.epochs, config, W_e, b_e)
+        for b, pos in enumerate(members):
+            models[pos] = TaskModel(W_enc=W_e[b], b_enc=b_e[b], W_cls=W_c[b], b_cls=b_c[b])
+    return models
 
 
 def train_single_task(dataset: TaskDataset, config: TrainConfig | None = None) -> TaskModel:
     """Jointly train encoder and classifier on the task's training split."""
-    config = config or TrainConfig()
-    X, y = dataset.train
-    if X.shape[0] == 0:
-        raise InputError("empty-train", f"task {dataset.task_id} has no training data")
-    d, h, L = dataset.dim, config.hidden, dataset.label_count
-    rng = derive_rng(config.seed, "single", dataset.task_id)
-    W_e = 0.01 * rng.standard_normal((d, h))
-    b_e = np.zeros(h)
-    W_c = 0.01 * rng.standard_normal((h, L))
-    b_c = np.zeros(L)
-    m = X.shape[0]
-    for _ in range(config.epochs):
-        order = rng.permutation(m)
-        for start in range(0, m, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            Xb, yb = X[idx], y[idx]
-            Z = Xb @ W_e + b_e
-            G = (softmax(Z @ W_c + b_c) - _onehot(yb, L)) / len(idx)
-            dZ = G @ W_c.T
-            W_c -= config.lr * (Z.T @ G)
-            b_c -= config.lr * G.sum(axis=0)
-            W_e -= config.lr * (Xb.T @ dZ)
-            b_e -= config.lr * dZ.sum(axis=0)
-    return TaskModel(W_enc=W_e, b_enc=b_e, W_cls=W_c, b_cls=b_c)
+    return train_tasks([dataset], config)[0]
+
+
+def _check_transfer(source: TaskModel, target: TaskDataset, config: TrainConfig) -> None:
+    if target.dim != source.W_enc.shape[0]:
+        raise InputError(
+            "dim-mismatch",
+            f"source encoder dim {source.W_enc.shape[0]} vs target dim {target.dim}",
+        )
+    if len(target.train[1]) == 0:
+        raise InputError("empty-train", f"task {target.task_id} has no training data")
+    if not config.reuse_source_classifier and len(target.valid[1]) == 0:
+        raise InputError("empty-split", f"task {target.task_id} has no validation data")
+
+
+def _transfer_scores(jobs, config: TrainConfig) -> list[list[float]]:
+    """transfer_score of every source on its target, for (target, sources) jobs.
+
+    Every (source, target) must have passed _check_transfer, and the targets
+    must share their training shape and label count. The heads of one
+    target all draw from its stream, so they share their initialization and
+    batch orders; the heads of every job are fitted as one stack.
+    """
+    if config.reuse_source_classifier:
+        return [[source.accuracy(*target.train) for source in sources] for target, sources in jobs]
+    encoders = [(np.stack([s.W_enc for s in sources]), np.stack([s.b_enc for s in sources])[:, None, :])
+                for _, sources in jobs]
+    Z = np.concatenate([target.train[0] @ W_enc + b_enc
+                        for (target, _), (W_enc, b_enc) in zip(jobs, encoders)])
+    y = np.concatenate([np.tile(target.train[1], (len(sources), 1)) for target, sources in jobs])
+    rngs = [derive_rng(config.seed, "transfer", target.task_id) for target, _ in jobs]
+    owner = np.repeat(np.arange(len(jobs)), [len(sources) for _, sources in jobs])
+    W, b = _fit_classifier(Z, y, jobs[0][0].label_count, config, rngs, owner)
+    scores = []
+    for k, ((target, _), (W_enc, b_enc)) in enumerate(zip(jobs, encoders)):
+        heads = owner == k
+        Xv, yv = target.valid
+        pred = np.argmax((Xv @ W_enc + b_enc) @ W[heads] + b[heads][:, None, :], axis=2)
+        scores.append([float(np.mean(row == yv)) for row in pred])
+    return scores
 
 
 def transfer_score(source: TaskModel, target: TaskDataset, config: TrainConfig | None = None) -> float:
@@ -188,27 +298,8 @@ def transfer_score(source: TaskModel, target: TaskDataset, config: TrainConfig |
     sets coincide.
     """
     config = config or TrainConfig()
-    if target.dim != source.W_enc.shape[0]:
-        raise InputError(
-            "dim-mismatch",
-            f"source encoder dim {source.W_enc.shape[0]} vs target dim {target.dim}",
-        )
-    if config.reuse_source_classifier:
-        Xt, yt = target.train
-        if len(yt) == 0:
-            raise InputError("empty-train", f"task {target.task_id} has no training data")
-        return source.accuracy(Xt, yt)
-    Xt, yt = target.train
-    if len(yt) == 0:
-        raise InputError("empty-train", f"task {target.task_id} has no training data")
-    Xv, yv = target.valid
-    if len(yv) == 0:
-        raise InputError("empty-split", f"task {target.task_id} has no validation data")
-    rng = derive_rng(config.seed, "transfer", target.task_id)
-    Z = Xt @ source.W_enc + source.b_enc
-    W, b = _fit_classifier(Z, yt, target.label_count, config, rng)
-    Zv = Xv @ source.W_enc + source.b_enc
-    return float(np.mean(np.argmax(Zv @ W + b, axis=1) == yv))
+    _check_transfer(source, target, config)
+    return _transfer_scores([(target, [source])], config)[0][0]
 
 
 def _pair_offset(i: int, n: int) -> int:
@@ -254,14 +345,24 @@ def build_transfer_matrix(
     scores = np.zeros((n, n))
     observed = np.zeros((n, n), dtype=bool)
     needed = sorted({i for p in pairs for i in p})
-    models = {i: train_single_task(tasks[i], config) for i in needed}
+    models = dict(zip(needed, train_tasks([tasks[i] for i in needed], config)))
+    sources: dict[int, list[int]] = {}
     for i, j in sorted(set((min(p), max(p)) for p in pairs)):
         try:
-            scores[i, j] = transfer_score(models[i], tasks[j], config)
-            scores[j, i] = transfer_score(models[j], tasks[i], config)
+            _check_transfer(models[i], tasks[j], config)
+            _check_transfer(models[j], tasks[i], config)
         except InputError as exc:
             raise InputError(exc.code, f"pair ({i},{j}): {exc.message}") from exc
+        sources.setdefault(j, []).append(i)
+        sources.setdefault(i, []).append(j)
         observed[i, j] = observed[j, i] = True
+    targets = list(sources)
+    keys = [(tasks[j].train[0].shape, tasks[j].label_count) for j in targets]
+    for members in _stacks(keys, [len(sources[j]) for j in targets]):
+        chunk = [targets[pos] for pos in members]
+        jobs = [(tasks[j], [models[i] for i in sources[j]]) for j in chunk]
+        for j, row in zip(chunk, _transfer_scores(jobs, config)):
+            scores[sources[j], j] = row
     d = np.arange(n)
     scores[d, d] = 1.0
     observed[d, d] = True

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from taskclust import fileio
+from taskclust import cli, fileio
 from taskclust.cli import main, stage_seed
 from taskclust.filtering import FilterParams, filter_scores
 from taskclust.learning import train_cluster_model
@@ -47,6 +47,16 @@ class TestSynth:
         code, _, err = run(capsys, "synth", "--n-tasks", 4, "--clusters", 2)
         assert code == 2
         assert stderr_record(err)["error"] == "missing-setting"
+
+    def test_internal_key_error_is_not_a_missing_setting(self, family_dir, tmp_path, capsys,
+                                                          monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("W_enc")
+
+        monkeypatch.setattr(cli, "build_transfer_matrix", broken)
+        with pytest.raises(KeyError):
+            main(["estimate", "--tasks", str(family_dir), "--out", str(tmp_path / "s.csv")])
+        assert "missing-setting" not in capsys.readouterr().err
 
 
 class TestEstimate:

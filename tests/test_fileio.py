@@ -5,7 +5,6 @@ from taskclust import fileio
 from taskclust.bench import SweepCell
 from taskclust.errors import InputError
 from taskclust.filtering import PartialSimilarity
-from taskclust.learning import train_cluster_model
 from taskclust.spectral import TaskPartition
 from taskclust.synthdata import make_task_family
 from taskclust.transfer import TransferMatrix
@@ -149,23 +148,6 @@ def test_sweep_csv_round_trip(tmp_path):
     back = fileio.read_sweep_csv(path)
     assert back == cells
     assert path.read_text().splitlines()[0] == "n,k,m1,m2,trials,recovered_count,prob"
-
-
-def test_model_json_round_trip(tmp_path):
-    tasks, _ = make_task_family(2, 2, seed=7)
-    for kind in ("shared_classifier", "shared_encoder_multihead", "metric_encoder"):
-        model = train_cluster_model([tasks[0]], kind)
-        path = tmp_path / f"{kind}.json"
-        fileio.write_model_json(model, path)
-        back = fileio.read_model_json(path)
-        assert back.kind == kind
-        assert np.array_equal(back.W_enc, model.W_enc)
-        assert np.array_equal(back.b_enc, model.b_enc)
-        if model.W_cls is not None:
-            assert np.array_equal(back.W_cls, model.W_cls)
-        for tid, (W, b) in model.heads.items():
-            W2, b2 = back.heads[tid]
-            assert np.array_equal(W, W2) and np.array_equal(b, b2)
 
 
 def test_json_booleans_survive(tmp_path):

@@ -17,6 +17,7 @@ from taskclust.learning import (
     fsl_combine,
     metric_predict,
     train_cluster_model,
+    train_cluster_models,
 )
 from taskclust.learning import _model_proba
 from taskclust.seeding import derive_rng
@@ -26,7 +27,7 @@ from taskclust.synthdata import (
     make_target_task,
     make_task_family,
 )
-from taskclust.transfer import TaskDataset, TrainConfig, train_single_task
+from taskclust.transfer import TaskDataset, TrainConfig, softmax, train_single_task
 
 FC = FamilyConfig(dim=10, label_count=3, train_per_class=12, separation=1.8,
                   task_noise=0.3, sample_spread=1.0)
@@ -128,6 +129,86 @@ class TestClusterTraining:
         with pytest.raises(InputError) as exc:
             model.predict_proba(ds.train[0], task_id="stranger")
         assert exc.value.code == "no-head"
+
+
+def reference_sgd_epoch(X, y, L, W_e, b_e, W_c, b_c, cfg, rng):
+    """One epoch of the per-problem encoder+softmax loop the stacked kernel replaces."""
+    order = rng.permutation(len(y))
+    for start in range(0, len(y), cfg.batch_size):
+        idx = order[start:start + cfg.batch_size]
+        Xb, yb = X[idx], y[idx]
+        Z = Xb @ W_e + b_e
+        G = (softmax(Z @ W_c + b_c) - np.eye(L)[yb]) / len(idx)
+        dZ = G @ W_c.T
+        W_c -= cfg.lr * (Z.T @ G)
+        b_c -= cfg.lr * G.sum(axis=0)
+        W_e -= cfg.lr * (Xb.T @ dZ)
+        b_e -= cfg.lr * dZ.sum(axis=0)
+
+
+def reference_cluster_arrays(cluster, kind, cfg, cluster_id):
+    """Every trained array of a cluster model, from the per-cluster loops."""
+    rng = derive_rng(cfg.seed, "cluster", cluster_id, kind)
+    d, h = cluster[0].dim, cfg.hidden
+    W_e, b_e = 0.01 * rng.standard_normal((d, h)), np.zeros(h)
+    if kind == "shared_classifier":
+        L = cluster[0].label_count
+        W_c, b_c = 0.01 * rng.standard_normal((h, L)), np.zeros(L)
+        X = np.vstack([t.train[0] for t in cluster])
+        y = np.concatenate([t.train[1] for t in cluster])
+        for _ in range(cfg.epochs):
+            reference_sgd_epoch(X, y, L, W_e, b_e, W_c, b_c, cfg, rng)
+        return [W_e, b_e, W_c, b_c]
+    heads = {}
+    for t in cluster:
+        heads[t.task_id] = (0.01 * rng.standard_normal((h, t.label_count)), np.zeros(t.label_count))
+    for _ in range(cfg.epochs):
+        for t in cluster:
+            reference_sgd_epoch(*t.train, t.label_count, W_e, b_e, *heads[t.task_id], cfg, rng)
+    return [W_e, b_e] + [a for tid in heads for a in heads[tid]]
+
+
+def model_arrays(model):
+    if model.kind == "shared_classifier":
+        return [model.W_enc, model.b_enc, model.W_cls, model.b_cls]
+    return [model.W_enc, model.b_enc] + [a for tid in model.heads for a in model.heads[tid]]
+
+
+class TestClusterStacks:
+    """Clusters of one shape train as a stack; no model may depend on that."""
+
+    @pytest.fixture(scope="class")
+    def clusters(self):
+        tasks, _ = make_task_family(9, 3, FC, seed=4)
+        twin = TaskDataset(tasks[0].task_id, 3, tasks[8].train, tasks[8].valid, tasks[8].test)
+        # two stackable triples, a pair, a triple of the first shape again,
+        # and a triple whose repeated task id shares one head
+        return [tasks[0:3], tasks[3:6], tasks[6:8], [tasks[2], tasks[5], tasks[7]],
+                [tasks[0], tasks[4], twin]]
+
+    @pytest.mark.parametrize("kind", ["shared_classifier", "shared_encoder_multihead"])
+    def test_stacked_clusters_are_the_per_cluster_loops(self, clusters, kind):
+        cfg = TrainConfig(hidden=5, epochs=8, batch_size=16, seed=2)
+        models = train_cluster_models(clusters, kind, cfg)
+        for k, (cluster, model) in enumerate(zip(clusters, models)):
+            assert model.cluster_id == k
+            alone = train_cluster_model(cluster, kind, cfg, cluster_id=k)
+            expected = reference_cluster_arrays(cluster, kind, cfg, k)
+            assert len(model_arrays(model)) == len(expected)
+            for a, b, c in zip(model_arrays(model), model_arrays(alone), expected):
+                assert np.array_equal(a, c) and np.array_equal(b, c)
+
+    def test_metric_encoders_equal_one_call_per_cluster(self, clusters):
+        cfg = TrainConfig(hidden=5, epochs=8, seed=2)
+        for k, model in enumerate(train_cluster_models(clusters, "metric_encoder", cfg)):
+            alone = train_cluster_model(clusters[k], "metric_encoder", cfg, cluster_id=k)
+            assert np.array_equal(model.W_enc, alone.W_enc)
+            assert np.array_equal(model.b_enc, alone.b_enc)
+
+    def test_a_bad_cluster_is_reported_before_any_training(self, clusters):
+        with pytest.raises(InputError) as exc:
+            train_cluster_models(clusters + [[]], "shared_classifier")
+        assert exc.value.code == "empty-cluster"
 
 
 class TestMetricPredict:

@@ -2,19 +2,26 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from taskclust import transfer
 from taskclust.errors import InputError
 from taskclust.seeding import derive_rng
+from taskclust.synthdata import FamilyConfig, make_task_family
 from taskclust.transfer import (
     TaskDataset,
+    TaskModel,
     TrainConfig,
+    _fit_classifier,
     _unrank_pair,
     build_transfer_matrix,
     sample_task_pairs,
+    softmax,
     train_single_task,
+    train_tasks,
     transfer_score,
 )
 
@@ -280,3 +287,118 @@ class TestBuildTransferMatrix:
             build_transfer_matrix(tasks, {(0, 1)}, TrainConfig(epochs=5))
         assert exc.value.code == "dim-mismatch"
         assert "(0,1)" in exc.value.message
+
+
+# ---------------------------------------------------------------------------
+# The per-problem SGD loops that the stacked kernel replaces. Stacking must
+# reproduce them bit for bit, whatever else is in the stack.
+
+
+def reference_sgd_step(Xb, yb, L, W_c, b_c, lr, W_e=None, b_e=None):
+    Z = Xb if W_e is None else Xb @ W_e + b_e
+    G = (softmax(Z @ W_c + b_c) - np.eye(L)[yb]) / len(yb)
+    if W_e is not None:
+        dZ = G @ W_c.T
+    W_c -= lr * (Z.T @ G)
+    b_c -= lr * G.sum(axis=0)
+    if W_e is not None:
+        W_e -= lr * (Xb.T @ dZ)
+        b_e -= lr * dZ.sum(axis=0)
+
+
+def reference_train(ds, cfg):
+    X, y = ds.train
+    L = ds.label_count
+    rng = derive_rng(cfg.seed, "single", ds.task_id)
+    W_e, b_e = 0.01 * rng.standard_normal((ds.dim, cfg.hidden)), np.zeros(cfg.hidden)
+    W_c, b_c = 0.01 * rng.standard_normal((cfg.hidden, L)), np.zeros(L)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(y))
+        for start in range(0, len(y), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            reference_sgd_step(X[idx], y[idx], L, W_c, b_c, cfg.lr, W_e, b_e)
+    return TaskModel(W_enc=W_e, b_enc=b_e, W_cls=W_c, b_cls=b_c)
+
+
+def reference_head(source, target, cfg):
+    Xt, yt = target.train
+    L = target.label_count
+    rng = derive_rng(cfg.seed, "transfer", target.task_id)
+    Z = Xt @ source.W_enc + source.b_enc
+    W, b = 0.01 * rng.standard_normal((Z.shape[1], L)), np.zeros(L)
+    for _ in range(cfg.transfer_epochs):
+        order = rng.permutation(len(yt))
+        for start in range(0, len(yt), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            reference_sgd_step(Z[idx], yt[idx], L, W, b, cfg.lr)
+    return W, b
+
+
+def reference_score(source, target, cfg):
+    if cfg.reuse_source_classifier:
+        return source.accuracy(*target.train)
+    W, b = reference_head(source, target, cfg)
+    Xv, yv = target.valid
+    return float(np.mean(np.argmax((Xv @ source.W_enc + source.b_enc) @ W + b, axis=1) == yv))
+
+
+def assert_same_model(a, b):
+    for x, y in zip((a.W_enc, a.b_enc, a.W_cls, a.b_cls), (b.W_enc, b.b_enc, b.W_cls, b.b_cls)):
+        assert np.array_equal(x, y)
+
+
+@pytest.fixture(scope="module")
+def stack_family():
+    """Six same-shaped tasks (39 training rows: the last batch is short) and
+    one task of another shape, which must train in a stack of its own."""
+    fc = FamilyConfig(dim=5, label_count=3, train_per_class=13, valid_per_class=6)
+    tasks, _ = make_task_family(6, 2, fc, seed=3)
+    return tasks + [make_blobs(seed=4, n_per=20, dim=3, labels=4, task_id="odd")]
+
+
+STACK_CFG = TrainConfig(hidden=6, epochs=12, transfer_epochs=9, batch_size=16, seed=5)
+
+
+class TestBatchInvariance:
+    def test_task_models_are_the_per_task_loop_alone_or_in_any_stack(self, stack_family):
+        together = train_tasks(stack_family, STACK_CFG)
+        reversed_ = train_tasks(stack_family[::-1], STACK_CFG)[::-1]
+        for ds, a, b in zip(stack_family, together, reversed_):
+            expected = reference_train(ds, STACK_CFG)
+            assert_same_model(a, expected)
+            assert_same_model(b, expected)
+            assert_same_model(train_single_task(ds, STACK_CFG), expected)
+
+    def test_heads_fitted_as_one_stack_are_the_per_pair_heads(self, stack_family):
+        """Heads of several targets in one stack, each target's heads sharing its stream."""
+        models = train_tasks(stack_family[:6], STACK_CFG)
+        for jobs in ([(0, [1, 2, 3, 4, 5])], [(0, [3])], [(0, [4, 1]), (2, [5]), (3, [0, 1, 2])]):
+            Z = np.stack([stack_family[t].train[0] @ models[s].W_enc + models[s].b_enc
+                                for t, srcs in jobs for s in srcs])
+            y = np.concatenate([[stack_family[t].train[1]] * len(srcs) for t, srcs in jobs])
+            rngs = [derive_rng(STACK_CFG.seed, "transfer", stack_family[t].task_id) for t, _ in jobs]
+            owner = np.repeat(np.arange(len(jobs)), [len(srcs) for _, srcs in jobs])
+            W, b = _fit_classifier(Z, y, 3, STACK_CFG, rngs, owner)
+            refs = [reference_head(models[s], stack_family[t], STACK_CFG) for t, srcs in jobs for s in srcs]
+            for k, (W_ref, b_ref) in enumerate(refs):
+                assert np.array_equal(W[k], W_ref) and np.array_equal(b[k], b_ref)
+
+    @pytest.mark.parametrize("reuse", [False, True])
+    def test_matrix_entries_are_standalone_transfer_scores(self, stack_family, reuse, monkeypatch):
+        """Every entry equals its pair scored alone, whether each target
+        shape's heads fit in one stack or are cut into stacks of 3 heads."""
+        cfg = replace(STACK_CFG, reuse_source_classifier=reuse)
+        short = make_blobs(seed=9, n_per=15, dim=5, labels=3, task_id="short")
+        tasks = stack_family[:6] + [short]
+        pairs = {(0, 1), (0, 2), (0, 5), (1, 3), (2, 3), (3, 4), (4, 5), (1, 5), (0, 6), (4, 6)}
+        expected = {}
+        for i, j in pairs:
+            for s, t in ((i, j), (j, i)):
+                source = train_single_task(tasks[s], cfg)
+                expected[s, t] = transfer_score(source, tasks[t], cfg)
+                assert expected[s, t] == reference_score(reference_train(tasks[s], cfg), tasks[t], cfg)
+        for limit in (64, 3):
+            monkeypatch.setattr(transfer, "_STACK_LIMIT", limit)
+            tm = build_transfer_matrix(tasks, pairs, cfg)
+            for (s, t), score in expected.items():
+                assert tm.scores[s, t] == score
