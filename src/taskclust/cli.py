@@ -26,6 +26,7 @@ from .errors import InputError, NumericalError, TaskClustError
 from .filtering import MODES, FilterParams, filter_scores
 from .learning import (
     KINDS,
+    PER_TASK_KINDS,
     CombineConfig,
     TrainConfig,
     adaptive_fsl,
@@ -170,6 +171,9 @@ def _solve(ps, s: dict):
         "clipped_fraction": clipped,
         "rho_final": result.rho_final,
         "presym_asymmetry": result.presym_asymmetry,
+        "x_rank": result.x_rank,
+        "e_support": result.e_support,
+        "full_steps": result.full_steps,
     }
     return X, result, diagnostics
 
@@ -252,7 +256,15 @@ def cmd_fsl(args) -> int:
     shots = int(s.get("shots", 5))
     adaptive = bool(s.get("adaptive", False))
     threshold = float(s.get("threshold", 0.20))
-    models = train_cluster_models(_cluster_members(tasks, part), kind, config)
+    clusters = _cluster_members(tasks, part)
+    if kind in PER_TASK_KINDS:
+        # Per-task heads cannot score an unseen target: train nothing.
+        if not adaptive:
+            raise InputError("no-compatible-cluster",
+                             f"{kind} cluster models cannot score an unseen task")
+        models = []
+    else:
+        models = train_cluster_models(clusters, kind, config)
     rows = []
     for ds in targets:
         fs = fewshot_from_dataset(ds, shots=shots, seed=int(s["seed"]))

@@ -7,6 +7,12 @@ Solves the convex program
 by an inexact augmented-Lagrangian iteration with singular value
 thresholding. X is the low-rank similarity matrix, E a sparse matrix of
 wrong observed entries, Omega the set of observed positions.
+
+Symmetric problems shrink a warm-started partial eigendecomposition on most
+steps (Lin, Chen & Ma, arXiv:1009.5055; Halko, Martinsson & Tropp, SIAM
+Rev. 2011): one multiplication of the previous step's basis, then a
+Rayleigh-Ritz step on it. A full eigendecomposition runs whenever that
+basis cannot be trusted, and always on the step that confirms convergence.
 """
 
 from __future__ import annotations
@@ -18,6 +24,11 @@ import numpy as np
 from .errors import InputError, NumericalError
 
 RHO_CAP = 1e7
+# The warm basis carries this many eigenpairs past the kept rank, so that a
+# rank increase shows as a buffer Ritz value above the threshold.
+_BUFFER = 5
+# A basis wider than this share of n costs about as much as a full eigh.
+_WARM_WIDTH_FRACTION = 0.25
 
 
 @dataclass
@@ -26,7 +37,6 @@ class SolverConfig:
     rho_growth: float = 1.2
     tol: float = 1e-7
     max_iter: int = 500
-    lambda_override: float | None = None
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -76,6 +86,9 @@ class CompletionResult:
     lam: float
     rho_final: float = field(repr=False, default=0.0)
     presym_asymmetry: float = field(repr=False, default=0.0)
+    x_rank: int = field(repr=False, default=0)  # kept rank of the last shrink
+    e_support: int = field(repr=False, default=0)  # nonzero entries of E on Omega
+    full_steps: int = field(repr=False, default=0)  # steps with a full decomposition
 
     def objective(self) -> float:
         """||X||_* + lambda * ||E||_1 at the reported point."""
@@ -94,22 +107,60 @@ def svt(M: np.ndarray, tau: float, symmetric: bool = False) -> np.ndarray:
     values are the |eigenvalues|, so each eigenvalue keeps its sign and
     eigenvector while its magnitude shrinks by tau. This is the exact prox
     of the symmetric part of M, at about half the cost of the SVD.
+
+    svt always decomposes M in full; complete() shrinks a warm partial
+    eigendecomposition instead on most symmetric steps.
     """
     if tau <= 0:
         raise InputError("bad-tau", "tau must be positive")
-    M = np.asarray(M, dtype=float)
+    return _shrink_step(np.asarray(M, dtype=float), tau, symmetric, None)[0]
+
+
+def _shrink_step(M, tau, symmetric, basis):
+    """One prox step of complete(): (X, kept rank, next warm basis, full).
+
+    Without a basis, or for asymmetric M, M is decomposed in full (the
+    exact svt). With an orthonormal basis B of symmetric S = (M + M^T)/2,
+    S is multiplied by B once, the product orthonormalized, and only the
+    Ritz pairs of S in that subspace are shrunk. When every Ritz value
+    clears tau, the kept rank may have outgrown the basis, so S is
+    decomposed in full after all (full=True).
+
+    The next basis holds the eigenvectors of the kept rank plus _BUFFER
+    more, by |eigenvalue|; it is None (next step full) when that is wider
+    than _WARM_WIDTH_FRACTION * n.
+    """
     if not np.isfinite(M).all():
         raise NumericalError("non-finite", "svt input contains NaN or inf")
-    if symmetric:
-        w, V = np.linalg.eigh((M + M.T) / 2.0)
-        U, s, Vt = V * np.sign(w), np.abs(w), V.T
-    else:
+    if not symmetric:
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
+        X, rank = _threshold(U, s, Vt, tau)
+        return X, rank, None, True
+    S = (M + M.T) / 2.0
+    full = basis is None
+    if not full:
+        Q = np.linalg.qr(S @ basis)[0]
+        w, Z = np.linalg.eigh(Q.T @ S @ Q)
+        V = Q @ Z
+        full = bool((np.abs(w) > tau).all())
+    if full:
+        w, V = np.linalg.eigh(S)
+    X, rank = _threshold(V * np.sign(w), np.abs(w), V.T, tau)
+    width = rank + _BUFFER
+    if width > _WARM_WIDTH_FRACTION * len(S):
+        return X, rank, None, full
+    order = np.argsort(-np.abs(w), kind="stable")[:width]
+    return X, rank, V[:, order], full
+
+
+def _threshold(U, s, Vt, tau):
+    """Shrink the singular values s by tau: (U diag(s - tau)_+ Vt, kept rank)."""
     s = np.maximum(s - tau, 0.0)
     keep = s > 0
-    if not keep.any():
-        return np.zeros_like(M)
-    return (U[:, keep] * s[keep]) @ Vt[keep]
+    rank = int(keep.sum())
+    if not rank:
+        return np.zeros((U.shape[0], Vt.shape[1])), 0
+    return (U[:, keep] * s[keep]) @ Vt[keep], rank
 
 
 def soft_threshold(M: np.ndarray, tau: float) -> np.ndarray:
@@ -134,17 +185,25 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
     does. A monotone rho schedule drives the primal residual to zero while
     the iterate is still far from optimal, so both residuals must be small
     before we stop. The reported X is symmetrized and E restricted to Omega.
+    For asymmetric input the symmetrized X can miss the constraints that the
+    iterate met, so there the primal residual of the returned pair is
+    reported and must also pass before the solver stops.
 
     When Omega and P_Omega(Y) are exactly symmetric, every iterate is
-    symmetric up to rounding, so each step shrinks an eigendecomposition
-    (``svt(..., symmetric=True)``). The check is made once on the input:
-    the iterates themselves are never exactly symmetric.
+    symmetric up to rounding, so each step shrinks an eigendecomposition.
+    The check is made once on the input: the iterates themselves are never
+    exactly symmetric. Each symmetric step starts from the previous step's
+    basis (its kept eigenvectors plus a buffer) and shrinks only the Ritz
+    pairs in it (see _shrink_step). A full eigendecomposition runs on the
+    first step, whenever the basis would be wider than n/4, whenever every
+    Ritz value clears the threshold, and on the step after a partial one
+    passes the stopping test: the solver stops only when a full step
+    passes, so a converged X is always an exact prox. Other input takes a
+    full SVD every step.
     """
     config = config or SolverConfig()
     omega = problem.omega
-    lam = problem.lam if config.lambda_override is None else config.lambda_override
-    if lam <= 0:
-        raise InputError("bad-lambda", "lambda must be positive")
+    lam = problem.lam
 
     Yp = np.where(omega, problem.Y, 0.0)
     n = problem.n
@@ -163,11 +222,18 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
     E = np.zeros((n, n))
     Lam = np.zeros((n, n))
 
+    def returned_residual(X, E):
+        # The residual of the pair complete() returns: X symmetrized, E on Omega.
+        return np.linalg.norm(np.where(omega, Yp - (X + X.T) / 2.0 - E, 0.0)) / denom
+
     converged = False
     residual = np.inf
+    basis = None
+    rank = full_steps = 0
     it = 0
     for it in range(1, config.max_iter + 1):
-        X = svt(Yp - E + Lam / rho, 1.0 / rho, symmetric)
+        X, rank, basis, full = _shrink_step(Yp - E + Lam / rho, 1.0 / rho, symmetric, basis)
+        full_steps += full
         G = Yp - X + Lam / rho
         E_prev = E
         E = np.where(omega, soft_threshold(G, lam / rho), G)
@@ -178,14 +244,19 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
         residual = np.linalg.norm(np.where(omega, R, 0.0)) / denom
         dual = rho * np.linalg.norm(E - E_prev) / denom
         if residual < config.tol and dual < config.tol:
-            converged = True
-            break
+            if not full:
+                basis = None  # confirm on a full step before stopping
+            elif symmetric or returned_residual(X, E) < config.tol:
+                converged = True
+                break
         if residual > 10.0 * dual:
             rho = min(rho * config.rho_growth, RHO_CAP)
         elif dual > 10.0 * residual:
             rho = max(rho / config.rho_growth, rho_floor)
 
     presym = np.linalg.norm(X - X.T) / max(1.0, np.linalg.norm(X))
+    if not symmetric:
+        residual = returned_residual(X, E)
     X = (X + X.T) / 2.0
     E = np.where(omega, E, 0.0)
     return CompletionResult(
@@ -197,6 +268,9 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
         lam=lam,
         rho_final=rho,
         presym_asymmetry=float(presym),
+        x_rank=rank,
+        e_support=int(np.count_nonzero(E)),
+        full_steps=full_steps,
     )
 
 

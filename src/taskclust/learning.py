@@ -36,6 +36,9 @@ from .transfer import (
 )
 
 KINDS = ("shared_classifier", "shared_encoder_multihead", "metric_encoder")
+# Kinds whose models predict through per-task heads, so no model of them can
+# score a task outside its cluster.
+PER_TASK_KINDS = ("shared_encoder_multihead",)
 
 
 @dataclass

@@ -109,6 +109,10 @@ class TestFilterAndComplete:
         assert diag["final_residual"] < 1e-7
         assert diag["rho_final"] > 0
         assert 0 <= diag["presym_asymmetry"] < 1e-6
+        assert diag["x_rank"] >= 1
+        E = fileio.read_dense_csv(tmp_path / "E.csv")
+        assert diag["e_support"] == np.count_nonzero(E)
+        assert 1 <= diag["full_steps"] <= diag["iterations"]
         X = fileio.read_dense_csv(tmp_path / "X.csv")
         assert X.shape == (12, 12)
         assert X.min() >= 0.0 and X.max() <= 1.0
@@ -263,6 +267,29 @@ class TestLearningCommands:
         assert all(row["method"] == "adaptive-fsl" for row in doc["tasks"])
 
 
+    def test_fsl_multihead_fails_before_training(self, pipeline, tmp_path, capsys, monkeypatch):
+        tasks, part = pipeline
+        targets = tmp_path / "targets"
+        run(capsys, "synth", "--out", targets, "--n-tasks", 2, "--clusters", 2,
+            "--dim", 5, "--seed", 9)
+
+        def untrainable(*args, **kwargs):
+            raise AssertionError("per-task heads cannot score an unseen target")
+
+        monkeypatch.setattr(cli, "train_cluster_models", untrainable)
+        argv = ["fsl", "--tasks", tasks, "--partition", part, "--targets", targets,
+                "--shots", 2, "--epochs", 20, "--kind", "shared_encoder_multihead", "--seed", 0]
+        code, _, err = run(capsys, *argv, "--out", tmp_path / "fsl.json")
+        assert code == 2
+        assert stderr_record(err)["error"] == "no-compatible-cluster"
+        assert not (tmp_path / "fsl.json").exists()
+        report = tmp_path / "adaptive.json"
+        code, _, _ = run(capsys, *argv, "--out", report, "--adaptive")
+        assert code == 0
+        for row in fileio.read_json(report)["tasks"]:
+            assert row["method"] == "adaptive-fsl" and row["alpha"] == []
+
+
 class TestSweep:
     def test_single_trial_probabilities_are_zero_or_one(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -307,6 +334,23 @@ class TestConfigPrecedence:
         assert code == 0
         doc = fileio.read_json(out / "membership.json")
         assert doc["seed"] == stage_seed(7, "synth")
+
+    def test_lambda_override_key_is_ignored(self, tmp_path, capsys):
+        tm, _ = synthetic_transfer_matrix(12, 3, 19, seed=0, sampling="anchored")
+        scores, sim = tmp_path / "scores.csv", tmp_path / "sim.csv"
+        fileio.write_transfer_csv(tm, scores)
+        run(capsys, "filter", "--scores", scores, "--out", sim, "--seed", 0)
+        outputs = []
+        for tag, section in (("plain", {}), ("override", {"lambda_override": 0.05})):
+            config = tmp_path / f"{tag}.json"
+            fileio.write_json({"complete": section}, config)
+            x, e = tmp_path / f"{tag}-X.csv", tmp_path / f"{tag}-E.csv"
+            code, _, _ = run(capsys, "complete", "--config", config, "--similarity", sim,
+                             "--out-x", x, "--out-e", e,
+                             "--diagnostics", tmp_path / f"{tag}-diag.json", "--seed", 0)
+            assert code == 0
+            outputs.append((x.read_bytes(), e.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_config_must_hold_an_object(self, tmp_path, capsys):
         config = tmp_path / "config.json"

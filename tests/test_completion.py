@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from taskclust import completion
-from taskclust.bench import generate_planted, observe_and_corrupt
+from taskclust.bench import equal_sizes, generate_planted, observe_and_corrupt
 from taskclust.completion import (
     CompletionProblem,
     SolverConfig,
@@ -19,6 +19,7 @@ from taskclust.completion import (
     svt,
 )
 from taskclust.errors import InputError, NumericalError
+from taskclust.spectral import spectral_cluster
 
 finite_matrices = arrays(
     np.float64,
@@ -217,15 +218,118 @@ def test_complete_picks_the_shrink_from_the_input(sampling, monkeypatch):
     if sampling == "one-sided-flip":
         i, j = np.argwhere(plan.omega & ~np.eye(12, dtype=bool))[0]
         plan.Y[i, j] = 1.0 - plan.Y[i, j]
-    flags = []
-
-    def recording_svt(M, tau, symmetric=False):
-        flags.append(symmetric)
-        return svt(M, tau, symmetric)
-
-    monkeypatch.setattr(completion, "svt", recording_svt)
+    flags = record_steps(monkeypatch)
     complete(CompletionProblem(plan.Y, plan.omega, 0.5))
-    assert flags and set(flags) == {sampling == "pairs"}
+    assert flags and {symmetric for symmetric, _, _ in flags} == {sampling == "pairs"}
+
+
+# ---------------------------------------------------------------------------
+# the warm partial step of symmetric problems
+
+
+def record_steps(monkeypatch):
+    """Record (symmetric, warm basis given, full decomposition) of every solver step."""
+    steps = []
+    shrink_step = completion._shrink_step
+
+    def recording(M, tau, symmetric, basis):
+        out = shrink_step(M, tau, symmetric, basis)
+        steps.append((symmetric, basis is not None, out[3]))
+        return out
+
+    monkeypatch.setattr(completion, "_shrink_step", recording)
+    return steps
+
+
+def all_full(monkeypatch):
+    """Make every symmetric step a full eigendecomposition (no warm basis is kept)."""
+    monkeypatch.setattr(completion, "_WARM_WIDTH_FRACTION", 0.0)
+
+
+def planted_problem(n, k, m1_frac, m2_frac, seed):
+    inst = generate_planted(n, k, equal_sizes(n, k), seed=seed)
+    m1 = int(m1_frac * n * n)
+    plan = observe_and_corrupt(inst, m1, int(m2_frac * m1), seed=seed)
+    problem = CompletionProblem(plan.Y, plan.omega, float(np.sqrt(n / plan.omega.sum())))
+    return inst, plan, problem
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_warm_steps_match_the_all_full_path(seed, monkeypatch):
+    inst, plan, problem = planted_problem(48, 3, 0.7, 0.02, seed)
+    warm = complete(problem)
+    assert warm.converged and warm.full_steps < warm.iterations / 2
+    with monkeypatch.context() as m:
+        all_full(m)
+        full = complete(problem)
+    assert full.converged and full.full_steps == full.iterations
+    assert np.abs(warm.X - full.X).max() < 1e-5
+    support = lambda res: set(map(tuple, np.argwhere(np.abs(res.E) > 1e-4)))  # noqa: E731
+    assert support(warm) == support(full) == set(map(tuple, np.argwhere(plan.delta)))
+    assert warm.x_rank == full.x_rank == 3
+    assert warm.e_support == full.e_support == plan.delta.sum()
+    assert np.abs(warm.X - inst.X_star).max() < 1e-3
+    parts = [spectral_cluster(clip_to_unit(r.X)[0], 3, seed=0).assignment for r in (warm, full)]
+    assert np.array_equal(parts[0], parts[1])
+
+
+def test_shrink_step_falls_back_when_the_rank_outgrows_the_basis():
+    rng = np.random.default_rng(5)
+    V = np.linalg.qr(rng.standard_normal((64, 64)))[0]
+    w = np.concatenate([[9.0, -8.0, 7.0, 6.5, -6.0, 5.5, 5.0, 4.5], 0.1 * rng.standard_normal(56)])
+    S = (V * w) @ V.T
+    S = (S + S.T) / 2.0
+    tau = 1.0
+    # The basis holds 6 of the 8 eigenvectors that clear tau: no headroom.
+    X, rank, basis, full = completion._shrink_step(S, tau, True, V[:, :6])
+    assert full and rank == 8
+    assert np.array_equal(X, svt(S, tau, True))
+    assert basis.shape == (64, 8 + completion._BUFFER)
+    # With every kept eigenvector and a buffer in the basis, the step stays partial.
+    X, rank, basis, full = completion._shrink_step(S, tau, True, V[:, :10])
+    assert not full and rank == 8
+    assert np.abs(X - svt(S, tau, True)).max() < 1e-10
+
+
+def test_solver_falls_back_when_the_rank_jumps(monkeypatch):
+    # Eight equal clusters give eight equal eigenvalues, so all of them clear
+    # the threshold in the same step, more than the warm basis can hold.
+    inst = generate_planted(64, 8, equal_sizes(64, 8), seed=0)
+    problem = CompletionProblem(inst.X_star, np.ones((64, 64), dtype=bool), default_lambda(64))
+    config = SolverConfig(rho0=0.01, rho_growth=10.0)
+    steps = record_steps(monkeypatch)
+    warm = complete(problem, config)
+    assert any(warm_basis and full for _, warm_basis, full in steps)
+    assert warm.converged and warm.x_rank == 8
+    with monkeypatch.context() as m:
+        all_full(m)
+        full = complete(problem, config)
+    assert np.abs(warm.X - full.X).max() < 1e-5
+    assert np.abs(warm.X - inst.X_star).max() < 1e-3
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_converged_result_comes_from_a_full_step(seed, monkeypatch):
+    _, _, problem = planted_problem(48, 3, 0.7, 0.02, seed)
+    steps = record_steps(monkeypatch)
+    res = complete(problem)
+    assert res.converged and len(steps) == res.iterations
+    assert steps[-1][2], "the last step must decompose in full"
+    assert any(not full for _, _, full in steps), "the warm path never engaged"
+    assert res.full_steps == sum(full for _, _, full in steps)
+
+
+def test_asymmetric_result_reports_the_returned_pair():
+    # Free sampling: the symmetrized X that complete() returns can miss
+    # constraints that the unsymmetrized iterate met.
+    for seed in range(10):
+        inst = generate_planted(12, 3, (4, 4, 4), seed=seed)
+        plan = observe_and_corrupt(inst, m1=101, m2=2, seed=seed, pair_aware=False)
+        res = complete(CompletionProblem(plan.Y, plan.omega, 0.5))
+        R = np.where(plan.omega, plan.Y - res.X - res.E, 0.0)
+        expect = np.linalg.norm(R) / max(1.0, np.linalg.norm(np.where(plan.omega, plan.Y, 0.0)))
+        assert res.final_residual == pytest.approx(expect, rel=1e-9), seed
+        assert res.converged == (res.final_residual < SolverConfig().tol), seed
 
 
 def test_objective_never_beats_planted_point():
