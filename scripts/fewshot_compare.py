@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from taskclust.completion import CompletionProblem, clip_to_unit, complete
+from taskclust.completion import CompletionProblem, clip_to_unit, complete, observation_lambda
 from taskclust.filtering import FilterParams, filter_scores
 from taskclust.learning import fsl_combine, train_cluster_model
 from taskclust.spectral import adjusted_rand_index, spectral_cluster
@@ -30,7 +30,7 @@ def cluster_family(tasks, K, seed, estimate_cfg):
     pairs = set(itertools.combinations(range(len(tasks)), 2))
     tm = build_transfer_matrix(tasks, pairs, estimate_cfg)
     ps = filter_scores(tm, FilterParams(include_diagonal_in_stats=False))
-    lam = float(np.sqrt(ps.n / ps.observed.sum()))
+    lam = observation_lambda(ps.observed)
     result = complete(CompletionProblem(ps.values.astype(float), ps.observed.copy(), lam))
     X, _ = clip_to_unit(result.X)
     return spectral_cluster(X, K, seed=seed)

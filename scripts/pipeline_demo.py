@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from taskclust.completion import CompletionProblem, clip_to_unit, complete
+from taskclust.completion import CompletionProblem, clip_to_unit, complete, observation_lambda
 from taskclust.filtering import FilterParams, filter_scores
 from taskclust.spectral import adjusted_rand_index, spectral_cluster
 from taskclust.synthdata import synthetic_transfer_matrix
@@ -43,7 +43,7 @@ def main():
     print(f"filter: {off_diagonal} off-diagonal entries decided "
           f"({ones} similar, {off_diagonal - ones} dissimilar)")
 
-    lam = float(np.sqrt(ps.n / ps.observed.sum()))
+    lam = observation_lambda(ps.observed)
     result = complete(CompletionProblem(ps.values.astype(float), ps.observed.copy(), lam))
     X, clipped = clip_to_unit(result.X)
     singular_values = np.linalg.svd(X, compute_uv=False)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fileio
 from .bench import phase_sweep
-from .completion import CompletionProblem, SolverConfig, clip_to_unit, complete
+from .completion import CompletionProblem, SolverConfig, clip_to_unit, complete, observation_lambda
 from .errors import InputError, NumericalError, TaskClustError
 from .filtering import MODES, FilterParams, filter_scores
 from .learning import (
@@ -152,7 +152,7 @@ def cmd_filter(args) -> int:
 
 def _solve(ps, s: dict):
     lam = s.get("lam")
-    lam = float(lam) if lam is not None else float(np.sqrt(ps.n / ps.observed.sum()))
+    lam = float(lam) if lam is not None else observation_lambda(ps.observed)
     solver = _pick(s, SolverConfig, solver_tol="tol", solver_max_iter="max_iter")
     problem = CompletionProblem(ps.values.astype(float), ps.observed.copy(), lam)
     result = complete(problem, solver)

@@ -172,7 +172,25 @@ def soft_threshold(M: np.ndarray, tau: float) -> np.ndarray:
 
 
 def default_lambda(n: int) -> float:
+    """The phase sweep's sparsity weight, 1/sqrt(n).
+
+    bench.recovery_trial (and so ``sweep``) uses it when no lambda is
+    given; the pipeline commands use observation_lambda instead.
+    """
     return 1.0 / np.sqrt(n)
+
+
+def observation_lambda(observed: np.ndarray) -> float:
+    """The pipeline's sparsity weight, sqrt(n / |Omega|), for an n x n mask.
+
+    It grows as observations thin out, weighting the sparse error term more
+    heavily. ``complete`` and ``cluster`` use it when no lambda is given.
+    """
+    observed = np.asarray(observed, dtype=bool)
+    count = observed.sum()
+    if not count:
+        raise InputError("empty-mask", "lambda needs at least one observed entry")
+    return float(np.sqrt(observed.shape[0] / count))
 
 
 def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> CompletionResult:

@@ -9,10 +9,11 @@ learned convex combination of frozen cluster predictors or, when every
 cluster scores at or below an accuracy threshold on the support set, by a
 fresh model trained on the support set alone.
 
-train_cluster_models trains the shared_classifier or
-shared_encoder_multihead models of same-shaped clusters as one stack, with
-the kernel in ``transfer``; each cluster keeps its own random stream, so its
-model does not depend on the other clusters.
+train_cluster_models trains the models of same-shaped clusters as one
+stack: shared_classifier and shared_encoder_multihead through the SGD kernel
+in ``transfer``, metric_encoder by stepping one episode of every cluster at
+once. Each cluster keeps its own random stream, so its model does not depend
+on the other clusters.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def _check_cluster(cluster: list[TaskDataset], kind: str) -> None:
             )
         if sum(t.train[0].shape[0] for t in cluster) == 0:
             raise InputError("empty-train", "cluster has no training data")
-    elif kind == "shared_encoder_multihead":
+    else:
         for t in cluster:
             if t.train[0].shape[0] == 0:
                 raise InputError("empty-train", f"task {t.task_id} has no training data")
@@ -168,21 +169,26 @@ def _stack_key(cluster: list[TaskDataset], kind: str):
     """Clusters with equal keys train as one stack."""
     if kind == "shared_classifier":
         return sum(t.train[0].shape[0] for t in cluster), cluster[0].dim, cluster[0].label_count
+    if kind == "metric_encoder":
+        return (cluster[0].dim,
+                tuple((t.train[0].shape[0], np.unique(t.train[1]).size) for t in cluster))
     return (cluster[0].dim, tuple((t.train[0].shape[0], t.label_count) for t in cluster),
             tuple(_head_slots(cluster)))
 
 
 def _train_stack(clusters: list[list[TaskDataset]], ids: list[int], kind: str,
                  config: TrainConfig) -> list[ClusterModel]:
-    """shared_classifier or shared_encoder_multihead models for same-shaped clusters."""
+    """Models of one kind for same-shaped clusters; cluster b gets cluster_id ids[b]."""
     rngs = [derive_rng(config.seed, "cluster", k, kind) for k in ids]
+    if kind == "metric_encoder":
+        return _train_metric_stack(clusters, ids, rngs, config)
     B, d, h = len(clusters), clusters[0][0].dim, config.hidden
     if kind == "shared_classifier":
         L = clusters[0][0].label_count
         W_e, b_e, W_c, b_c = _init_model_stack(rngs, d, h, L)
         pooled = [_pool(cluster) for cluster in clusters]
         X, y = (np.stack(arrays) for arrays in zip(*pooled))
-        _sgd(X, y, L, W_c, b_c, rngs, config.epochs, config, W_e, b_e)
+        _sgd(X, _onehot(y, L), W_c, b_c, rngs, config.epochs, config, W_e, b_e)
         return [ClusterModel(cluster_id=k, kind=kind, W_enc=W_e[b], b_enc=b_e[b],
                              W_cls=W_c[b], b_cls=b_c[b], label_count=L)
                 for b, k in enumerate(ids)]
@@ -200,54 +206,66 @@ def _train_stack(clusters: list[list[TaskDataset]], ids: list[int], kind: str,
     W_e, b_e = np.stack(W_e), np.zeros((B, h))
     W_h = {slot: np.stack([inits[slot] for inits in heads]) for slot in heads[0]}
     b_h = {slot: np.zeros((B, W.shape[2])) for slot, W in W_h.items()}
-    data = [(np.stack([c[p].train[0] for c in clusters]), np.stack([c[p].train[1] for c in clusters]))
-            for p in range(len(slots))]
+    data = [(np.stack([c[p].train[0] for c in clusters]),
+             _onehot(np.stack([c[p].train[1] for c in clusters]), t.label_count))
+            for p, t in enumerate(clusters[0])]
     for _ in range(config.epochs):
-        for slot, t, (X, y) in zip(slots, clusters[0], data):
-            _sgd(X, y, t.label_count, W_h[slot], b_h[slot], rngs, 1, config, W_e, b_e)
+        for slot, (X, Y) in zip(slots, data):
+            _sgd(X, Y, W_h[slot], b_h[slot], rngs, 1, config, W_e, b_e)
     return [ClusterModel(cluster_id=k, kind=kind, W_enc=W_e[b], b_enc=b_e[b],
                          heads={t.task_id: (W_h[slot][b], b_h[slot][b])
                                 for slot, t in zip(slots, cluster)})
             for b, (k, cluster) in enumerate(zip(ids, clusters))]
 
 
-def _train_metric_encoder(cluster: list[TaskDataset], config: TrainConfig, cluster_id: int) -> ClusterModel:
-    """Episodic training: each episode draws one anchor per label and a query
-    batch from one task, then steps the encoder on the softmax loss over
-    anchor-query inner products."""
-    kind = "metric_encoder"
-    rng = derive_rng(config.seed, "cluster", cluster_id, kind)
-    d, h = cluster[0].dim, config.hidden
-    W = 0.01 * rng.standard_normal((d, h))
-    b = np.zeros(h)
-    episodes = config.epochs * len(cluster)
-    for ep in range(episodes):
-        t = cluster[ep % len(cluster)]
-        X, y = t.train
-        if X.shape[0] == 0:
-            raise InputError("empty-train", f"task {t.task_id} has no training data")
-        labels = np.unique(y)
-        if labels.size < 2:
+def _train_metric_stack(clusters: list[list[TaskDataset]], ids: list[int], rngs,
+                        config: TrainConfig) -> list[ClusterModel]:
+    """Episodic metric_encoder training of same-shaped clusters as one stack.
+
+    Episode e trains on member e mod n of every cluster. Each cluster draws
+    one anchor per label and a query batch of that member from its own
+    stream, then one stacked step moves every encoder on the softmax loss
+    over its anchor-query inner products. A member with fewer than two
+    labels makes no draws and no step.
+    """
+    B, d, h = len(clusters), clusters[0][0].dim, config.hidden
+    W = np.stack([0.01 * rng.standard_normal((d, h)) for rng in rngs])
+    b = np.zeros((B, h))
+    rows = np.arange(B)[:, None]
+    members = []  # per position: stacked rows, one-hot label positions, per-label row pools
+    for tasks in zip(*clusters):
+        labels = [np.unique(t.train[1]) for t in tasks]
+        if labels[0].size < 2:
+            members.append(None)
             continue
-        anchor_idx = np.array([rng.choice(np.flatnonzero(y == l)) for l in labels])
-        q_idx = rng.choice(X.shape[0], size=min(config.batch_size, X.shape[0]), replace=False)
-        Xa = X[anchor_idx]
-        Xq, yq = X[q_idx], y[q_idx]
-        pos = np.searchsorted(labels, yq)
-        keep = np.isin(yq, labels)
-        Xq, pos = Xq[keep], pos[keep]
-        if Xq.shape[0] == 0:
+        X = np.stack([t.train[0] for t in tasks])
+        Y = np.stack([_onehot(np.searchsorted(lab, t.train[1]), lab.size)
+                      for lab, t in zip(labels, tasks)])
+        pools = [[np.flatnonzero(t.train[1] == l) for l in lab] for lab, t in zip(labels, tasks)]
+        members.append((X, Y, pools))
+    for ep in range(config.epochs * len(members)):
+        member = members[ep % len(members)]
+        if member is None:
             continue
-        Ua = Xa @ W + b
-        Vq = Xq @ W + b
-        P = softmax(Vq @ Ua.T)
-        G = (P - _onehot(pos, labels.size)) / Xq.shape[0]
+        X, Y, pools = member
+        m = X.shape[1]
+        q = min(config.batch_size, m)
+        anchor_idx = np.empty((B, Y.shape[2]), dtype=np.intp)
+        q_idx = np.empty((B, q), dtype=np.intp)
+        for k, (rng, pool) in enumerate(zip(rngs, pools)):
+            anchor_idx[k] = [idx[rng.integers(idx.size)] for idx in pool]
+            q_idx[k] = rng.choice(m, size=q, replace=False)
+        Xa, Xq = X[rows, anchor_idx], X[rows, q_idx]
+        Ua = Xa @ W + b[:, None, :]
+        Vq = Xq @ W + b[:, None, :]
+        G = (softmax(Vq @ Ua.transpose(0, 2, 1)) - Y[rows, q_idx]) / q
         # logit_{ql} = u_l . v_q, so dW = x_l^T (g_ql v_q) + x_q^T (g_ql u_l)
-        dW = Xa.T @ (G.T @ Vq) + Xq.T @ (G @ Ua)
-        db = (G @ Ua).sum(axis=0) + (G.T @ Vq).sum(axis=0)
-        W -= config.lr * dW
-        b -= config.lr * db
-    return ClusterModel(cluster_id=cluster_id, kind=kind, W_enc=W, b_enc=b)
+        GV = G.transpose(0, 2, 1) @ Vq
+        GU = G @ Ua
+        W -= config.lr * (Xa.transpose(0, 2, 1) @ GV + Xq.transpose(0, 2, 1) @ GU)
+        b -= config.lr * (GU.sum(axis=1) + GV.sum(axis=1))
+    return [ClusterModel(cluster_id=k, kind="metric_encoder", W_enc=W[i], b_enc=b[i])
+            for i, k in enumerate(ids)]
 
 
 def train_cluster_models(
@@ -257,15 +275,17 @@ def train_cluster_models(
 ) -> list[ClusterModel]:
     """One model of the requested kind per cluster; cluster k gets cluster_id k.
 
-    Clusters of the same shape train as one stack. Each draws from its own
-    stream, so every model equals train_cluster_model(clusters[k], kind,
-    config, cluster_id=k). metric_encoder clusters train one at a time.
+    Every cluster is checked before any trains. Clusters of the same shape
+    train as one stack, at most transfer._STACK_LIMIT of them: for
+    metric_encoder the shape is the cluster size, the dim and each member's
+    training row count and distinct-label count, so equal-sized clusters of
+    one family step their episodes together. Each cluster draws from its own
+    stream in the order it would alone, so every model equals
+    train_cluster_model(clusters[k], kind, config, cluster_id=k).
     """
     config = config or TrainConfig()
     for cluster in clusters:
         _check_cluster(cluster, kind)
-    if kind == "metric_encoder":
-        return [_train_metric_encoder(cluster, config, k) for k, cluster in enumerate(clusters)]
     models: list = [None] * len(clusters)
     for ids in _stacks(_stack_key(cluster, kind) for cluster in clusters):
         for k, model in zip(ids, _train_stack([clusters[k] for k in ids], ids, kind, config)):
@@ -282,8 +302,6 @@ def train_cluster_model(
     """Fit one model of the requested kind on all tasks in the cluster."""
     config = config or TrainConfig()
     _check_cluster(cluster, kind)
-    if kind == "metric_encoder":
-        return _train_metric_encoder(cluster, config, cluster_id)
     return _train_stack([cluster], [cluster_id], kind, config)[0]
 
 

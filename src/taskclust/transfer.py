@@ -12,7 +12,11 @@ problems at once: tasks of one shape train together, and so do the
 transfer heads of targets of one shape. The heads of one target share the
 target's random stream (initialization and batch orders); everything else
 draws from a stream of its own. Every step works on each problem alone, so
-a result is bit for bit the same whatever else is in the stack.
+a result is bit for bit the same whatever else is in the stack. The kernel
+takes its one-hot targets built once per call, and softmax reduces a narrow
+label axis plane by plane (elementwise maximum and sum in index order, the
+same bits as numpy's reductions) rather than through a reduction call whose
+inner loop is a few elements long.
 """
 
 from __future__ import annotations
@@ -130,24 +134,47 @@ class TaskModel:
         return float(np.mean(np.argmax(self.logits(X), axis=1) == y))
 
 
+# numpy sums fewer than this many elements along an axis one by one, in index
+# order (wider reductions sum pairwise), so softmax can sum narrower label
+# axes plane by plane and get the same bits.
+_PLANE_LIMIT = 8
+
+
 def softmax(Z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax over the last axis; leading axes are a stack of problems."""
-    Z = Z - Z.max(axis=-1, keepdims=True)
-    P = np.exp(Z)
-    return P / P.sum(axis=-1, keepdims=True)
+    """Row-wise softmax over the last axis; leading axes are a stack of problems.
+
+    A label axis narrower than _PLANE_LIMIT is reduced as elementwise
+    np.maximum and np.add over its planes, in index order: bit for bit the
+    Z.max(axis=-1) and P.sum(axis=-1) that wider axes use, without the cost
+    of a reduction whose inner loop is a few elements long.
+    """
+    L = Z.shape[-1]
+    if not 0 < L < _PLANE_LIMIT:
+        Z = Z - Z.max(axis=-1, keepdims=True)
+        P = np.exp(Z)
+        return P / P.sum(axis=-1, keepdims=True)
+    top = Z[..., :1]
+    for l in range(1, L):
+        top = np.maximum(top, Z[..., l:l + 1])
+    P = np.exp(Z - top)
+    total = P[..., :1]
+    for l in range(1, L):
+        total = total + P[..., l:l + 1]
+    return P / total
 
 
 def _onehot(y: np.ndarray, L: int) -> np.ndarray:
     return (y[..., None] == np.arange(L)).astype(float)
 
 
-def _sgd(X, y, L, W_cls, b_cls, rngs, epochs, config, W_enc=None, b_enc=None, owner=None):
+def _sgd(X, Y, W_cls, b_cls, rngs, epochs, config, W_enc=None, b_enc=None, owner=None):
     """Mini-batch softmax SGD on a stack of B same-shaped problems, in place.
 
-    X is (B, m, d) and y is (B, m). W_cls (B, h, L) and b_cls (B, L) are the
-    heads. With W_enc (B, d, h) and b_enc (B, h) the linear encoder is
-    trained with its head; without them X holds fixed features (d = h) and
-    only the head moves. Each epoch draws one permutation from each
+    X is (B, m, d) and Y (B, m, L) holds the one-hot targets
+    (``_onehot(y, L)``), built once by the caller. W_cls (B, h, L) and
+    b_cls (B, L) are the heads. With W_enc (B, d, h) and b_enc (B, h) the
+    linear encoder is trained with its head; without them X holds fixed
+    features (d = h) and only the head moves. Each epoch draws one permutation from each
     generator in ``rngs``; problem b takes its batch order from
     rngs[owner[b]], or from rngs[b] when owner is None. A problem's result
     therefore does not depend on what else is in the stack: every step is a
@@ -163,7 +190,7 @@ def _sgd(X, y, L, W_cls, b_cls, rngs, epochs, config, W_enc=None, b_enc=None, ow
             idx = order[:, start:start + config.batch_size]
             Xb = X[rows, idx]
             Z = Xb if W_enc is None else Xb @ W_enc + b_enc[:, None, :]
-            G = (softmax(Z @ W_cls + b_cls[:, None, :]) - _onehot(y[rows, idx], L)) / idx.shape[1]
+            G = (softmax(Z @ W_cls + b_cls[:, None, :]) - Y[rows, idx]) / idx.shape[1]
             if W_enc is not None:
                 dZ = G @ W_cls.transpose(0, 2, 1)
             W_cls -= config.lr * (Z.transpose(0, 2, 1) @ G)
@@ -181,7 +208,7 @@ def _fit_classifier(Z, y, L, config, rngs, owner):
     """
     W = np.stack([0.01 * rng.standard_normal((Z.shape[2], L)) for rng in rngs])[owner]
     b = np.zeros((len(owner), L))
-    _sgd(Z, y, L, W, b, rngs, config.transfer_epochs, config, owner=owner)
+    _sgd(Z, _onehot(y, L), W, b, rngs, config.transfer_epochs, config, owner=owner)
     return W, b
 
 
@@ -240,7 +267,7 @@ def train_tasks(datasets: list[TaskDataset], config: TrainConfig | None = None) 
         W_e, b_e, W_c, b_c = _init_model_stack(rngs, stack[0].dim, config.hidden, L)
         X = np.stack([ds.train[0] for ds in stack])
         y = np.stack([ds.train[1] for ds in stack])
-        _sgd(X, y, L, W_c, b_c, rngs, config.epochs, config, W_e, b_e)
+        _sgd(X, _onehot(y, L), W_c, b_c, rngs, config.epochs, config, W_e, b_e)
         for b, pos in enumerate(members):
             models[pos] = TaskModel(W_enc=W_e[b], b_enc=b_e[b], W_cls=W_c[b], b_cls=b_c[b])
     return models

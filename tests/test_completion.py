@@ -15,6 +15,7 @@ from taskclust.completion import (
     complete,
     default_lambda,
     nuclear_norm,
+    observation_lambda,
     soft_threshold,
     svt,
 )
@@ -367,6 +368,20 @@ def test_presymmetrization_asymmetry_is_tiny():
 def test_default_lambda():
     assert default_lambda(90) == pytest.approx(1.0 / np.sqrt(90))
     assert default_lambda(4) == 0.5
+
+
+def test_observation_lambda_is_the_inlined_rule():
+    rng = np.random.default_rng(0)
+    for n in (1, 7, 48):
+        observed = rng.random((n, n)) < 0.3
+        observed = observed | observed.T | np.eye(n, dtype=bool)
+        lam = observation_lambda(observed)
+        assert type(lam) is float
+        assert lam == float(np.sqrt(n / observed.sum()))
+    assert observation_lambda(np.ones((4, 4), dtype=bool)) == 0.5
+    with pytest.raises(InputError) as err:
+        observation_lambda(np.zeros((3, 3), dtype=bool))
+    assert err.value.code == "empty-mask"
 
 
 def test_clip_to_unit_reports_fraction():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taskclust import learning, transfer
 from taskclust.errors import InputError
 from taskclust.learning import (
     ClusterModel,
@@ -209,6 +210,84 @@ class TestClusterStacks:
         with pytest.raises(InputError) as exc:
             train_cluster_models(clusters + [[]], "shared_classifier")
         assert exc.value.code == "empty-cluster"
+
+
+def reference_metric_encoder(cluster, cfg, cluster_id):
+    """The per-episode metric_encoder loop that the stacked episodes replace."""
+    rng = derive_rng(cfg.seed, "cluster", cluster_id, "metric_encoder")
+    W = 0.01 * rng.standard_normal((cluster[0].dim, cfg.hidden))
+    b = np.zeros(cfg.hidden)
+    for ep in range(cfg.epochs * len(cluster)):
+        X, y = cluster[ep % len(cluster)].train
+        labels = np.unique(y)
+        if labels.size < 2:
+            continue
+        anchor_idx = np.array([rng.choice(np.flatnonzero(y == l)) for l in labels])
+        q_idx = rng.choice(X.shape[0], size=min(cfg.batch_size, X.shape[0]), replace=False)
+        Xa, Xq, yq = X[anchor_idx], X[q_idx], y[q_idx]
+        Ua, Vq = Xa @ W + b, Xq @ W + b
+        G = (softmax(Vq @ Ua.T) - np.eye(labels.size)[np.searchsorted(labels, yq)]) / len(q_idx)
+        W -= cfg.lr * (Xa.T @ (G.T @ Vq) + Xq.T @ (G @ Ua))
+        b -= cfg.lr * ((G @ Ua).sum(axis=0) + (G.T @ Vq).sum(axis=0))
+    return W, b
+
+
+class TestMetricStacks:
+    """metric_encoder clusters of one shape step their episodes as a stack;
+    every model must still be the per-episode loop's."""
+
+    @pytest.fixture(scope="class")
+    def clusters(self):
+        tasks, _ = make_task_family(9, 3, FC, seed=4)
+        X, y = tasks[8].train
+        rest = tasks[8].valid, tasks[8].test
+        twin = TaskDataset(tasks[0].task_id, 3, tasks[8].train, *rest)
+        one_label = TaskDataset("one-label", 3, (X[y == 0], y[y == 0]), *rest)
+        two_labels = TaskDataset("two-labels", 3, (X, y % 2), *rest)
+        # three triples of one shape (the last repeats a task id), two
+        # triples holding a single-label member, a pair, and a triple that
+        # differs from the first shape only in one member's label count
+        return [tasks[0:3], tasks[3:6], [tasks[6], tasks[7], one_label], tasks[6:8],
+                [tasks[1], tasks[4], twin], [tasks[2], tasks[5], two_labels],
+                [tasks[3], tasks[7], one_label]]
+
+    @pytest.mark.parametrize("limit, stacks", [
+        (64, [[0, 1, 4], [2, 6], [3], [5]]),
+        (2, [[0, 1], [4], [2, 6], [3], [5]]),
+    ])
+    def test_stacked_episodes_are_the_per_episode_loop(self, clusters, limit, stacks, monkeypatch):
+        cfg = TrainConfig(hidden=5, epochs=6, batch_size=16, seed=2)
+        monkeypatch.setattr(transfer, "_STACK_LIMIT", limit)
+        seen = []
+        stack_trainer = learning._train_metric_stack
+
+        def recording(stack, ids, *args):
+            seen.append(list(ids))
+            return stack_trainer(stack, ids, *args)
+
+        monkeypatch.setattr(learning, "_train_metric_stack", recording)
+        models = train_cluster_models(clusters, "metric_encoder", cfg)
+        assert seen == stacks
+        for k, (cluster, model) in enumerate(zip(clusters, models)):
+            assert model.cluster_id == k
+            W, b = reference_metric_encoder(cluster, cfg, k)
+            assert np.array_equal(model.W_enc, W) and np.array_equal(model.b_enc, b)
+            alone = train_cluster_model(cluster, "metric_encoder", cfg, cluster_id=k)
+            assert np.array_equal(alone.W_enc, W) and np.array_equal(alone.b_enc, b)
+
+    def test_empty_training_split_is_reported_before_any_episode(self, clusters, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("an episode ran before the clusters were checked")
+
+        monkeypatch.setattr(learning, "_train_metric_stack", no_training)
+        first = clusters[0][0]
+        d = first.dim
+        empty = TaskDataset("empty", 3, (np.zeros((0, d)), np.zeros(0, dtype=int)), first.valid, first.test)
+        for call in (lambda: train_cluster_models(clusters + [[first, empty]], "metric_encoder"),
+                     lambda: train_cluster_model([first, empty], "metric_encoder")):
+            with pytest.raises(InputError) as exc:
+                call()
+            assert exc.value.code == "empty-train"
 
 
 class TestMetricPredict:

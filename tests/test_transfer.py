@@ -72,6 +72,20 @@ def best_linear_accuracy(X, y, directions=720):
     return float(best)
 
 
+class TestSoftmax:
+    """softmax must stay bit for bit the reduction formula it replaced: the
+    reference loops in the test files call it."""
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 7, 8, 20])
+    def test_equals_the_reduction_formula(self, L):
+        rng = np.random.default_rng(L)
+        for shape in [(L,)] * 20 + [(300, L), (6, 50, L)]:
+            Z = 4 * rng.standard_normal(shape)
+            shifted = Z - Z.max(axis=-1, keepdims=True)
+            P = np.exp(shifted)
+            assert np.array_equal(softmax(Z), P / P.sum(axis=-1, keepdims=True))
+
+
 class TestSingleTaskTraining:
     def test_separable_blobs_reach_grid_search_bar(self):
         """The trained model matches what exhaustive linear search proves attainable."""
