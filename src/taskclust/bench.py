@@ -97,14 +97,12 @@ def observe_and_corrupt(
     m1: int,
     m2: int,
     seed: int = 0,
-    pair_aware: bool = True,
 ) -> ObservationPlan:
     """Sample m1 observed positions, flip m2 of them.
 
-    pair_aware=True mirrors how the pipeline produces Y: an off-diagonal
-    draw yields both (i,j) and (j,i), counting 2 toward m1, and flips hit
-    both mirrored positions. pair_aware=False samples positions freely over
-    the n*n grid, uniformly and without any symmetry coupling.
+    Sampling mirrors how the pipeline produces Y, so Omega and Y are
+    symmetric: an off-diagonal draw yields both (i,j) and (j,i), counting 2
+    toward m1, and flips hit both mirrored positions.
     """
     n = inst.n
     if not (0 <= m2 <= m1 <= n * n):
@@ -113,31 +111,25 @@ def observe_and_corrupt(
     omega = np.zeros((n, n), dtype=bool)
     delta = np.zeros((n, n), dtype=bool)
 
-    if pair_aware:
-        iu, ju = np.triu_indices(n, k=1)
-        # units: n diagonal cells (weight 1) then the n(n-1)/2 pairs (weight 2)
-        weights = np.concatenate([np.ones(n, dtype=int), np.full(iu.size, 2, dtype=int)])
-        order = _weighted_unit_order(weights.astype(float), rng)
-        chosen = _take_units(order, weights, m1)
-        diag_units = chosen[chosen < n]
-        pair_units = chosen[chosen >= n] - n
-        omega[diag_units, diag_units] = True
-        omega[iu[pair_units], ju[pair_units]] = True
-        omega[ju[pair_units], iu[pair_units]] = True
+    iu, ju = np.triu_indices(n, k=1)
+    # units: n diagonal cells (weight 1) then the n(n-1)/2 pairs (weight 2)
+    weights = np.concatenate([np.ones(n, dtype=int), np.full(iu.size, 2, dtype=int)])
+    order = _weighted_unit_order(weights.astype(float), rng)
+    chosen = _take_units(order, weights, m1)
+    diag_units = chosen[chosen < n]
+    pair_units = chosen[chosen >= n] - n
+    omega[diag_units, diag_units] = True
+    omega[iu[pair_units], ju[pair_units]] = True
+    omega[ju[pair_units], iu[pair_units]] = True
 
-        sub_weights = weights[chosen]
-        sub_order = _weighted_unit_order(sub_weights.astype(float), rng)
-        corrupt = chosen[_take_units(sub_order, sub_weights, m2)]
-        cd = corrupt[corrupt < n]
-        cp = corrupt[corrupt >= n] - n
-        delta[cd, cd] = True
-        delta[iu[cp], ju[cp]] = True
-        delta[ju[cp], iu[cp]] = True
-    else:
-        flat = rng.choice(n * n, size=m1, replace=False)
-        omega.flat[flat] = True
-        corrupt = rng.choice(flat, size=m2, replace=False) if m2 > 0 else np.empty(0, int)
-        delta.flat[corrupt.astype(int)] = True
+    sub_weights = weights[chosen]
+    sub_order = _weighted_unit_order(sub_weights.astype(float), rng)
+    corrupt = chosen[_take_units(sub_order, sub_weights, m2)]
+    cd = corrupt[corrupt < n]
+    cp = corrupt[corrupt >= n] - n
+    delta[cd, cd] = True
+    delta[iu[cp], ju[cp]] = True
+    delta[ju[cp], iu[cp]] = True
 
     Y = inst.X_star.copy()
     Y[delta] = 1.0 - Y[delta]
@@ -175,11 +167,10 @@ def recovery_trial(
     lam: float | None = None,
     seed: int = 0,
     solver: SolverConfig | None = None,
-    pair_aware: bool = True,
     recovery_tol: float = 1e-3,
 ) -> TrialResult:
     """Observe, corrupt, complete; recovered iff max |X - X*| < recovery_tol."""
-    plan = observe_and_corrupt(inst, m1, m2, seed=seed, pair_aware=pair_aware)
+    plan = observe_and_corrupt(inst, m1, m2, seed=seed)
     lam = default_lambda(inst.n) if lam is None else lam
     try:
         result = complete(CompletionProblem(plan.Y, plan.omega, lam), solver)
@@ -217,7 +208,6 @@ def phase_sweep(
     seed: int = 0,
     lam: float | None = None,
     solver: SolverConfig | None = None,
-    pair_aware: bool = True,
 ) -> list[SweepCell]:
     """Empirical recovery probability over a (m1 fraction, m2 fraction) grid.
 
@@ -239,7 +229,7 @@ def phase_sweep(
             for t in range(trials):
                 trial_seed = int(derive_rng(seed, "sweep", ci, cj, t).integers(2**63))
                 recovered += recovery_trial(
-                    inst, m1, m2, lam=lam, seed=trial_seed, solver=solver, pair_aware=pair_aware
+                    inst, m1, m2, lam=lam, seed=trial_seed, solver=solver
                 ).recovered
             cells.append(
                 SweepCell(n=n, k=k, m1=m1, m2=m2, trials=trials, recovered_count=recovered)
@@ -257,23 +247,32 @@ def minimal_m1_for_recovery(
     solver: SolverConfig | None = None,
     resolution: int | None = None,
 ) -> int:
-    """Bisect for the smallest m1 with empirical recovery >= target_prob at m2=0."""
+    """Bisect for the smallest m1 with empirical recovery >= target_prob at m2=0.
+
+    Each probe stops as soon as its outcome is decided: once the hits reach
+    the target, or once even winning every remaining trial could not. Trial
+    seeds derive from (seed, m1, t), so stopping early changes no decision.
+    """
     inst = generate_planted(n, k, equal_sizes(n, k), seed=seed)
 
-    def prob_at(m1: int) -> float:
+    def reaches_target(m1: int) -> bool:
         hits = 0
         for t in range(trials):
+            if hits / trials >= target_prob:
+                return True
+            if (hits + trials - t) / trials < target_prob:
+                return False
             trial_seed = int(derive_rng(seed, "min-m1", m1, t).integers(2**63))
             hits += recovery_trial(inst, m1, 0, lam=lam, seed=trial_seed, solver=solver).recovered
-        return hits / trials
+        return hits / trials >= target_prob
 
     lo, hi = n, n * n  # below n entries even the support is undeterminable
-    if prob_at(hi) < target_prob:
+    if not reaches_target(hi):
         raise NumericalError("no-recovery", f"full observation fails at n={n}")
     resolution = resolution or max(1, n * n // 200)
     while hi - lo > resolution:
         mid = (lo + hi) // 2
-        if prob_at(mid) >= target_prob:
+        if reaches_target(mid):
             hi = mid
         else:
             lo = mid

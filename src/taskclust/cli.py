@@ -170,7 +170,6 @@ def _solve(ps, s: dict):
         "lambda": lam,
         "clipped_fraction": clipped,
         "rho_final": result.rho_final,
-        "presym_asymmetry": result.presym_asymmetry,
         "x_rank": result.x_rank,
         "e_support": result.e_support,
         "full_steps": result.full_steps,

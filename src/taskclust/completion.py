@@ -8,11 +8,13 @@ by an inexact augmented-Lagrangian iteration with singular value
 thresholding. X is the low-rank similarity matrix, E a sparse matrix of
 wrong observed entries, Omega the set of observed positions.
 
-Symmetric problems shrink a warm-started partial eigendecomposition on most
-steps (Lin, Chen & Ma, arXiv:1009.5055; Halko, Martinsson & Tropp, SIAM
-Rev. 2011): one multiplication of the previous step's basis, then a
-Rayleigh-Ritz step on it. A full eigendecomposition runs whenever that
-basis cannot be trusted, and always on the step that confirms convergence.
+The similarity matrix is symmetric, so Omega and P_Omega(Y) must be too:
+CompletionProblem rejects anything else with ``asymmetric-input``. Each
+step shrinks a warm-started partial eigendecomposition (Lin, Chen & Ma,
+arXiv:1009.5055; Halko, Martinsson & Tropp, SIAM Rev. 2011): one
+multiplication of the previous step's basis, then a Rayleigh-Ritz step on
+it. A full eigendecomposition runs whenever that basis cannot be trusted,
+and always on the step that confirms convergence.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ RHO_CAP = 1e7
 _BUFFER = 5
 # A basis wider than this share of n costs about as much as a full eigh.
 _WARM_WIDTH_FRACTION = 0.25
+# clip_to_unit counts an entry as clipped only beyond this distance from
+# [0, 1]. Nearer entries are solver error around an exact 0 or 1 (up to 2e-6
+# on an exactly recovered n = 240 X); it is recovery_trial's default tolerance.
+CLIP_TOL = 1e-3
 
 
 @dataclass
@@ -49,7 +55,10 @@ class SolverConfig:
 
 @dataclass
 class CompletionProblem:
-    """Observed values Y (zeros off Omega), observation mask, l1 weight."""
+    """Observed values Y, observation mask Omega, l1 weight.
+
+    Omega and P_Omega(Y) must be exactly symmetric; Y off Omega is never read.
+    """
 
     Y: np.ndarray
     omega: np.ndarray
@@ -68,6 +77,9 @@ class CompletionProblem:
             raise InputError("empty-mask", "no observed entries")
         if not np.isfinite(self.Y[self.omega]).all():
             raise InputError("non-finite", "observed entries must be finite")
+        Yp = np.where(self.omega, self.Y, 0.0)
+        if not (np.array_equal(self.omega, self.omega.T) and np.array_equal(Yp, Yp.T)):
+            raise InputError("asymmetric-input", "omega and the observed values must be symmetric")
         if self.lam <= 0:
             raise InputError("bad-lambda", "lambda must be positive")
 
@@ -85,7 +97,6 @@ class CompletionResult:
     converged: bool
     lam: float
     rho_final: float = field(repr=False, default=0.0)
-    presym_asymmetry: float = field(repr=False, default=0.0)
     x_rank: int = field(repr=False, default=0)  # kept rank of the last shrink
     e_support: int = field(repr=False, default=0)  # nonzero entries of E on Omega
     full_steps: int = field(repr=False, default=0)  # steps with a full decomposition
@@ -99,31 +110,32 @@ def nuclear_norm(M: np.ndarray) -> float:
     return float(np.linalg.svd(M, compute_uv=False).sum())
 
 
-def svt(M: np.ndarray, tau: float, symmetric: bool = False) -> np.ndarray:
-    """Singular value thresholding: prox of tau * nuclear norm at M.
+def svt(M: np.ndarray, tau: float) -> np.ndarray:
+    """Singular value thresholding: prox of tau * nuclear norm at a symmetric M.
 
-    symmetric=True treats M as symmetric and shrinks the eigendecomposition
-    of (M + M^T)/2 instead of a full SVD. A symmetric matrix's singular
-    values are the |eigenvalues|, so each eigenvalue keeps its sign and
-    eigenvector while its magnitude shrinks by tau. This is the exact prox
-    of the symmetric part of M, at about half the cost of the SVD.
+    A symmetric matrix's singular values are the |eigenvalues|, so each
+    eigenvalue keeps its sign and eigenvector while its magnitude shrinks
+    by tau. M must be exactly symmetric (``asymmetric-input`` otherwise).
 
     svt always decomposes M in full; complete() shrinks a warm partial
-    eigendecomposition instead on most symmetric steps.
+    eigendecomposition instead on most steps.
     """
     if tau <= 0:
         raise InputError("bad-tau", "tau must be positive")
-    return _shrink_step(np.asarray(M, dtype=float), tau, symmetric, None)[0]
+    M = np.asarray(M, dtype=float)
+    if not np.array_equal(M, M.T, equal_nan=True):  # a NaN is reported as non-finite
+        raise InputError("asymmetric-input", "svt needs a symmetric matrix")
+    return _shrink_step(M, tau, None)[0]
 
 
-def _shrink_step(M, tau, symmetric, basis):
+def _shrink_step(M, tau, basis):
     """One prox step of complete(): (X, kept rank, next warm basis, full).
 
-    Without a basis, or for asymmetric M, M is decomposed in full (the
-    exact svt). With an orthonormal basis B of symmetric S = (M + M^T)/2,
-    S is multiplied by B once, the product orthonormalized, and only the
-    Ritz pairs of S in that subspace are shrunk. When every Ritz value
-    clears tau, the kept rank may have outgrown the basis, so S is
+    M is symmetric up to rounding; S = (M + M^T)/2 is shrunk. Without a
+    basis, S is decomposed in full (the exact svt). With an orthonormal
+    basis B, S is multiplied by B once, the product orthonormalized, and
+    only the Ritz pairs of S in that subspace are shrunk. When every Ritz
+    value clears tau, the kept rank may have outgrown the basis, so S is
     decomposed in full after all (full=True).
 
     The next basis holds the eigenvectors of the kept rank plus _BUFFER
@@ -132,10 +144,6 @@ def _shrink_step(M, tau, symmetric, basis):
     """
     if not np.isfinite(M).all():
         raise NumericalError("non-finite", "svt input contains NaN or inf")
-    if not symmetric:
-        U, s, Vt = np.linalg.svd(M, full_matrices=False)
-        X, rank = _threshold(U, s, Vt, tau)
-        return X, rank, None, True
     S = (M + M.T) / 2.0
     full = basis is None
     if not full:
@@ -202,22 +210,16 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
     rho_growth when the primal residual dominates, shrink when the dual one
     does. A monotone rho schedule drives the primal residual to zero while
     the iterate is still far from optimal, so both residuals must be small
-    before we stop. The reported X is symmetrized and E restricted to Omega.
-    For asymmetric input the symmetrized X can miss the constraints that the
-    iterate met, so there the primal residual of the returned pair is
-    reported and must also pass before the solver stops.
+    before we stop. The reported X is symmetrized (the iterate is symmetric
+    only up to rounding) and E restricted to Omega.
 
-    When Omega and P_Omega(Y) are exactly symmetric, every iterate is
-    symmetric up to rounding, so each step shrinks an eigendecomposition.
-    The check is made once on the input: the iterates themselves are never
-    exactly symmetric. Each symmetric step starts from the previous step's
-    basis (its kept eigenvectors plus a buffer) and shrinks only the Ritz
-    pairs in it (see _shrink_step). A full eigendecomposition runs on the
-    first step, whenever the basis would be wider than n/4, whenever every
-    Ritz value clears the threshold, and on the step after a partial one
-    passes the stopping test: the solver stops only when a full step
-    passes, so a converged X is always an exact prox. Other input takes a
-    full SVD every step.
+    The input is symmetric, so each step shrinks an eigendecomposition. It
+    starts from the previous step's basis (its kept eigenvectors plus a
+    buffer) and shrinks only the Ritz pairs in it (see _shrink_step). A full eigendecomposition runs on the first
+    step, whenever the basis would be wider than n/4, whenever every Ritz
+    value clears the threshold, and on the step after a partial one passes
+    the stopping test: the solver stops only when a full step passes, so a
+    converged X is always an exact prox.
     """
     config = config or SolverConfig()
     omega = problem.omega
@@ -225,7 +227,6 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
 
     Yp = np.where(omega, problem.Y, 0.0)
     n = problem.n
-    symmetric = bool(np.array_equal(omega, omega.T) and np.array_equal(Yp, Yp.T))
     y_norm = np.linalg.norm(Yp)
     denom = max(1.0, y_norm)
 
@@ -240,17 +241,13 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
     E = np.zeros((n, n))
     Lam = np.zeros((n, n))
 
-    def returned_residual(X, E):
-        # The residual of the pair complete() returns: X symmetrized, E on Omega.
-        return np.linalg.norm(np.where(omega, Yp - (X + X.T) / 2.0 - E, 0.0)) / denom
-
     converged = False
     residual = np.inf
     basis = None
     rank = full_steps = 0
     it = 0
     for it in range(1, config.max_iter + 1):
-        X, rank, basis, full = _shrink_step(Yp - E + Lam / rho, 1.0 / rho, symmetric, basis)
+        X, rank, basis, full = _shrink_step(Yp - E + Lam / rho, 1.0 / rho, basis)
         full_steps += full
         G = Yp - X + Lam / rho
         E_prev = E
@@ -262,19 +259,15 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
         residual = np.linalg.norm(np.where(omega, R, 0.0)) / denom
         dual = rho * np.linalg.norm(E - E_prev) / denom
         if residual < config.tol and dual < config.tol:
-            if not full:
-                basis = None  # confirm on a full step before stopping
-            elif symmetric or returned_residual(X, E) < config.tol:
+            if full:
                 converged = True
                 break
+            basis = None  # confirm on a full step before stopping
         if residual > 10.0 * dual:
             rho = min(rho * config.rho_growth, RHO_CAP)
         elif dual > 10.0 * residual:
             rho = max(rho / config.rho_growth, rho_floor)
 
-    presym = np.linalg.norm(X - X.T) / max(1.0, np.linalg.norm(X))
-    if not symmetric:
-        residual = returned_residual(X, E)
     X = (X + X.T) / 2.0
     E = np.where(omega, E, 0.0)
     return CompletionResult(
@@ -285,7 +278,6 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
         converged=converged,
         lam=lam,
         rho_final=rho,
-        presym_asymmetry=float(presym),
         x_rank=rank,
         e_support=int(np.count_nonzero(E)),
         full_steps=full_steps,
@@ -293,7 +285,8 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
 
 
 def clip_to_unit(X: np.ndarray) -> tuple[np.ndarray, float]:
-    """Clip to [0, 1] for clustering; also report the fraction of entries clipped."""
+    """Clip to [0, 1] for clustering; also report the fraction of entries
+    that lay more than CLIP_TOL outside [0, 1]."""
     clipped = np.clip(X, 0.0, 1.0)
-    frac = float(np.mean(clipped != X))
+    frac = float(np.mean(np.abs(clipped - X) > CLIP_TOL))
     return clipped, frac

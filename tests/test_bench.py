@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from taskclust import bench
 from taskclust.bench import (
     coherence,
     equal_sizes,
@@ -11,6 +12,7 @@ from taskclust.bench import (
     recovery_trial,
 )
 from taskclust.errors import InputError
+from taskclust.seeding import derive_rng
 
 
 def test_planted_structure_and_singular_values():
@@ -64,7 +66,7 @@ def test_no_corruption_matches_plant():
     assert np.array_equal(full.Y, inst.X_star)
 
 
-def test_pair_aware_masks_are_symmetric():
+def test_observation_masks_are_symmetric():
     inst = generate_planted(11, 3, (4, 4, 3), seed=3)
     plan = observe_and_corrupt(inst, m1=77, m2=5, seed=3)
     assert np.array_equal(plan.omega, plan.omega.T)
@@ -87,13 +89,6 @@ def test_infeasible_odd_corruption():
     with pytest.raises(InputError) as err:
         observe_and_corrupt(inst, m1=2, m2=1, seed=2)
     assert err.value.code == "infeasible-budget"
-
-
-def test_unrestricted_sampling_mode():
-    inst = generate_planted(9, 3, (3, 3, 3), seed=5)
-    plan = observe_and_corrupt(inst, m1=33, m2=4, seed=5, pair_aware=False)
-    assert int(plan.omega.sum()) == 33
-    assert int(plan.delta.sum()) == 4
 
 
 def test_coherence_equal_blocks():
@@ -158,3 +153,25 @@ def test_minimal_m1_bisection_small():
         recovery_trial(inst, m1, 0, lam=1.0, seed=1000 + t).recovered for t in range(4)
     )
     assert wins / 4 >= 0.75
+
+
+@pytest.mark.parametrize("target", [0.5, 0.75])
+def test_minimal_m1_probes_stop_once_decided(target, monkeypatch):
+    n, trials = 12, 4
+    inst = generate_planted(n, 3, equal_sizes(n, 3), seed=0)
+
+    def rate(m1):  # the full probe: every trial runs
+        seeds = (int(derive_rng(0, "min-m1", m1, t).integers(2**63)) for t in range(trials))
+        return sum(recovery_trial(inst, m1, 0, lam=1.0, seed=s).recovered for s in seeds) / trials
+
+    lo, hi, probes = n, n * n, 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if rate(mid) >= target else (mid, hi)
+        probes += 1
+
+    calls = []
+    trial = bench.recovery_trial
+    monkeypatch.setattr(bench, "recovery_trial", lambda *a, **k: calls.append(1) or trial(*a, **k))
+    assert minimal_m1_for_recovery(n, 3, target_prob=target, trials=trials, seed=0, lam=1.0) == hi
+    assert len(calls) < probes * trials

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,13 +27,16 @@ finite_matrices = arrays(
 )
 
 
-# Both shrink paths: the SVD (any M) and the eigendecomposition (symmetric
-# M). The symmetric path runs on symmetrized inputs.
-SVT_PATHS = (False, True)
+def symmetrize(M):
+    return (M + M.T) / 2.0
 
 
-def symmetrize_if(M, symmetric):
-    return (M + M.T) / 2.0 if symmetric else M
+def svd_prox(M, tau):
+    """Reference prox of tau * nuclear norm at any M, through a full SVD."""
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    s = np.maximum(s - tau, 0.0)
+    keep = s > 0
+    return (U[:, keep] * s[keep]) @ Vt[keep]
 
 
 def planted_objective(inst, plan, lam):
@@ -49,14 +50,12 @@ def planted_objective(inst, plan, lam):
 
 def test_svt_diagonal_example():
     M = np.diag([3.0, 1.0, 0.2])
-    for symmetric in SVT_PATHS:
-        assert np.allclose(svt(M, 0.5, symmetric), np.diag([2.5, 0.5, 0.0]), atol=1e-12)
+    assert np.allclose(svt(M, 0.5), np.diag([2.5, 0.5, 0.0]), atol=1e-12)
 
 
 def test_svt_zero_matrix():
-    for symmetric in SVT_PATHS:
-        for tau in (0.1, 1.0, 10.0):
-            assert np.array_equal(svt(np.zeros((4, 4)), tau, symmetric), np.zeros((4, 4)))
+    for tau in (0.1, 1.0, 10.0):
+        assert np.array_equal(svt(np.zeros((4, 4)), tau), np.zeros((4, 4)))
 
 
 def test_svt_symmetric_path_matches_svd_path():
@@ -67,7 +66,7 @@ def test_svt_symmetric_path_matches_svd_path():
         w = np.linalg.eigvalsh(M)
         assert w.min() < 0 < w.max(), trial  # indefinite: both signs are shrunk
         for tau in (0.1, 1.0, 3.0):
-            assert np.abs(svt(M, tau, True) - svt(M, tau)).max() < 1e-10, (trial, tau)
+            assert np.abs(svt(M, tau) - svd_prox(M, tau)).max() < 1e-10, (trial, tau)
 
 
 def test_svt_is_nuclear_norm_prox():
@@ -75,10 +74,10 @@ def test_svt_is_nuclear_norm_prox():
     ||.||_* at Z: equal to U V^T on Z's singular-subspace and spectral norm
     <= 1 on the orthogonal complement."""
     rng = np.random.default_rng(0)
-    for trial, symmetric in itertools.product(range(20), SVT_PATHS):
-        M = symmetrize_if(rng.standard_normal((8, 8)), symmetric)
+    for trial in range(20):
+        M = symmetrize(rng.standard_normal((8, 8)))
         tau = 0.3
-        Z = svt(M, tau, symmetric)
+        Z = svt(M, tau)
         G = (M - Z) / tau
         U, s, Vt = np.linalg.svd(Z)
         r = int((s > 1e-9).sum())
@@ -92,35 +91,42 @@ def test_svt_is_nuclear_norm_prox():
 
 def test_svt_beats_random_competitors():
     rng = np.random.default_rng(1)
-    M = rng.standard_normal((8, 8))
+    A = rng.standard_normal((8, 8))
+    M = A + A.T
     tau = 0.3
     Z = svt(M, tau)
     f = lambda W: tau * nuclear_norm(W) + 0.5 * np.linalg.norm(W - M) ** 2
     best = f(Z)
     for radius in (1e-3, 1e-1, 1.0):
         for _ in range(25):
-            W = Z + radius * rng.standard_normal((8, 8))
+            W = Z + radius * rng.standard_normal((8, 8))  # not symmetric: svt beats those too
             assert f(W) >= best - 1e-9
 
 
 @settings(max_examples=30, deadline=None)
 @given(A=finite_matrices, B=finite_matrices)
 def test_svt_non_expansive(A, B):
-    for symmetric in SVT_PATHS:
-        P, Q = symmetrize_if(A, symmetric), symmetrize_if(B, symmetric)
-        d = np.linalg.norm(svt(P, 0.7, symmetric) - svt(Q, 0.7, symmetric))
-        assert d <= np.linalg.norm(P - Q) + 1e-9
+    P, Q = symmetrize(A), symmetrize(B)
+    d = np.linalg.norm(svt(P, 0.7) - svt(Q, 0.7))
+    assert d <= np.linalg.norm(P - Q) + 1e-9
 
 
 def test_svt_rejects_non_finite():
     M = np.zeros((3, 3))
     M[0, 0] = np.nan
-    for symmetric in SVT_PATHS:
-        with pytest.raises(NumericalError) as err:
-            svt(M, 0.5, symmetric)
-        assert err.value.code == "non-finite"
-        with pytest.raises(InputError):
-            svt(np.eye(3), 0.0, symmetric)
+    with pytest.raises(NumericalError) as err:
+        svt(M, 0.5)
+    assert err.value.code == "non-finite"
+    with pytest.raises(InputError):
+        svt(np.eye(3), 0.0)
+
+
+def test_svt_rejects_asymmetric_input():
+    M = np.eye(3)
+    M[0, 1] = 1e-12
+    with pytest.raises(InputError) as err:
+        svt(M, 0.5)
+    assert err.value.code == "asymmetric-input"
 
 
 # ---------------------------------------------------------------------------
@@ -198,44 +204,54 @@ def test_partial_observation_planted_recovery():
     assert support == flips
 
 
-def test_asymmetric_observations_reach_planted_certificate():
-    # Unrestricted sampling observes (i, j) without (j, i), so the solver
-    # cannot take the symmetric shrink and runs the SVD path throughout.
-    inst = generate_planted(12, 3, (4, 4, 4), seed=3)
-    plan = observe_and_corrupt(inst, m1=130, m2=2, seed=3, pair_aware=False)
-    assert not np.array_equal(plan.omega, plan.omega.T)
-    lam = 0.5
-    res = complete(CompletionProblem(plan.Y, plan.omega, lam))
-    assert res.converged
-    obj_star = planted_objective(inst, plan, lam)
-    assert abs(res.objective() - obj_star) <= 1e-6 * max(1.0, obj_star)
-    assert np.abs(res.X - inst.X_star).max() < 1e-3
-
-
 @pytest.mark.parametrize("sampling", ["pairs", "free", "one-sided-flip"])
-def test_complete_picks_the_shrink_from_the_input(sampling, monkeypatch):
+def test_complete_picks_the_shrink_from_the_input(sampling):
+    # Only symmetric input has a shrink: mirrored pairs are accepted, while
+    # positions drawn freely over the n x n grid or a flip of one mirror are
+    # rejected before any solve.
     inst = generate_planted(12, 3, (4, 4, 4), seed=3)
-    plan = observe_and_corrupt(inst, m1=130, m2=2, seed=3, pair_aware=sampling != "free")
-    if sampling == "one-sided-flip":
-        i, j = np.argwhere(plan.omega & ~np.eye(12, dtype=bool))[0]
-        plan.Y[i, j] = 1.0 - plan.Y[i, j]
-    flags = record_steps(monkeypatch)
-    complete(CompletionProblem(plan.Y, plan.omega, 0.5))
-    assert flags and {symmetric for symmetric, _, _ in flags} == {sampling == "pairs"}
+    plan = observe_and_corrupt(inst, m1=130, m2=2, seed=3)
+    Y, omega = plan.Y, plan.omega
+    if sampling == "free":
+        omega = np.zeros((12, 12), dtype=bool)
+        omega.flat[np.random.default_rng(3).choice(144, size=130, replace=False)] = True
+        assert not np.array_equal(omega, omega.T)
+        Y = np.where(omega, inst.X_star, 0.0)
+    elif sampling == "one-sided-flip":
+        i, j = np.argwhere(omega & ~np.eye(12, dtype=bool))[0]
+        Y[i, j] = 1.0 - Y[i, j]
+    if sampling == "pairs":
+        assert complete(CompletionProblem(Y, omega, 0.5)).converged
+        return
+    with pytest.raises(InputError) as err:
+        CompletionProblem(Y, omega, 0.5)
+    assert err.value.code == "asymmetric-input"
+
+
+def test_problem_ignores_asymmetry_off_omega():
+    inst = generate_planted(12, 3, (4, 4, 4), seed=3)
+    plan = observe_and_corrupt(inst, m1=100, m2=2, seed=3)
+    Y = plan.Y.copy()
+    i, j = np.argwhere(~plan.omega & ~np.eye(12, dtype=bool))[0]
+    Y[i, j] = 7.0  # only P_Omega(Y) is read
+    assert not np.array_equal(Y, Y.T)
+    res = complete(CompletionProblem(Y, plan.omega, 0.5))
+    ref = complete(CompletionProblem(plan.Y, plan.omega, 0.5))
+    assert np.array_equal(res.X, ref.X) and np.array_equal(res.E, ref.E)
 
 
 # ---------------------------------------------------------------------------
-# the warm partial step of symmetric problems
+# the warm partial step
 
 
 def record_steps(monkeypatch):
-    """Record (symmetric, warm basis given, full decomposition) of every solver step."""
+    """Record (warm basis given, full decomposition) of every solver step."""
     steps = []
     shrink_step = completion._shrink_step
 
-    def recording(M, tau, symmetric, basis):
-        out = shrink_step(M, tau, symmetric, basis)
-        steps.append((symmetric, basis is not None, out[3]))
+    def recording(M, tau, basis):
+        out = shrink_step(M, tau, basis)
+        steps.append((basis is not None, out[3]))
         return out
 
     monkeypatch.setattr(completion, "_shrink_step", recording)
@@ -243,7 +259,7 @@ def record_steps(monkeypatch):
 
 
 def all_full(monkeypatch):
-    """Make every symmetric step a full eigendecomposition (no warm basis is kept)."""
+    """Make every step a full eigendecomposition (no warm basis is kept)."""
     monkeypatch.setattr(completion, "_WARM_WIDTH_FRACTION", 0.0)
 
 
@@ -282,14 +298,14 @@ def test_shrink_step_falls_back_when_the_rank_outgrows_the_basis():
     S = (S + S.T) / 2.0
     tau = 1.0
     # The basis holds 6 of the 8 eigenvectors that clear tau: no headroom.
-    X, rank, basis, full = completion._shrink_step(S, tau, True, V[:, :6])
+    X, rank, basis, full = completion._shrink_step(S, tau, V[:, :6])
     assert full and rank == 8
-    assert np.array_equal(X, svt(S, tau, True))
+    assert np.array_equal(X, svt(S, tau))
     assert basis.shape == (64, 8 + completion._BUFFER)
     # With every kept eigenvector and a buffer in the basis, the step stays partial.
-    X, rank, basis, full = completion._shrink_step(S, tau, True, V[:, :10])
+    X, rank, basis, full = completion._shrink_step(S, tau, V[:, :10])
     assert not full and rank == 8
-    assert np.abs(X - svt(S, tau, True)).max() < 1e-10
+    assert np.abs(X - svt(S, tau)).max() < 1e-10
 
 
 def test_solver_falls_back_when_the_rank_jumps(monkeypatch):
@@ -300,7 +316,7 @@ def test_solver_falls_back_when_the_rank_jumps(monkeypatch):
     config = SolverConfig(rho0=0.01, rho_growth=10.0)
     steps = record_steps(monkeypatch)
     warm = complete(problem, config)
-    assert any(warm_basis and full for _, warm_basis, full in steps)
+    assert any(warm_basis and full for warm_basis, full in steps)
     assert warm.converged and warm.x_rank == 8
     with monkeypatch.context() as m:
         all_full(m)
@@ -315,22 +331,9 @@ def test_converged_result_comes_from_a_full_step(seed, monkeypatch):
     steps = record_steps(monkeypatch)
     res = complete(problem)
     assert res.converged and len(steps) == res.iterations
-    assert steps[-1][2], "the last step must decompose in full"
-    assert any(not full for _, _, full in steps), "the warm path never engaged"
-    assert res.full_steps == sum(full for _, _, full in steps)
-
-
-def test_asymmetric_result_reports_the_returned_pair():
-    # Free sampling: the symmetrized X that complete() returns can miss
-    # constraints that the unsymmetrized iterate met.
-    for seed in range(10):
-        inst = generate_planted(12, 3, (4, 4, 4), seed=seed)
-        plan = observe_and_corrupt(inst, m1=101, m2=2, seed=seed, pair_aware=False)
-        res = complete(CompletionProblem(plan.Y, plan.omega, 0.5))
-        R = np.where(plan.omega, plan.Y - res.X - res.E, 0.0)
-        expect = np.linalg.norm(R) / max(1.0, np.linalg.norm(np.where(plan.omega, plan.Y, 0.0)))
-        assert res.final_residual == pytest.approx(expect, rel=1e-9), seed
-        assert res.converged == (res.final_residual < SolverConfig().tol), seed
+    assert steps[-1][1], "the last step must decompose in full"
+    assert any(not full for _, full in steps), "the warm path never engaged"
+    assert res.full_steps == sum(full for _, full in steps)
 
 
 def test_objective_never_beats_planted_point():
@@ -358,13 +361,6 @@ def test_result_contract():
     assert res.converged and res.final_residual < 1e-7
 
 
-def test_presymmetrization_asymmetry_is_tiny():
-    inst = generate_planted(12, 3, (4, 4, 4), seed=6)
-    plan = observe_and_corrupt(inst, m1=120, m2=2, seed=6)
-    res = complete(CompletionProblem(plan.Y, plan.omega, default_lambda(12)))
-    assert res.presym_asymmetry < 1e-6
-
-
 def test_default_lambda():
     assert default_lambda(90) == pytest.approx(1.0 / np.sqrt(90))
     assert default_lambda(4) == 0.5
@@ -385,10 +381,12 @@ def test_observation_lambda_is_the_inlined_rule():
 
 
 def test_clip_to_unit_reports_fraction():
-    X = np.array([[1.5, 0.5], [-0.25, 0.75]])
+    X = np.array([[1.5, 0.5, 1 + 1e-9, 0.0], [-0.25, 0.75, -1e-9, 1.0]])
     clipped, frac = clip_to_unit(X)
-    assert np.array_equal(clipped, [[1.0, 0.5], [0.0, 0.75]])
-    assert frac == pytest.approx(0.5)
+    assert np.array_equal(clipped, [[1.0, 0.5, 1.0, 0.0], [0.0, 0.75, 0.0, 1.0]])
+    assert frac == pytest.approx(0.25)  # rounding just outside [0, 1] is not counted
+    tol = completion.CLIP_TOL
+    assert clip_to_unit(np.array([1 + 2 * tol, -tol / 2, -2 * tol]))[1] == pytest.approx(2 / 3)
 
 
 def test_solver_config_validation():
