@@ -394,6 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--exclude-diagonal", dest="include_diagonal", action="store_const", const=False,
     )
     p.add_argument("--lam", type=float)
+    p.add_argument("--solver-tol", dest="solver_tol", type=float)
+    p.add_argument("--solver-max-iter", dest="solver_max_iter", type=int)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("mtl", help="train cluster models, report per-task accuracy")

@@ -205,7 +205,7 @@ def read_partial_csv(path) -> PartialSimilarity:
 
 def write_dense_csv(M: np.ndarray, path) -> None:
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    lines = [",".join(_fmt(v) for v in row) for row in M]
+    lines = [",".join(map(repr, row)) for row in M.tolist()]  # _fmt's text, row by row
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -179,6 +179,26 @@ class TestCluster:
         part = fileio.read_partition_json(out)
         assert adjusted_rand_index(part.assignment, membership) == 1.0
 
+    def test_solver_flags_reach_the_solver(self, tmp_path, capsys):
+        tm, _ = synthetic_transfer_matrix(12, 3, 19, seed=0, sampling="anchored")
+        scores = tmp_path / "scores.csv"
+        fileio.write_transfer_csv(tm, scores)
+        out = tmp_path / "partition.json"
+        args = ("cluster", "--scores", scores, "--out", out, "--clusters", 3, "--seed", 0)
+        code, _, err = run(capsys, *args, "--solver-max-iter", 1)
+        assert code == 3
+        record = stderr_record(err)
+        assert record["error"] == "no-convergence"
+        assert record["message"].startswith("solver stopped after 1 iterations")
+        assert not out.exists()
+        iterations = {}  # the default tolerance takes 51 iterations, 1e-3 fewer
+        for tol in (1e-7, 1e-3):
+            diag = tmp_path / f"diag-{tol}.json"
+            code, _, _ = run(capsys, *args, "--solver-tol", tol, "--diagnostics", diag)
+            assert code == 0
+            iterations[tol] = fileio.read_json(diag)["iterations"]
+        assert iterations[1e-3] < iterations[1e-7]
+
     def test_zero_clusters_rejected(self, tmp_path, capsys):
         tm, _ = synthetic_transfer_matrix(6, 2, 9, seed=0)
         scores = tmp_path / "scores.csv"

@@ -336,6 +336,195 @@ def test_converged_result_comes_from_a_full_step(seed, monkeypatch):
     assert res.full_steps == sum(full for _, full in steps)
 
 
+# ---------------------------------------------------------------------------
+# the Omega-restricted loop against the n x n loop it replaced
+
+
+def dense_reference(problem, config=None):
+    """complete() as it was when E, the multiplier and R were n x n arrays.
+
+    The reference the Omega-vector loop must match bit for bit. The finite
+    check on the whole M is the one _shrink_step made then.
+    """
+    config = config or SolverConfig()
+    omega = problem.omega
+    lam = problem.lam
+
+    Yp = np.where(omega, problem.Y, 0.0)
+    n = problem.n
+    y_norm = np.linalg.norm(Yp)
+    denom = max(1.0, y_norm)
+
+    if config.rho0 is not None:
+        rho = float(config.rho0)
+    else:
+        l1 = np.abs(Yp).sum()
+        rho = n * n / (4.0 * l1) if l1 > 0 else 1.0
+    rho_floor = 1e-7
+
+    X = np.zeros((n, n))
+    E = np.zeros((n, n))
+    Lam = np.zeros((n, n))
+
+    converged = False
+    residual = np.inf
+    basis = None
+    rank = full_steps = 0
+    it = 0
+    for it in range(1, config.max_iter + 1):
+        M = Yp - E + Lam / rho
+        if not np.isfinite(M).all():
+            raise NumericalError("non-finite", "svt input contains NaN or inf")
+        X, rank, basis, full = completion._shrink_step(M, 1.0 / rho, basis)
+        full_steps += full
+        G = Yp - X + Lam / rho
+        E_prev = E
+        E = np.where(omega, soft_threshold(G, lam / rho), G)
+        R = Yp - X - E
+        Lam = Lam + rho * R
+        if not (np.isfinite(X).all() and np.isfinite(E).all()):
+            raise NumericalError("diverged", f"non-finite iterate at iteration {it}")
+        residual = np.linalg.norm(np.where(omega, R, 0.0)) / denom
+        dual = rho * np.linalg.norm(E - E_prev) / denom
+        if residual < config.tol and dual < config.tol:
+            if full:
+                converged = True
+                break
+            basis = None
+        if residual > 10.0 * dual:
+            rho = min(rho * config.rho_growth, completion.RHO_CAP)
+        elif dual > 10.0 * residual:
+            rho = max(rho / config.rho_growth, rho_floor)
+
+    X = (X + X.T) / 2.0
+    E = np.where(omega, E, 0.0)
+    return completion.CompletionResult(
+        X=X,
+        E=E,
+        iterations=it,
+        final_residual=float(residual),
+        converged=converged,
+        lam=lam,
+        rho_final=rho,
+        x_rank=rank,
+        e_support=int(np.count_nonzero(E)),
+        full_steps=full_steps,
+    )
+
+
+RESULT_FIELDS = (
+    "iterations", "final_residual", "converged", "rho_final", "x_rank", "e_support", "full_steps",
+)
+
+
+def record_shrink_inputs(monkeypatch):
+    """Record the exact bytes of (M, tau, basis) at every shrink step."""
+    inputs = []
+    shrink_step = completion._shrink_step
+
+    def recording(M, tau, basis):
+        inputs.append((M.tobytes(), tau, None if basis is None else basis.tobytes()))
+        return shrink_step(M, tau, basis)
+
+    monkeypatch.setattr(completion, "_shrink_step", recording)
+    return inputs
+
+
+def run_both(problem, config, monkeypatch):
+    """Solve with the reference and with complete(); return both outcomes and
+    the shrink inputs each made. An outcome is a result or the NumericalError."""
+    inputs = record_shrink_inputs(monkeypatch)
+    outcomes = []
+    for solve in (dense_reference, complete):
+        try:
+            outcomes.append(solve(problem, config))
+        except NumericalError as err:
+            outcomes.append(err)
+        outcomes.append(inputs[:])
+        inputs.clear()
+    return outcomes
+
+
+def assert_same_shrink_inputs(ref_inputs, inputs):
+    assert len(inputs) == len(ref_inputs)
+    first = next((k for k, (a, b) in enumerate(zip(ref_inputs, inputs)) if a != b), None)
+    assert first is None, f"shrink input {first + 1} differs"
+
+
+def assert_bit_for_bit(problem, config, monkeypatch):
+    ref, ref_inputs, res, inputs = run_both(problem, config, monkeypatch)
+    assert_same_shrink_inputs(ref_inputs, inputs)  # signed zeros included
+    assert np.array_equal(res.X, ref.X) and np.array_equal(res.E, ref.E)
+    assert res.X.tobytes() == ref.X.tobytes() and res.E.tobytes() == ref.E.tobytes()
+    for name in RESULT_FIELDS:
+        assert getattr(res, name) == getattr(ref, name), name
+    return res
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_omega_loop_matches_the_dense_loop_on_planted_flips(seed, monkeypatch):
+    _, plan, problem = planted_problem(48, 3, 0.7, 0.02, seed)
+    assert plan.delta.any()
+    res = assert_bit_for_bit(problem, None, monkeypatch)
+    assert res.converged
+
+
+@pytest.mark.parametrize(
+    "m1_frac, seed", [(1.0, 1), (0.12, 2)], ids=["full-omega", "sparse-omega"]
+)
+def test_omega_loop_matches_the_dense_loop_on_full_and_sparse_omega(m1_frac, seed, monkeypatch):
+    _, plan, problem = planted_problem(40, 3, m1_frac, 0.05, seed)
+    assert problem.omega.all() == (m1_frac == 1.0)
+    assert plan.delta.any()
+    assert_bit_for_bit(problem, None, monkeypatch)
+
+
+def test_omega_loop_matches_the_dense_loop_while_x_is_zero(monkeypatch):
+    # A tiny rho0 makes the threshold 1/rho huge, so X stays exactly zero:
+    # every entry of M off Omega is a zero whose sign must be the old one.
+    # Some observed entries are -0.0 too.
+    _, plan, problem = planted_problem(24, 3, 0.5, 0.02, 0)
+    Y = np.where(plan.omega & (plan.Y == 0.0), -0.0, plan.Y)
+    assert np.signbit(Y[plan.omega]).any()
+    problem = CompletionProblem(Y, plan.omega, problem.lam)
+    res = assert_bit_for_bit(problem, SolverConfig(rho0=1e-6, max_iter=25), monkeypatch)
+    assert res.x_rank == 0 and not res.X.any() and not res.converged
+
+
+def test_omega_loop_matches_the_dense_loop_at_max_iter(monkeypatch):
+    _, _, problem = planted_problem(48, 3, 0.7, 0.02, 0)
+    res = assert_bit_for_bit(problem, SolverConfig(max_iter=20), monkeypatch)
+    assert res.iterations == 20 and not res.converged
+
+
+def test_omega_loop_matches_the_dense_loop_with_rho0_set(monkeypatch):
+    _, _, problem = planted_problem(48, 3, 0.7, 0.02, 1)
+    res = assert_bit_for_bit(problem, SolverConfig(rho0=0.05, rho_growth=1.5), monkeypatch)
+    assert res.converged
+
+
+@pytest.mark.parametrize(
+    "scale, rho0, code, shrinks",
+    [
+        # |P_Omega(Y)|_1 overflows, so the default rho0 is 0 and M is NaN
+        (1e307, None, "non-finite", 0),
+        # rho0 = inf: the first step passes, then Lambda/rho = inf * 0 / inf
+        (1.0, np.inf, "non-finite", 1),
+        # M is finite but its eigenvalues overflow, so X comes back NaN
+        (6e307, 1.0, "diverged", 1),
+    ],
+)
+def test_omega_loop_fails_like_the_dense_loop(scale, rho0, code, shrinks, monkeypatch):
+    _, plan, _ = planted_problem(12, 3, 0.7, 0.02, 3)
+    problem = CompletionProblem(plan.Y * scale, plan.omega, 0.5)
+    with np.errstate(all="ignore"):
+        ref, ref_inputs, err, inputs = run_both(problem, SolverConfig(rho0=rho0), monkeypatch)
+    assert isinstance(ref, NumericalError) and isinstance(err, NumericalError)
+    assert (err.code, err.message) == (ref.code, ref.message)
+    assert err.code == code and len(ref_inputs) == shrinks
+    assert_same_shrink_inputs(ref_inputs, inputs)
+
+
 def test_objective_never_beats_planted_point():
     for seed in range(10):
         inst = generate_planted(12, 3, (4, 4, 4), seed=seed)

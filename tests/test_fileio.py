@@ -98,6 +98,23 @@ def test_dense_csv_round_trip(tmp_path):
     assert np.array_equal(fileio.read_dense_csv(path), M)  # repr round-trips exactly
 
 
+@pytest.mark.parametrize(
+    "M",
+    [
+        [[-0.0, 0.0, 1e-300, 5e-324], [3.0, -7.0, 1e16, 2.0**53 + 2], [np.nan, np.inf, -np.inf, 0.1]],
+        [1.0, -0.0, np.nan],  # 1-D input is written as one row
+        np.arange(6).reshape(2, 3),  # integer input is written as floats
+        np.random.default_rng(2).standard_normal((5, 3)),
+    ],
+)
+def test_dense_csv_writes_the_fmt_text(tmp_path, M):
+    path = tmp_path / "m.csv"
+    fileio.write_dense_csv(M, path)
+    rows = np.atleast_2d(np.asarray(M, dtype=float))
+    expect = "\n".join(",".join(fileio._fmt(v) for v in row) for row in rows) + "\n"
+    assert path.read_bytes() == expect.encode()
+
+
 def test_dense_csv_rejects_ragged(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1.0,2.0\n3.0\n")
