@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from taskclust.completion import CompletionProblem, clip_to_unit, complete, observation_lambda
+from taskclust.completion import complete_similarity
 from taskclust.filtering import FilterParams, filter_scores
 from taskclust.spectral import adjusted_rand_index, spectral_cluster
 from taskclust.synthdata import synthetic_transfer_matrix
@@ -43,12 +43,10 @@ def main():
     print(f"filter: {off_diagonal} off-diagonal entries decided "
           f"({ones} similar, {off_diagonal - ones} dissimilar)")
 
-    lam = observation_lambda(ps.observed)
-    result = complete(CompletionProblem(ps.values.astype(float), ps.observed.copy(), lam))
-    X, clipped = clip_to_unit(result.X)
+    X, clipped, result = complete_similarity(ps.values, ps.observed)
     singular_values = np.linalg.svd(X, compute_uv=False)
     top = ", ".join(f"{v:.2f}" for v in singular_values[: args.clusters + 2])
-    print(f"complete: lambda={lam:.3f}, {result.iterations} iterations, "
+    print(f"complete: lambda={result.lam:.3f}, {result.iterations} iterations, "
           f"residual {result.final_residual:.2e}, clipped {clipped:.1%}")
     print(f"complete: leading singular values [{top}, ...]")
 

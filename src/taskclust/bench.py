@@ -1,20 +1,32 @@
-"""Planted-cluster benchmark for the recovery guarantee.
+"""Planted-cluster experiments: the recovery guarantee and few-shot transfer.
 
 Ground truth is the block similarity matrix X* = sum_i a_i a_i^T built from
 cluster membership vectors, so rank(X*) equals the number of clusters. We
 observe m1 entries uniformly at random, corrupt m2 of them by bit-flips,
 run the completion solver, and check entrywise recovery of X*.
+
+fewshot_trial runs the whole pipeline on a planted task family instead and
+compares few-shot predictors built with and without its clusters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .completion import CompletionProblem, SolverConfig, complete, default_lambda
+from .completion import CompletionProblem, complete, complete_similarity, default_lambda
 from .errors import InputError, NumericalError
+from .filtering import FilterParams, filter_scores
+from .learning import fsl_combine, train_cluster_models, train_support_only
 from .seeding import derive_rng
+from .spectral import adjusted_rand_index, spectral_cluster
+from .synthdata import FamilyConfig, fewshot_from_dataset, make_target_task, make_task_family
+from .transfer import TrainConfig, build_transfer_matrix
+
+# recovery_trial's test: recovered iff every entry of X is this close to X*.
+RECOVERY_TOL = 1e-3
 
 
 @dataclass
@@ -166,19 +178,17 @@ def recovery_trial(
     m2: int,
     lam: float | None = None,
     seed: int = 0,
-    solver: SolverConfig | None = None,
-    recovery_tol: float = 1e-3,
 ) -> TrialResult:
-    """Observe, corrupt, complete; recovered iff max |X - X*| < recovery_tol."""
+    """Observe, corrupt, complete; recovered iff max |X - X*| < RECOVERY_TOL."""
     plan = observe_and_corrupt(inst, m1, m2, seed=seed)
     lam = default_lambda(inst.n) if lam is None else lam
     try:
-        result = complete(CompletionProblem(plan.Y, plan.omega, lam), solver)
+        result = complete(CompletionProblem(plan.Y, plan.omega, lam))
     except NumericalError as err:
         return TrialResult(recovered=False, max_abs_err=np.inf, failure=err.code)
     err = float(np.abs(result.X - inst.X_star).max())
     return TrialResult(
-        recovered=err < recovery_tol,
+        recovered=err < RECOVERY_TOL,
         max_abs_err=err,
         iterations=result.iterations,
         converged=result.converged,
@@ -207,7 +217,6 @@ def phase_sweep(
     trials: int,
     seed: int = 0,
     lam: float | None = None,
-    solver: SolverConfig | None = None,
 ) -> list[SweepCell]:
     """Empirical recovery probability over a (m1 fraction, m2 fraction) grid.
 
@@ -228,9 +237,7 @@ def phase_sweep(
             recovered = 0
             for t in range(trials):
                 trial_seed = int(derive_rng(seed, "sweep", ci, cj, t).integers(2**63))
-                recovered += recovery_trial(
-                    inst, m1, m2, lam=lam, seed=trial_seed, solver=solver
-                ).recovered
+                recovered += recovery_trial(inst, m1, m2, lam=lam, seed=trial_seed).recovered
             cells.append(
                 SweepCell(n=n, k=k, m1=m1, m2=m2, trials=trials, recovered_count=recovered)
             )
@@ -244,10 +251,9 @@ def minimal_m1_for_recovery(
     trials: int = 20,
     seed: int = 0,
     lam: float | None = None,
-    solver: SolverConfig | None = None,
-    resolution: int | None = None,
 ) -> int:
-    """Bisect for the smallest m1 with empirical recovery >= target_prob at m2=0.
+    """Bisect for the smallest m1 with empirical recovery >= target_prob at m2=0,
+    to within max(1, n^2 // 200) entries.
 
     Each probe stops as soon as its outcome is decided: once the hits reach
     the target, or once even winning every remaining trial could not. Trial
@@ -263,17 +269,65 @@ def minimal_m1_for_recovery(
             if (hits + trials - t) / trials < target_prob:
                 return False
             trial_seed = int(derive_rng(seed, "min-m1", m1, t).integers(2**63))
-            hits += recovery_trial(inst, m1, 0, lam=lam, seed=trial_seed, solver=solver).recovered
+            hits += recovery_trial(inst, m1, 0, lam=lam, seed=trial_seed).recovered
         return hits / trials >= target_prob
 
     lo, hi = n, n * n  # below n entries even the support is undeterminable
     if not reaches_target(hi):
         raise NumericalError("no-recovery", f"full observation fails at n={n}")
-    resolution = resolution or max(1, n * n // 200)
-    while hi - lo > resolution:
+    while hi - lo > max(1, n * n // 200):
         mid = (lo + hi) // 2
         if reaches_target(mid):
             hi = mid
         else:
             lo = mid
     return hi
+
+
+# fewshot_trial's families: two opposed clusters of noisy tasks. Targets get
+# task_noise 0.15, so they lie close to their cluster's geometry.
+FEWSHOT_FAMILY = FamilyConfig(dim=10, label_count=3, train_per_class=4, valid_per_class=10,
+                              test_per_class=30, separation=1.3, task_noise=0.7,
+                              sample_spread=1.2)
+
+
+@dataclass
+class FewShotResult:
+    """The family's clustering ARI and three mean query accuracies."""
+
+    ari: float
+    clustered: float  # fsl_combine over one model per cluster
+    flat: float       # fsl_combine over one model per task (no clustering)
+    single: float     # train_support_only
+
+
+def fewshot_trial(seed: int, n_tasks: int = 10, targets: int = 6, shots: int = 1,
+                  epochs: int = 100) -> FewShotResult:
+    """One seed of the few-shot comparison on an opposed two-cluster family.
+
+    The family is clustered from direct-evaluation scores on every pair
+    (filter without the diagonal, complete_similarity, spectral_cluster).
+    Each target, alternating between the clusters, is then served from
+    ``shots`` support examples per label in the three ways FewShotResult
+    lists. Every model trains for ``epochs``.
+    """
+    tasks, membership = make_task_family(n_tasks, 2, FEWSHOT_FAMILY, seed=seed, opposed=True)
+    pairs = set(itertools.combinations(range(n_tasks), 2))
+    estimate = TrainConfig(epochs=epochs, seed=0, reuse_source_classifier=True)
+    ps = filter_scores(build_transfer_matrix(tasks, pairs, estimate),
+                       FilterParams(include_diagonal_in_stats=False))
+    part = spectral_cluster(complete_similarity(ps.values, ps.observed)[0], 2, seed=seed)
+    config = TrainConfig(epochs=epochs, seed=0)
+    cluster_models = train_cluster_models(
+        [[tasks[i] for i in part.members(k)] for k in range(2)], "shared_classifier", config)
+    flat_models = train_cluster_models([[t] for t in tasks], "shared_classifier", config)
+    accs = np.zeros(3)
+    for tag in range(targets):
+        target = make_target_task(tag % 2, 2, replace(FEWSHOT_FAMILY, task_noise=0.15),
+                                  seed=seed, tag=tag, opposed=True)
+        fs = fewshot_from_dataset(target, shots=shots, seed=seed + tag)
+        mixtures = [fsl_combine(models, fs)[1] for models in (cluster_models, flat_models)]
+        predictors = [*mixtures, train_support_only(fs, config)]
+        accs += [p.accuracy(*fs.query) for p in predictors]
+    accs /= targets
+    return FewShotResult(adjusted_rand_index(part.assignment, membership), *accs.tolist())

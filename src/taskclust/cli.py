@@ -21,13 +21,12 @@ import numpy as np
 
 from . import fileio
 from .bench import phase_sweep
-from .completion import CompletionProblem, SolverConfig, clip_to_unit, complete, observation_lambda
+from .completion import SolverConfig, complete_similarity
 from .errors import InputError, NumericalError, TaskClustError
 from .filtering import MODES, FilterParams, filter_scores
 from .learning import (
     KINDS,
     PER_TASK_KINDS,
-    CombineConfig,
     TrainConfig,
     adaptive_fsl,
     fsl_combine,
@@ -151,23 +150,19 @@ def cmd_filter(args) -> int:
 
 
 def _solve(ps, s: dict):
-    lam = s.get("lam")
-    lam = float(lam) if lam is not None else observation_lambda(ps.observed)
     solver = _pick(s, SolverConfig, solver_tol="tol", solver_max_iter="max_iter")
-    problem = CompletionProblem(ps.values.astype(float), ps.observed.copy(), lam)
-    result = complete(problem, solver)
+    X, clipped, result = complete_similarity(ps.values, ps.observed, s.get("lam"), solver)
     if not result.converged:
         raise NumericalError(
             "no-convergence",
             f"solver stopped after {result.iterations} iterations "
             f"with residual {result.final_residual:.3e}",
         )
-    X, clipped = clip_to_unit(result.X)
     diagnostics = {
         "iterations": result.iterations,
         "final_residual": result.final_residual,
         "converged": result.converged,
-        "lambda": lam,
+        "lambda": result.lam,
         "clipped_fraction": clipped,
         "rho_final": result.rho_final,
         "x_rank": result.x_rank,
@@ -212,17 +207,6 @@ def _cluster_members(tasks, part):
     return [[tasks[i] for i in part.members(k)] for k in range(part.K)]
 
 
-def _mtl_accuracy(model, ds) -> float:
-    X, y = ds.test
-    if model.kind == "metric_encoder":
-        proba = model.predict_proba(X, support=ds.train)
-    elif model.kind == "shared_encoder_multihead":
-        proba = model.predict_proba(X, task_id=ds.task_id)
-    else:
-        proba = model.predict_proba(X)
-    return float(np.mean(proba.argmax(axis=1) == y))
-
-
 def cmd_mtl(args) -> int:
     s = _settings(args, "mtl", "tasks", "partition", "out")
     tasks = fileio.read_task_dir(s["tasks"])
@@ -233,9 +217,11 @@ def cmd_mtl(args) -> int:
     rows = []
     for members, model in zip(clusters, train_cluster_models(clusters, kind, config)):
         for ds in members:
+            X, y = ds.test
+            proba = model.predict_proba(X, task_id=ds.task_id, support=ds.train)
             rows.append(
                 {"task_id": ds.task_id, "method": f"mtl-{kind}",
-                 "accuracy": _mtl_accuracy(model, ds), "alpha": []}
+                 "accuracy": float(np.mean(proba.argmax(axis=1) == y)), "alpha": []}
             )
     rows.sort(key=lambda r: r["task_id"])
     macro = float(np.mean([r["accuracy"] for r in rows]))
@@ -251,7 +237,6 @@ def cmd_fsl(args) -> int:
     targets = fileio.read_task_dir(s["targets"])
     kind = str(s.get("kind", "shared_classifier"))
     config = _pick(s, TrainConfig)
-    combine = _pick(s, CombineConfig)
     shots = int(s.get("shots", 5))
     adaptive = bool(s.get("adaptive", False))
     threshold = float(s.get("threshold", 0.20))
@@ -268,13 +253,10 @@ def cmd_fsl(args) -> int:
     for ds in targets:
         fs = fewshot_from_dataset(ds, shots=shots, seed=int(s["seed"]))
         if adaptive:
-            predictor = adaptive_fsl(
-                models, fs, threshold=threshold,
-                fallback_config=config, combine_config=combine,
-            )
+            predictor = adaptive_fsl(models, fs, threshold=threshold, fallback_config=config)
             method = "adaptive-fsl"
         else:
-            _, predictor = fsl_combine(models, fs, combine)
+            _, predictor = fsl_combine(models, fs)
             method = "fsl"
         alpha = [] if predictor.used_fallback else predictor.weights.alpha
         rows.append(

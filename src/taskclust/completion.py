@@ -40,7 +40,7 @@ _BUFFER = 5
 _WARM_WIDTH_FRACTION = 0.25
 # clip_to_unit counts an entry as clipped only beyond this distance from
 # [0, 1]. Nearer entries are solver error around an exact 0 or 1 (up to 2e-6
-# on an exactly recovered n = 240 X); it is recovery_trial's default tolerance.
+# on an exactly recovered n = 240 X); it equals bench.RECOVERY_TOL.
 CLIP_TOL = 1e-3
 
 
@@ -58,6 +58,8 @@ class SolverConfig:
             raise InputError("bad-max-iter", "max_iter must be >= 1")
         if self.rho_growth < 1:
             raise InputError("bad-rho-growth", "rho_growth must be >= 1")
+        if self.rho0 is not None and not self.rho0 > 0:  # NaN fails the test too
+            raise InputError("bad-rho0", "rho0 must be positive")
 
 
 @dataclass
@@ -141,8 +143,9 @@ def _shrink_step(M, tau, basis):
     """One prox step of complete(): (X, kept rank, next warm basis, full).
 
     M is finite (the callers check) and symmetric up to rounding; S =
-    (M + M^T)/2 is shrunk. Without a basis, S is decomposed in full (the
-    exact svt). With an orthonormal basis B, S is multiplied by B once, the
+    (M + M^T)/2 is shrunk. M + M^T can still overflow, so a decomposition
+    that fails raises NumericalError("diverged"). Without a basis, S is
+    decomposed in full (the exact svt). With an orthonormal basis B, S is multiplied by B once, the
     product orthonormalized, and only the Ritz pairs of S in that subspace
     are shrunk. When every Ritz value clears tau, the kept rank may have
     outgrown the basis, so S is decomposed in full after all (full=True).
@@ -154,13 +157,16 @@ def _shrink_step(M, tau, basis):
     S = M + M.T
     S /= 2.0
     full = basis is None
-    if not full:
-        Q = np.linalg.qr(S @ basis)[0]
-        w, Z = np.linalg.eigh(Q.T @ S @ Q)
-        V = Q @ Z
-        full = bool((np.abs(w) > tau).all())
-    if full:
-        w, V = np.linalg.eigh(S)
+    try:
+        if not full:
+            Q = np.linalg.qr(S @ basis)[0]
+            w, Z = np.linalg.eigh(Q.T @ S @ Q)
+            V = Q @ Z
+            full = bool((np.abs(w) > tau).all())
+        if full:
+            w, V = np.linalg.eigh(S)
+    except np.linalg.LinAlgError as err:
+        raise NumericalError("diverged", f"eigendecomposition failed: {err}") from err
     X, rank = _threshold(V * np.sign(w), np.abs(w), V.T, tau)
     width = rank + _BUFFER
     if width > _WARM_WIDTH_FRACTION * len(S):
@@ -324,3 +330,21 @@ def clip_to_unit(X: np.ndarray) -> tuple[np.ndarray, float]:
     clipped = np.clip(X, 0.0, 1.0)
     frac = float(np.mean(np.abs(clipped - X) > CLIP_TOL))
     return clipped, frac
+
+
+def complete_similarity(
+    values: np.ndarray,
+    observed: np.ndarray,
+    lam: float | None = None,
+    config: SolverConfig | None = None,
+) -> tuple[np.ndarray, float, CompletionResult]:
+    """The pipeline's completion step: (X clipped to [0, 1], clipped fraction, result).
+
+    lam defaults to observation_lambda(observed). The clip lets
+    spectral_cluster accept X: a recovered 0 can come out as -6e-10.
+    result.X is unclipped, and result.converged is left to the caller.
+    """
+    lam = observation_lambda(observed) if lam is None else float(lam)
+    result = complete(CompletionProblem(values, observed, lam), config)
+    X, clipped = clip_to_unit(result.X)
+    return X, clipped, result

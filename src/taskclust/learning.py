@@ -339,7 +339,7 @@ class MixturePredictor:
     def _component_probs(self, X) -> np.ndarray:
         cols = []
         for idx in self.weights.indices:
-            cols.append(_model_proba(self.models[idx], X, self.task))
+            cols.append(self.models[idx].predict_proba(X, support=self.task.support))
         return np.stack(cols, axis=0)  # (K, m, L)
 
     def predict_proba(self, X) -> np.ndarray:
@@ -349,6 +349,15 @@ class MixturePredictor:
     def accuracy(self, X, y) -> float:
         y = np.asarray(y, dtype=int)
         return float(np.mean(self.predict_proba(X).argmax(axis=1) == y))
+
+
+def train_support_only(task: FewShotTask, config: TrainConfig | None = None) -> TaskModel:
+    """A model trained on the support set alone: adaptive_fsl's fallback and
+    the few-shot baseline that uses no cluster model."""
+    d = task.dim
+    empty = (np.zeros((0, d)), np.zeros(0, dtype=int))
+    ds = TaskDataset("support-only", task.label_count, task.support, empty, empty)
+    return train_single_task(ds, config)
 
 
 class SingleTaskPredictor:
@@ -364,12 +373,6 @@ class SingleTaskPredictor:
     def accuracy(self, X, y) -> float:
         y = np.asarray(y, dtype=int)
         return float(np.mean(self.predict_proba(X).argmax(axis=1) == y))
-
-
-def _model_proba(model: ClusterModel, X, task: FewShotTask) -> np.ndarray:
-    if model.kind == "metric_encoder":
-        return model.predict_proba(X, support=task.support)
-    return model.predict_proba(X)
 
 
 def _compatible(model: ClusterModel, task: FewShotTask) -> bool:
@@ -400,7 +403,7 @@ def fsl_combine(
     Xs, ys = task.support
     # Q[k, i] = model k's probability of the true label of support example i
     Q = np.stack([
-        _model_proba(models[i], Xs, task)[np.arange(len(ys)), ys]
+        models[i].predict_proba(Xs, support=task.support)[np.arange(len(ys)), ys]
         for i in indices
     ])
     Q = np.maximum(Q, 1e-300)
@@ -422,7 +425,6 @@ def adaptive_fsl(
     task: FewShotTask,
     threshold: float = 0.20,
     fallback_config: TrainConfig | None = None,
-    combine_config: CombineConfig | None = None,
 ):
     """Mixture prediction with a fallback to support-set-only training.
 
@@ -437,17 +439,9 @@ def adaptive_fsl(
     for m in models:
         if not _compatible(m, task):
             continue
-        acc = float(np.mean(_model_proba(m, Xs, task).argmax(axis=1) == ys))
+        acc = float(np.mean(m.predict_proba(Xs, support=task.support).argmax(axis=1) == ys))
         best = max(best, acc)
     if best <= threshold:
-        d = task.dim
-        ds = TaskDataset(
-            task_id="support-only",
-            label_count=task.label_count,
-            train=task.support,
-            valid=(np.zeros((0, d)), np.zeros(0, dtype=int)),
-            test=(np.zeros((0, d)), np.zeros(0, dtype=int)),
-        )
-        return SingleTaskPredictor(train_single_task(ds, fallback_config or TrainConfig()))
-    _, predictor = fsl_combine(models, task, combine_config)
+        return SingleTaskPredictor(train_support_only(task, fallback_config))
+    _, predictor = fsl_combine(models, task)
     return predictor

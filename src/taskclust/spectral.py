@@ -81,10 +81,10 @@ def _lloyd(Z: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
     return labels, inertia
 
 
-def kmeans(Z: np.ndarray, K: int, seed: int = 0, restarts: int = KMEANS_RESTARTS) -> np.ndarray:
-    """Best-of-R restarted k-means; ties broken by inertia then restart order."""
+def kmeans(Z: np.ndarray, K: int, seed: int = 0) -> np.ndarray:
+    """Best of KMEANS_RESTARTS k-means runs; ties broken by inertia then restart order."""
     best_labels, best_inertia = None, np.inf
-    for r in range(restarts):
+    for r in range(KMEANS_RESTARTS):
         rng = derive_rng(seed, "kmeans", r)
         labels, inertia = _lloyd(Z, _kmeans_pp_init(Z, K, rng))
         if inertia < best_inertia:

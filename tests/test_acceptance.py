@@ -4,16 +4,15 @@ Every test prints a single PASS/FAIL line through the capture so the
 verdicts are visible in plain pytest output, then asserts the criterion.
 """
 
-import itertools
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from taskclust.bench import (
     equal_sizes,
+    fewshot_trial,
     generate_planted,
     minimal_m1_for_recovery,
     observe_and_corrupt,
@@ -22,28 +21,21 @@ from taskclust.bench import (
 from taskclust.cli import main as cli_main
 from taskclust.completion import (
     CompletionProblem,
-    clip_to_unit,
     complete,
+    complete_similarity,
     default_lambda,
 )
-from taskclust.filtering import FilterParams, PartialSimilarity, filter_scores
+from taskclust.filtering import FilterParams, filter_scores
 from taskclust.learning import adaptive_fsl, fsl_combine, train_cluster_model
 from taskclust.spectral import adjusted_rand_index, spectral_cluster
 from taskclust.synthdata import (
     FamilyConfig,
     fewshot_from_dataset,
     make_adversarial_task,
-    make_target_task,
     make_task_family,
     synthetic_transfer_matrix,
 )
-from taskclust.transfer import (
-    TaskDataset,
-    TrainConfig,
-    TransferMatrix,
-    build_transfer_matrix,
-    train_single_task,
-)
+from taskclust.transfer import TrainConfig, TransferMatrix
 
 
 def report(capsys, label: str, passed: bool, detail: str) -> None:
@@ -55,9 +47,7 @@ def report(capsys, label: str, passed: bool, detail: str) -> None:
 def pipeline_partition(tm, K, seed):
     """Filter, complete and spectrally partition one transfer matrix."""
     ps = filter_scores(tm, FilterParams(include_diagonal_in_stats=False))
-    lam = float(np.sqrt(ps.n / ps.observed.sum()))
-    result = complete(CompletionProblem(ps.values.astype(float), ps.observed.copy(), lam))
-    X, _ = clip_to_unit(result.X)
+    X, _, _ = complete_similarity(ps.values, ps.observed)
     return spectral_cluster(X, K, seed=seed)
 
 
@@ -229,44 +219,11 @@ def test_clustered_fewshot_beats_flat_and_single_baselines(capsys):
     """Cluster-mixture few-shot accuracy dominates the no-clustering mixture,
     which dominates support-only training, on most seeds."""
     t0 = time.perf_counter()
-    fc = FamilyConfig(dim=10, label_count=3, train_per_class=4, valid_per_class=10,
-                      test_per_class=30, separation=1.3, task_noise=0.7,
-                      sample_spread=1.2)
-    fc_target = replace(fc, task_noise=0.15)
-    estimate_cfg = TrainConfig(epochs=100, seed=0, reuse_source_classifier=True)
-    model_cfg = TrainConfig(epochs=100, seed=0)
-    pairs = set(itertools.combinations(range(10), 2))
     clustered_wins = flat_wins = 0
     for seed in range(20):
-        tasks, _ = make_task_family(10, 2, fc, seed=seed, opposed=True)
-        tm = build_transfer_matrix(tasks, pairs, estimate_cfg)
-        part = pipeline_partition(tm, 2, seed)
-        cluster_models = [
-            train_cluster_model([tasks[i] for i in part.members(k)],
-                                "shared_classifier", model_cfg, cluster_id=k)
-            for k in range(2)
-        ]
-        flat_models = [
-            train_cluster_model([t], "shared_classifier", model_cfg, cluster_id=i)
-            for i, t in enumerate(tasks)
-        ]
-        clustered, flat, single = [], [], []
-        for tag in range(6):
-            target = make_target_task(tag % 2, 2, fc_target, seed=seed, tag=tag,
-                                      opposed=True)
-            fs = fewshot_from_dataset(target, shots=1, seed=seed + tag)
-            _, mix_clustered = fsl_combine(cluster_models, fs)
-            _, mix_flat = fsl_combine(flat_models, fs)
-            d = fs.support[0].shape[1]
-            empty = (np.zeros((0, d)), np.zeros(0, dtype=int))
-            support_only = TaskDataset("support-only", fs.label_count,
-                                       fs.support, empty, empty)
-            single_model = train_single_task(support_only, model_cfg)
-            clustered.append(mix_clustered.accuracy(*fs.query))
-            flat.append(mix_flat.accuracy(*fs.query))
-            single.append(single_model.accuracy(*fs.query))
-        clustered_wins += np.mean(clustered) >= np.mean(flat)
-        flat_wins += np.mean(flat) >= np.mean(single)
+        trial = fewshot_trial(seed)
+        clustered_wins += trial.clustered >= trial.flat
+        flat_wins += trial.flat >= trial.single
     elapsed = time.perf_counter() - t0
     ok = clustered_wins >= 15 and flat_wins >= 15 and elapsed < 300
     report(capsys, "fewshot-ordering", ok,

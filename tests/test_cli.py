@@ -157,6 +157,17 @@ class TestFilterAndComplete:
         assert code == 3
         assert stderr_record(err)["error"] == "no-convergence"
 
+    def test_nonpositive_rho0_in_config_exits_two(self, scores_csv, tmp_path, capsys):
+        sim, config = tmp_path / "sim.csv", tmp_path / "config.json"
+        run(capsys, "filter", "--scores", scores_csv, "--out", sim, "--seed", 0)
+        fileio.write_json({"complete": {"rho0": -1}}, config)
+        code, _, err = run(capsys, "complete", "--config", config, "--similarity", sim,
+                           "--out-x", tmp_path / "X.csv", "--out-e", tmp_path / "E.csv",
+                           "--seed", 0)
+        assert code == 2
+        assert stderr_record(err)["error"] == "bad-rho0"
+        assert not (tmp_path / "X.csv").exists()
+
     def test_garbage_similarity_file_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("#n=3\nnot,a,row,at,all\n")
@@ -259,6 +270,26 @@ class TestLearningCommands:
             assert len(row["alpha"]) == 2
             assert 0.0 <= row["accuracy"] <= 1.0
         assert doc["macro_accuracy"] == np.mean([r["accuracy"] for r in doc["tasks"]])
+
+    def test_fsl_steps_key_does_not_reach_the_mixture_fit(self, pipeline, tmp_path, capsys):
+        """The mixture fit's step count is not a setting: a ``steps`` key in
+        the fsl section leaves the weights unchanged."""
+        tasks, part = pipeline
+        targets = tmp_path / "targets"
+        run(capsys, "synth", "--out", targets, "--n-tasks", 2, "--clusters", 2,
+            "--dim", 5, "--seed", 9)
+        reports = []
+        for tag, section in (("plain", {}), ("steps", {"steps": 1})):
+            config = tmp_path / f"{tag}-config.json"
+            fileio.write_json({"fsl": section}, config)
+            report = tmp_path / f"{tag}-fsl.json"
+            code, _, _ = run(capsys, "fsl", "--config", config, "--tasks", tasks,
+                             "--partition", part, "--targets", targets, "--out", report,
+                             "--shots", 2, "--epochs", 30, "--seed", 0)
+            assert code == 0
+            reports.append(fileio.read_json(report))
+        assert [r["alpha"] for r in reports[0]["tasks"]] == [r["alpha"] for r in reports[1]["tasks"]]
+        assert reports[0] == reports[1]
 
     def test_fsl_singleton_clusters_match_the_no_clustering_setup(self, pipeline, tmp_path, capsys):
         tasks, _ = pipeline

@@ -11,6 +11,7 @@ from taskclust.completion import (
     SolverConfig,
     clip_to_unit,
     complete,
+    complete_similarity,
     default_lambda,
     nuclear_norm,
     observation_lambda,
@@ -18,7 +19,9 @@ from taskclust.completion import (
     svt,
 )
 from taskclust.errors import InputError, NumericalError
-from taskclust.spectral import spectral_cluster
+from taskclust.filtering import FilterParams, filter_scores
+from taskclust.spectral import adjusted_rand_index, spectral_cluster
+from taskclust.synthdata import synthetic_transfer_matrix
 
 finite_matrices = arrays(
     np.float64,
@@ -512,6 +515,8 @@ def test_omega_loop_matches_the_dense_loop_with_rho0_set(monkeypatch):
         (1.0, np.inf, "non-finite", 1),
         # M is finite but its eigenvalues overflow, so X comes back NaN
         (6e307, 1.0, "diverged", 1),
+        # M is finite but M + M^T overflows, so eigh raises LinAlgError
+        (1e308, 1.0, "diverged", 1),
     ],
 )
 def test_omega_loop_fails_like_the_dense_loop(scale, rho0, code, shrinks, monkeypatch):
@@ -585,6 +590,43 @@ def test_solver_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(InputError):
         SolverConfig(rho_growth=0.5)
+
+
+@pytest.mark.parametrize("rho0", [-1.0, 0.0, np.nan])
+def test_solver_config_rejects_a_nonpositive_rho0(rho0):
+    with pytest.raises(InputError) as err:
+        SolverConfig(rho0=rho0)
+    assert err.value.code == "bad-rho0"
+
+
+def test_complete_similarity_is_the_hand_written_chain():
+    """lambda default, complete() and clip_to_unit, in one call."""
+    tm, _ = synthetic_transfer_matrix(12, 3, 19, seed=0, sampling="anchored")
+    ps = filter_scores(tm, FilterParams(include_diagonal_in_stats=False))
+    X, clipped, result = complete_similarity(ps.values, ps.observed)
+    lam = observation_lambda(ps.observed)
+    ref = complete(CompletionProblem(ps.values.astype(float), ps.observed.copy(), lam))
+    ref_X, ref_clipped = clip_to_unit(ref.X)
+    assert X.tobytes() == ref_X.tobytes() and clipped == ref_clipped
+    assert result.X.tobytes() == ref.X.tobytes() and result.lam == lam
+    config = SolverConfig(max_iter=3)
+    _, _, result = complete_similarity(ps.values, ps.observed, 0.25, config)
+    assert result.lam == 0.25 and result.iterations == 3 and not result.converged
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_complete_similarity_output_clusters_where_the_raw_x_is_rejected(seed):
+    """At n = 60 the raw X holds entries just below 0, which spectral_cluster
+    rejects; the clipped X clusters the planted families exactly."""
+    tm, membership = synthetic_transfer_matrix(60, 3, 491, seed=seed, sampling="anchored")
+    ps = filter_scores(tm, FilterParams(include_diagonal_in_stats=False))
+    X, _, result = complete_similarity(ps.values, ps.observed)
+    assert result.converged and (result.X < 0).any()
+    with pytest.raises(InputError) as err:
+        spectral_cluster(result.X, 3, seed=0)
+    assert err.value.code == "bad-value"
+    part = spectral_cluster(X, 3, seed=0)
+    assert adjusted_rand_index(part.assignment, membership) == 1.0
 
 
 def test_problem_validation():

@@ -19,8 +19,8 @@ from taskclust.learning import (
     metric_predict,
     train_cluster_model,
     train_cluster_models,
+    train_support_only,
 )
-from taskclust.learning import _model_proba
 from taskclust.seeding import derive_rng
 from taskclust.synthdata import (
     FamilyConfig,
@@ -52,7 +52,7 @@ def family_models(seed, n_tasks=9, K=3, epochs=60, kind="shared_classifier", fc=
 def support_cross_entropies(models, weights, task):
     Xs, ys = task.support
     Q = np.stack([
-        _model_proba(models[i], Xs, task)[np.arange(len(ys)), ys]
+        models[i].predict_proba(Xs, support=task.support)[np.arange(len(ys)), ys]
         for i in weights.indices
     ])
     Q = np.maximum(Q, 1e-300)
@@ -520,6 +520,9 @@ class TestAdaptiveFallback:
         predictor = adaptive_fsl([model], fs, threshold=0.20)
         assert isinstance(predictor, SingleTaskPredictor)
         assert predictor.used_fallback
+        alone = train_support_only(fs)
+        assert np.array_equal(predictor.model.W_enc, alone.W_enc)
+        assert np.array_equal(predictor.model.W_cls, alone.W_cls)
         P = predictor.predict_proba(fs.query[0])
         assert np.allclose(P.sum(axis=1), 1.0, atol=1e-9)
 
