@@ -38,6 +38,8 @@ from .synthdata import FamilyConfig, fewshot_from_dataset, make_task_family
 from .transfer import build_transfer_matrix, sample_task_pairs
 
 STAGES = ("synth", "estimate", "filter", "complete", "cluster", "mtl", "fsl", "sweep")
+# cluster warns on stderr when the Laplacian's eigengap at K is this small.
+LAPLACIAN_GAP_WARNING = 1e-9
 
 
 def stage_seed(master: int, stage: str) -> int:
@@ -164,6 +166,7 @@ def _solve(ps, s: dict):
         "converged": result.converged,
         "lambda": result.lam,
         "clipped_fraction": clipped,
+        "rho_initial": result.rho_initial,
         "rho_final": result.rho_final,
         "x_rank": result.x_rank,
         "e_support": result.e_support,
@@ -195,6 +198,13 @@ def cmd_cluster(args) -> int:
     ps = filter_scores(tm, _filter_params(s))
     X, result, diagnostics = _solve(ps, s)
     part = spectral_cluster(X, K, seed=int(s["seed"]))
+    diagnostics["laplacian_gap"] = part.laplacian_gap
+    if part.laplacian_gap is not None and part.laplacian_gap <= LAPLACIAN_GAP_WARNING:
+        _report(
+            "warning", "degenerate-embedding",
+            f"Laplacian eigenvalues {K} and {K + 1} differ by {part.laplacian_gap:.3e}, "
+            "so the partition depends on an arbitrary eigenbasis",
+        )
     fileio.write_partition_json(part, s["out"])
     fileio.write_json(diagnostics, s.get("diagnostics", "diagnostics.json"))
     print(f"partitioned {ps.n} tasks into {K} clusters -> {s['out']}")
@@ -423,15 +433,16 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except NumericalError as exc:
-        _report_error(exc.code, exc.message)
+        _report("error", exc.code, exc.message)
         return 3
     except TaskClustError as exc:
-        _report_error(exc.code, exc.message)
+        _report("error", exc.code, exc.message)
         return 2
 
 
-def _report_error(code: str, message: str) -> None:
-    json.dump({"error": code, "message": message}, sys.stderr)
+def _report(kind: str, code: str, message: str) -> None:
+    """One JSON line on stderr: {kind: code, "message": message}."""
+    json.dump({kind: code, "message": message}, sys.stderr)
     sys.stderr.write("\n")
 
 

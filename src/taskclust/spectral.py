@@ -8,7 +8,7 @@ D invertible on isolated rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +27,10 @@ class TaskPartition:
     K: int
     assignment: np.ndarray
     seed: int = 0
+    # Eigenvalue K+1 of L_sym minus eigenvalue K; None when K is 1 or n. A
+    # gap near 0 means the embedding is an arbitrary basis of a wider
+    # eigenspace. Not stored in the partition file.
+    laplacian_gap: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         self.assignment = np.asarray(self.assignment, dtype=int)
@@ -115,12 +119,13 @@ def spectral_cluster(X: np.ndarray, K: int, seed: int = 0) -> TaskPartition:
     d = A.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(d)
     L = np.eye(n) - inv_sqrt[:, None] * A * inv_sqrt[None, :]
-    _, vecs = np.linalg.eigh(L)
+    w, vecs = np.linalg.eigh(L)
     U = vecs[:, :K]
     norms = np.linalg.norm(U, axis=1, keepdims=True)
     Z = U / np.maximum(norms, 1e-300)
     labels = kmeans(Z, K, seed=seed)
-    return TaskPartition(n=n, K=K, assignment=labels, seed=seed)
+    gap = float(w[K] - w[K - 1]) if K < n else None
+    return TaskPartition(n=n, K=K, assignment=labels, seed=seed, laplacian_gap=gap)
 
 
 def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:

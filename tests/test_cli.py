@@ -7,9 +7,10 @@ import pytest
 
 from taskclust import cli, fileio
 from taskclust.cli import main, stage_seed
+from taskclust.completion import complete_similarity
 from taskclust.filtering import FilterParams, filter_scores
 from taskclust.learning import train_cluster_model
-from taskclust.spectral import adjusted_rand_index
+from taskclust.spectral import adjusted_rand_index, spectral_cluster
 from taskclust.synthdata import balanced_membership, synthetic_transfer_matrix
 from taskclust.transfer import TrainConfig
 
@@ -107,10 +108,10 @@ class TestFilterAndComplete:
         diag = fileio.read_json(tmp_path / "diag.json")
         assert diag["converged"] is True
         assert diag["final_residual"] < 1e-7
-        assert diag["rho_final"] > 0
+        assert diag["rho_initial"] > 0 and diag["rho_final"] > 0
         assert set(diag) == {
             "iterations", "final_residual", "converged", "lambda", "clipped_fraction",
-            "rho_final", "x_rank", "e_support", "full_steps",
+            "rho_initial", "rho_final", "x_rank", "e_support", "full_steps",
         }
         assert diag["x_rank"] >= 1
         E = fileio.read_dense_csv(tmp_path / "E.csv")
@@ -168,6 +169,19 @@ class TestFilterAndComplete:
         assert stderr_record(err)["error"] == "bad-rho0"
         assert not (tmp_path / "X.csv").exists()
 
+    @pytest.mark.parametrize("command", ["complete", "cluster"])
+    def test_nan_lambda_exits_two(self, command, scores_csv, tmp_path, capsys):
+        sim, out = tmp_path / "sim.csv", tmp_path / "out"
+        run(capsys, "filter", "--scores", scores_csv, "--out", sim, "--seed", 0)
+        outputs = {
+            "complete": ("--similarity", sim, "--out-x", out, "--out-e", tmp_path / "E.csv"),
+            "cluster": ("--scores", scores_csv, "--out", out, "--clusters", 3),
+        }
+        code, _, err = run(capsys, command, *outputs[command], "--lam", "nan", "--seed", 0)
+        assert code == 2
+        assert stderr_record(err)["error"] == "bad-lambda"
+        assert not out.exists()
+
     def test_garbage_similarity_file_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("#n=3\nnot,a,row,at,all\n")
@@ -202,13 +216,38 @@ class TestCluster:
         assert record["error"] == "no-convergence"
         assert record["message"].startswith("solver stopped after 1 iterations")
         assert not out.exists()
-        iterations = {}  # the default tolerance takes 51 iterations, 1e-3 fewer
+        iterations = {}  # the default tolerance takes 44 iterations, 1e-3 takes 21
         for tol in (1e-7, 1e-3):
             diag = tmp_path / f"diag-{tol}.json"
             code, _, _ = run(capsys, *args, "--solver-tol", tol, "--diagnostics", diag)
             assert code == 0
             iterations[tol] = fileio.read_json(diag)["iterations"]
         assert iterations[1e-3] < iterations[1e-7]
+
+    def test_degenerate_laplacian_warns_without_changing_the_partition(self, tmp_path, capsys):
+        # Four planted clusters asked for three: the Laplacian has four zero
+        # eigenvalues, so eigenvalues 3 and 4 coincide and stderr warns.
+        tm, _ = synthetic_transfer_matrix(16, 4, 40, seed=0, sampling="anchored")
+        scores = tmp_path / "scores.csv"
+        fileio.write_transfer_csv(tm, scores)
+        diag = tmp_path / "diag.json"
+        for K, degenerate in ((3, True), (4, False)):
+            out = tmp_path / f"partition-{K}.json"
+            code, _, err = run(capsys, "cluster", "--scores", scores, "--out", out,
+                               "--clusters", K, "--exclude-diagonal", "--diagnostics", diag,
+                               "--seed", 0)
+            assert code == 0
+            gap = fileio.read_json(diag)["laplacian_gap"]
+            if degenerate:
+                assert gap <= cli.LAPLACIAN_GAP_WARNING
+                assert stderr_record(err)["warning"] == "degenerate-embedding"
+            else:
+                assert gap > 0.5 and err == ""
+            ps = filter_scores(tm, FilterParams(include_diagonal_in_stats=False))
+            X = complete_similarity(ps.values, ps.observed)[0]
+            part = spectral_cluster(X, K, seed=0)
+            assert fileio.read_partition_json(out).assignment.tolist() == part.assignment.tolist()
+            assert part.laplacian_gap == gap
 
     def test_zero_clusters_rejected(self, tmp_path, capsys):
         tm, _ = synthetic_transfer_matrix(6, 2, 9, seed=0)

@@ -20,6 +20,7 @@ from taskclust.completion import (
 )
 from taskclust.errors import InputError, NumericalError
 from taskclust.filtering import FilterParams, filter_scores
+from taskclust.seeding import derive_rng
 from taskclust.spectral import adjusted_rand_index, spectral_cluster
 from taskclust.synthdata import synthetic_transfer_matrix
 
@@ -347,7 +348,8 @@ def dense_reference(problem, config=None):
     """complete() as it was when E, the multiplier and R were n x n arrays.
 
     The reference the Omega-vector loop must match bit for bit. The finite
-    check on the whole M is the one _shrink_step made then.
+    check on the whole M is the one _shrink_step made then. Its default rho0
+    and max_iter follow complete()'s.
     """
     config = config or SolverConfig()
     omega = problem.omega
@@ -361,9 +363,11 @@ def dense_reference(problem, config=None):
     if config.rho0 is not None:
         rho = float(config.rho0)
     else:
-        l1 = np.abs(Yp).sum()
-        rho = n * n / (4.0 * l1) if l1 > 0 else 1.0
+        spectral = np.abs(np.linalg.eigvalsh(Yp)).max()
+        rho = 1.25 * lam * np.sqrt(n) / spectral if spectral > 0 else 1.0
+    rho_initial = rho
     rho_floor = 1e-7
+    max_iter = max(500, 2 * n) if config.max_iter is None else config.max_iter
 
     X = np.zeros((n, n))
     E = np.zeros((n, n))
@@ -374,7 +378,7 @@ def dense_reference(problem, config=None):
     basis = None
     rank = full_steps = 0
     it = 0
-    for it in range(1, config.max_iter + 1):
+    for it in range(1, max_iter + 1):
         M = Yp - E + Lam / rho
         if not np.isfinite(M).all():
             raise NumericalError("non-finite", "svt input contains NaN or inf")
@@ -408,6 +412,7 @@ def dense_reference(problem, config=None):
         final_residual=float(residual),
         converged=converged,
         lam=lam,
+        rho_initial=rho_initial,
         rho_final=rho,
         x_rank=rank,
         e_support=int(np.count_nonzero(E)),
@@ -416,7 +421,8 @@ def dense_reference(problem, config=None):
 
 
 RESULT_FIELDS = (
-    "iterations", "final_residual", "converged", "rho_final", "x_rank", "e_support", "full_steps",
+    "iterations", "final_residual", "converged", "rho_initial", "rho_final", "x_rank", "e_support",
+    "full_steps",
 )
 
 
@@ -509,8 +515,8 @@ def test_omega_loop_matches_the_dense_loop_with_rho0_set(monkeypatch):
 @pytest.mark.parametrize(
     "scale, rho0, code, shrinks",
     [
-        # |P_Omega(Y)|_1 overflows, so the default rho0 is 0 and M is NaN
-        (1e307, None, "non-finite", 0),
+        # ||P_Omega(Y)||_2 overflows, so the default rho0 is 0 and M is NaN
+        (6e307, None, "non-finite", 0),
         # rho0 = inf: the first step passes, then Lambda/rho = inf * 0 / inf
         (1.0, np.inf, "non-finite", 1),
         # M is finite but its eigenvalues overflow, so X comes back NaN
@@ -528,6 +534,44 @@ def test_omega_loop_fails_like_the_dense_loop(scale, rho0, code, shrinks, monkey
     assert (err.code, err.message) == (ref.code, ref.message)
     assert err.code == code and len(ref_inputs) == shrinks
     assert_same_shrink_inputs(ref_inputs, inputs)
+
+
+def test_default_rho0_is_the_lambda_scaled_spectral_rule():
+    _, plan, problem = planted_problem(24, 3, 0.5, 0.02, 0)
+    spectral = np.linalg.norm(np.where(plan.omega, plan.Y, 0.0), 2)
+    for lam in (problem.lam, 1.0):
+        res = complete(CompletionProblem(plan.Y, plan.omega, lam), SolverConfig(max_iter=1))
+        # the first sparse threshold lam / rho0 is 0.8 ||P_Omega(Y)||_2 / sqrt(n) for any lam
+        assert res.rho_initial == pytest.approx(1.25 * lam * np.sqrt(24) / spectral, rel=1e-12)
+    res = complete(problem, SolverConfig(rho0=0.3, max_iter=1))
+    assert res.rho_initial == 0.3
+
+
+def test_default_rho0_adds_no_lambda_one_tail():
+    # The sampling-scaling acceptance test's n = 60 probe at m1 = 1096
+    # (lambda = 1, the min-m1 trial seeds). One trial needed more than 500
+    # iterations under the former default rho0, n^2 / (4 ||P_Omega(Y)||_1);
+    # 1.25 / ||P_Omega(Y)||_2 without the lambda sqrt(n) factor needed more
+    # than 500 in five.
+    inst = generate_planted(60, 3, equal_sizes(60, 3), seed=0)
+    slow = 0
+    for t in range(20):
+        trial_seed = int(derive_rng(0, "min-m1", 1096, t).integers(2**63))
+        plan = observe_and_corrupt(inst, 1096, 0, seed=trial_seed)
+        res = complete(CompletionProblem(plan.Y, plan.omega, 1.0), SolverConfig(max_iter=500))
+        slow += not res.converged
+    assert slow <= 1
+
+
+def test_default_max_iter_grows_with_n():
+    # At n = 600 the planted solve needs more than the former fixed cap of
+    # 500 iterations; the default cap, max(500, 2n), lets it converge.
+    n = 600
+    inst = generate_planted(n, 3, equal_sizes(n, 3), seed=0)
+    m1 = 2 * round(4 * n * np.log(n)) + n
+    plan = observe_and_corrupt(inst, m1, int(0.05 * m1), seed=0)
+    res = complete(CompletionProblem(plan.Y, plan.omega, observation_lambda(plan.omega)))
+    assert res.converged and 500 < res.iterations <= 2 * n
 
 
 def test_objective_never_beats_planted_point():
@@ -627,6 +671,13 @@ def test_complete_similarity_output_clusters_where_the_raw_x_is_rejected(seed):
     assert err.value.code == "bad-value"
     part = spectral_cluster(X, 3, seed=0)
     assert adjusted_rand_index(part.assignment, membership) == 1.0
+
+
+@pytest.mark.parametrize("lam", [0.0, np.nan, np.inf])
+def test_problem_rejects_a_lambda_outside_zero_to_infinity(lam):
+    with pytest.raises(InputError) as err:
+        CompletionProblem(np.ones((3, 3)), np.ones((3, 3), dtype=bool), lam)
+    assert err.value.code == "bad-lambda"
 
 
 def test_problem_validation():

@@ -127,6 +127,26 @@ def test_input_validation():
         spectral_cluster(X, 0, seed=0)
 
 
+def test_laplacian_gap_is_the_eigengap_at_k():
+    X = planted_affinity([0, 0, 0, 1, 1, 2, 2, 2], noise=0.1, seed=3)
+    A = X + SELF_LOOP * np.eye(8)
+    d = A.sum(axis=1)
+    w = np.linalg.eigvalsh(np.eye(8) - A / np.sqrt(np.outer(d, d)))
+    for K in (2, 3, 4):
+        assert spectral_cluster(X, K, seed=0).laplacian_gap == pytest.approx(w[K] - w[K - 1])
+    assert spectral_cluster(X, 1, seed=0).laplacian_gap is None
+    assert spectral_cluster(X, 8, seed=0).laplacian_gap is None
+
+
+def test_laplacian_gap_vanishes_when_a_row_is_zero():
+    # A task with no affinity to any other is its own component: with three
+    # blocks besides it, L has four zero eigenvalues and K = 3 has no gap.
+    X = planted_affinity([0, 0, 0, 1, 1, 1, 2, 2, 2, 3])
+    X[9, 9] = 0.0
+    assert spectral_cluster(X, 3, seed=0).laplacian_gap < 1e-9
+    assert spectral_cluster(X, 4, seed=0).laplacian_gap > 0.5
+
+
 def test_partition_validation():
     with pytest.raises(InputError) as err:
         TaskPartition(n=4, K=3, assignment=[0, 0, 1, 1])
