@@ -74,14 +74,38 @@ def read_json(path):
 # task datasets
 
 
+# json's text for the floats whose repr differs from it
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _indented_list(items: list[str], depth: int) -> str:
+    """json.dumps's indent=2 text of a list at nesting depth ``depth`` whose
+    items are given as text."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
 def write_task_json(ds: TaskDataset, path) -> None:
-    doc = {"task_id": ds.task_id, "label_count": ds.label_count, "splits": {}}
-    for name in SPLITS:
+    """The task document as write_json writes it, byte for byte.
+
+    json's encoder runs in pure Python when it indents, so the indented text
+    is built here: each split is a list of {"x": [...], "y": label} records,
+    keys sorted, floats as repr writes them (json's text for finite floats).
+    """
+    splits = []
+    for name in sorted(SPLITS):
         X, y = getattr(ds, name)
-        doc["splits"][name] = [
-            {"x": [float(v) for v in row], "y": int(lab)} for row, lab in zip(X, y)
-        ]
-    write_json(doc, path)
+        rows = [list(map(repr, row)) for row in X.tolist()]
+        if not np.isfinite(X).all():
+            rows = [[_JSON_NONFINITE.get(v, v) for v in row] for row in rows]
+        records = [f'{{\n        "x": {_indented_list(row, 4)},\n        "y": {label}\n      }}'
+                   for row, label in zip(rows, y.tolist())]
+        splits.append(f'    "{name}": {_indented_list(records, 2)}')
+    text = (f'{{\n  "label_count": {int(ds.label_count)},\n  "splits": {{\n' + ",\n".join(splits)
+            + f'\n  }},\n  "task_id": {json.dumps(ds.task_id)}\n}}\n')
+    Path(path).write_text(text)
 
 
 def read_task_json(path) -> TaskDataset:
@@ -139,13 +163,19 @@ def _read_header(lines, path) -> int:
     return n
 
 
-def write_transfer_csv(tm: TransferMatrix, path) -> None:
-    lines = [f"#n={tm.n}"]
-    for i in range(tm.n):
-        for j in range(tm.n):
-            if i != j and tm.observed[i, j]:
-                lines.append(f"{i},{j},{_fmt(tm.scores[i, j])}")
+def _write_entries(mask: np.ndarray, values: np.ndarray, path) -> None:
+    """'#n=<n>' and one 'i,j,value' line per entry of ``mask``, in row-major
+    order, the value as repr writes it."""
+    lines = [f"#n={mask.shape[0]}"]
+    for i, row in enumerate(mask):
+        cols = np.flatnonzero(row)
+        lines += [f"{i},{j},{v!r}" for j, v in zip(cols.tolist(), values[i, cols].tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_transfer_csv(tm: TransferMatrix, path) -> None:
+    """Every observed off-diagonal score (_fmt's text)."""
+    _write_entries(tm.observed & ~np.eye(tm.n, dtype=bool), tm.scores, path)
 
 
 def read_transfer_csv(path) -> TransferMatrix:
@@ -170,12 +200,8 @@ def read_transfer_csv(path) -> TransferMatrix:
 
 
 def write_partial_csv(ps: PartialSimilarity, path) -> None:
-    lines = [f"#n={ps.n}"]
-    for i in range(ps.n):
-        for j in range(i + 1, ps.n):
-            if ps.observed[i, j]:
-                lines.append(f"{i},{j},{int(ps.values[i, j])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Every observed pair i < j."""
+    _write_entries(np.triu(ps.observed, 1), ps.values, path)
 
 
 def read_partial_csv(path) -> PartialSimilarity:

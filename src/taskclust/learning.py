@@ -28,7 +28,9 @@ from .transfer import (
     TaskDataset,
     TaskModel,
     TrainConfig,
-    _init_model_stack,
+    _augment,
+    _descend,
+    _init_stacks,
     _onehot,
     _sgd,
     _stacks,
@@ -132,12 +134,6 @@ def metric_predict(model: ClusterModel, support: tuple[np.ndarray, np.ndarray], 
     return softmax(Zq @ anchors.T)
 
 
-def _pool(cluster: list[TaskDataset]) -> tuple[np.ndarray, np.ndarray]:
-    Xs = np.vstack([t.train[0] for t in cluster])
-    ys = np.concatenate([t.train[1] for t in cluster])
-    return Xs, ys
-
-
 def _check_cluster(cluster: list[TaskDataset], kind: str) -> None:
     if kind not in KINDS:
         raise InputError("bad-kind", f"kind must be one of {KINDS}")
@@ -182,39 +178,30 @@ def _train_stack(clusters: list[list[TaskDataset]], ids: list[int], kind: str,
     rngs = [derive_rng(config.seed, "cluster", k, kind) for k in ids]
     if kind == "metric_encoder":
         return _train_metric_stack(clusters, ids, rngs, config)
-    B, d, h = len(clusters), clusters[0][0].dim, config.hidden
+    d, h = clusters[0][0].dim, config.hidden
     if kind == "shared_classifier":
         L = clusters[0][0].label_count
-        W_e, b_e, W_c, b_c = _init_model_stack(rngs, d, h, L)
-        pooled = [_pool(cluster) for cluster in clusters]
-        X, y = (np.stack(arrays) for arrays in zip(*pooled))
-        _sgd(X, _onehot(y, L), W_c, b_c, rngs, config.epochs, config, W_e, b_e)
-        return [ClusterModel(cluster_id=k, kind=kind, W_enc=W_e[b], b_enc=b_e[b],
-                             W_cls=W_c[b], b_cls=b_c[b], label_count=L)
+        We, Wc = _init_stacks(rngs, (d, h), (h, L))
+        X = _augment(np.stack([np.vstack([t.train[0] for t in c]) for c in clusters]))
+        y = np.stack([np.concatenate([t.train[1] for t in c]) for c in clusters])
+        _sgd(X, _onehot(y, L), Wc, rngs, config.epochs, config, We)
+        return [ClusterModel(k, kind, We[b, :-1], We[b, -1], Wc[b, :-1], Wc[b, -1], label_count=L)
                 for b, k in enumerate(ids)]
 
     # shared_encoder_multihead: one encoder per cluster, stepped by every
-    # member's batches in turn, and one head per task id.
+    # member's batches in turn, and one head per task id (a repeated id
+    # draws a head of its own, and the last draw is kept).
     slots = _head_slots(clusters[0])
-    W_e, heads = [], []
-    for rng in rngs:
-        W_e.append(0.01 * rng.standard_normal((d, h)))
-        inits = {}
-        for slot, t in zip(slots, clusters[0]):
-            inits[slot] = 0.01 * rng.standard_normal((h, t.label_count))
-        heads.append(inits)
-    W_e, b_e = np.stack(W_e), np.zeros((B, h))
-    W_h = {slot: np.stack([inits[slot] for inits in heads]) for slot in heads[0]}
-    b_h = {slot: np.zeros((B, W.shape[2])) for slot, W in W_h.items()}
-    data = [(np.stack([c[p].train[0] for c in clusters]),
+    We, *heads = _init_stacks(rngs, (d, h), *[(h, t.label_count) for t in clusters[0]])
+    Wh = dict(zip(slots, heads))
+    data = [(_augment(np.stack([c[p].train[0] for c in clusters])),
              _onehot(np.stack([c[p].train[1] for c in clusters]), t.label_count))
             for p, t in enumerate(clusters[0])]
     for _ in range(config.epochs):
         for slot, (X, Y) in zip(slots, data):
-            _sgd(X, Y, W_h[slot], b_h[slot], rngs, 1, config, W_e, b_e)
-    return [ClusterModel(cluster_id=k, kind=kind, W_enc=W_e[b], b_enc=b_e[b],
-                         heads={t.task_id: (W_h[slot][b], b_h[slot][b])
-                                for slot, t in zip(slots, cluster)})
+            _sgd(X, Y, Wh[slot], rngs, 1, config, We)
+    return [ClusterModel(k, kind, We[b, :-1], We[b, -1], heads={
+                t.task_id: (Wh[slot][b, :-1], Wh[slot][b, -1]) for slot, t in zip(slots, cluster)})
             for b, (k, cluster) in enumerate(zip(ids, clusters))]
 
 
@@ -229,16 +216,15 @@ def _train_metric_stack(clusters: list[list[TaskDataset]], ids: list[int], rngs,
     labels makes no draws and no step.
     """
     B, d, h = len(clusters), clusters[0][0].dim, config.hidden
-    W = np.stack([0.01 * rng.standard_normal((d, h)) for rng in rngs])
-    b = np.zeros((B, h))
+    W = _init_stacks(rngs, (d, h))[0]
     rows = np.arange(B)[:, None]
-    members = []  # per position: stacked rows, one-hot label positions, per-label row pools
+    members = []  # per position: stacked augmented rows, one-hot label positions, per-label row pools
     for tasks in zip(*clusters):
         labels = [np.unique(t.train[1]) for t in tasks]
         if labels[0].size < 2:
             members.append(None)
             continue
-        X = np.stack([t.train[0] for t in tasks])
+        X = _augment(np.stack([t.train[0] for t in tasks]))
         Y = np.stack([_onehot(np.searchsorted(lab, t.train[1]), lab.size)
                       for lab, t in zip(labels, tasks)])
         pools = [[np.flatnonzero(t.train[1] == l) for l in lab] for lab, t in zip(labels, tasks)]
@@ -248,24 +234,22 @@ def _train_metric_stack(clusters: list[list[TaskDataset]], ids: list[int], rngs,
         if member is None:
             continue
         X, Y, pools = member
-        m = X.shape[1]
+        m, La = X.shape[1], Y.shape[2]
         q = min(config.batch_size, m)
-        anchor_idx = np.empty((B, Y.shape[2]), dtype=np.intp)
-        q_idx = np.empty((B, q), dtype=np.intp)
+        idx = np.empty((B, La + q), dtype=np.intp)  # anchors, then queries
         for k, (rng, pool) in enumerate(zip(rngs, pools)):
-            anchor_idx[k] = [idx[rng.integers(idx.size)] for idx in pool]
-            q_idx[k] = rng.choice(m, size=q, replace=False)
-        Xa, Xq = X[rows, anchor_idx], X[rows, q_idx]
-        Ua = Xa @ W + b[:, None, :]
-        Vq = Xq @ W + b[:, None, :]
-        G = (softmax(Vq @ Ua.transpose(0, 2, 1)) - Y[rows, q_idx]) / q
-        # logit_{ql} = u_l . v_q, so dW = x_l^T (g_ql v_q) + x_q^T (g_ql u_l)
-        GV = G.transpose(0, 2, 1) @ Vq
-        GU = G @ Ua
-        W -= config.lr * (Xa.transpose(0, 2, 1) @ GV + Xq.transpose(0, 2, 1) @ GU)
-        b -= config.lr * (GU.sum(axis=1) + GV.sum(axis=1))
-    return [ClusterModel(cluster_id=k, kind="metric_encoder", W_enc=W[i], b_enc=b[i])
-            for i, k in enumerate(ids)]
+            idx[k, :La] = [p[rng.integers(p.size)] for p in pool]
+            idx[k, La:] = rng.choice(m, size=q, replace=False)
+        Xaq = X[rows, idx]
+        U = Xaq @ W
+        Ua, Vq = U[:, :La], U[:, La:]
+        G = softmax(Vq @ Ua.transpose(0, 2, 1))
+        G -= Y[rows, idx[:, La:]]
+        G /= q
+        # logit_{ql} = u_l . v_q: u_l's gradient is sum_q g_ql v_q and v_q's is
+        # sum_l g_ql u_l, and one product takes both back through the gathered rows.
+        _descend(W, Xaq, np.concatenate([G.transpose(0, 2, 1) @ Vq, G @ Ua], axis=1), config.lr)
+    return [ClusterModel(k, "metric_encoder", W[i, :-1], W[i, -1]) for i, k in enumerate(ids)]
 
 
 def train_cluster_models(

@@ -13,10 +13,12 @@ transfer heads of targets of one shape. The heads of one target share the
 target's random stream (initialization and batch orders); everything else
 draws from a stream of its own. Every step works on each problem alone, so
 a result is bit for bit the same whatever else is in the stack. The kernel
-takes its one-hot targets built once per call, and softmax reduces a narrow
-label axis plane by plane (elementwise maximum and sum in index order, the
-same bits as numpy's reductions) rather than through a reduction call whose
-inner loop is a few elements long.
+works in augmented form (inputs end in a ones column and each weight matrix
+in its bias row, so a layer is one matmul forward and one backward), takes
+its one-hot targets built once per call and gathers each epoch's rows once.
+softmax reduces a narrow label axis plane by plane (elementwise maximum and
+sum in index order, the same bits as numpy's reductions) rather than
+through a reduction call whose inner loop is a few elements long.
 """
 
 from __future__ import annotations
@@ -103,10 +105,10 @@ class TrainConfig:
     reuse_source_classifier: bool = False  # identical-label-set shortcut
 
     def __post_init__(self):
-        if self.hidden < 1 or self.epochs < 1 or self.transfer_epochs < 1 or self.batch_size < 1:
-            raise InputError("bad-config", "hidden, epochs and batch_size must be positive")
-        if self.lr <= 0:
-            raise InputError("bad-config", "learning rate must be positive")
+        if min(self.hidden, self.epochs, self.transfer_epochs, self.batch_size) < 1:
+            raise InputError("bad-config", "hidden, epochs, transfer_epochs and batch_size must be positive")
+        if not 0 < self.lr < math.inf:  # NaN fails the test too
+            raise InputError("bad-config", "learning rate must be positive and finite")
 
 
 @dataclass
@@ -167,57 +169,71 @@ def _onehot(y: np.ndarray, L: int) -> np.ndarray:
     return (y[..., None] == np.arange(L)).astype(float)
 
 
-def _sgd(X, Y, W_cls, b_cls, rngs, epochs, config, W_enc=None, b_enc=None, owner=None):
+def _augment(X: np.ndarray) -> np.ndarray:
+    """X with a trailing ones column, so that _augment(X) @ [W; b] is X @ W + b."""
+    return np.concatenate([X, np.ones(X.shape[:-1] + (1,))], axis=-1)
+
+
+def _descend(W, A, G, lr) -> None:
+    """W -= lr·(Aᵀ G) in place on stacks: weights and biases at once when A is augmented."""
+    T = A.transpose(0, 2, 1) @ G
+    T *= lr
+    W -= T
+
+
+def _sgd(Xa, Y, Wc, rngs, epochs, config, We=None, owner=None):
     """Mini-batch softmax SGD on a stack of B same-shaped problems, in place.
 
-    X is (B, m, d) and Y (B, m, L) holds the one-hot targets
-    (``_onehot(y, L)``), built once by the caller. W_cls (B, h, L) and
-    b_cls (B, L) are the heads. With W_enc (B, d, h) and b_enc (B, h) the
-    linear encoder is trained with its head; without them X holds fixed
-    features (d = h) and only the head moves. Each epoch draws one permutation from each
-    generator in ``rngs``; problem b takes its batch order from
-    rngs[owner[b]], or from rngs[b] when owner is None. A problem's result
-    therefore does not depend on what else is in the stack: every step is a
-    stacked matmul that works on each problem alone.
+    Xa (B, m, k + 1) is augmented, Y (B, m, L) holds the one-hot targets
+    (``_onehot(y, L)``) and Wc (B, h + 1, L) the augmented heads. With the
+    augmented encoder We (B, k + 1, h) it trains with its head; without it
+    Xa holds fixed features (k = h) and only the head moves. Each epoch
+    draws one permutation from each generator in ``rngs`` (problem b from
+    rngs[owner[b]], or rngs[b] when owner is None) and gathers the permuted
+    rows once; every batch is a view of them. Every step is stacked matmuls
+    and elementwise operations that work on each problem alone, so a
+    problem's result does not depend on what else is in the stack.
     """
-    m = X.shape[1]
-    rows = np.arange(X.shape[0])[:, None]
+    B, m = Xa.shape[:2]
+    bs = config.batch_size
+    rows = np.arange(B)[:, None]
+    Za = None if We is None else np.ones((B, min(m, bs), We.shape[2] + 1))
     for _ in range(epochs):
         order = np.stack([rng.permutation(m) for rng in rngs])
         if owner is not None:
             order = order[owner]
-        for start in range(0, m, config.batch_size):
-            idx = order[:, start:start + config.batch_size]
-            Xb = X[rows, idx]
-            Z = Xb if W_enc is None else Xb @ W_enc + b_enc[:, None, :]
-            G = (softmax(Z @ W_cls + b_cls[:, None, :]) - Y[rows, idx]) / idx.shape[1]
-            if W_enc is not None:
-                dZ = G @ W_cls.transpose(0, 2, 1)
-            W_cls -= config.lr * (Z.transpose(0, 2, 1) @ G)
-            b_cls -= config.lr * G.sum(axis=1)
-            if W_enc is not None:
-                W_enc -= config.lr * (Xb.transpose(0, 2, 1) @ dZ)
-                b_enc -= config.lr * dZ.sum(axis=1)
+        Xe, Ye = Xa[rows, order], Y[rows, order]
+        for start in range(0, m, bs):
+            Xb = Xe[:, start:start + bs]
+            Zb = Xb if Za is None else Za[:, :Xb.shape[1]]
+            if Za is not None:
+                np.matmul(Xb, We, out=Zb[..., :-1])
+            G = softmax(Zb @ Wc)
+            G -= Ye[:, start:start + bs]
+            G /= Xb.shape[1]
+            if Za is not None:
+                _descend(We, Xb, G @ Wc[:, :-1].transpose(0, 2, 1), config.lr)
+            _descend(Wc, Zb, G, config.lr)
+        del Xe, Ye, Xb, Zb  # so that two epochs' rows are never held at once
 
 
-def _fit_classifier(Z, y, L, config, rngs, owner):
-    """Softmax heads on a stack of fixed features Z (B, m, h) with labels y (B, m).
-
-    Head b draws its initialization and batch orders from rngs[owner[b]],
-    so heads that share a generator share both.
-    """
-    W = np.stack([0.01 * rng.standard_normal((Z.shape[2], L)) for rng in rngs])[owner]
-    b = np.zeros((len(owner), L))
-    _sgd(Z, _onehot(y, L), W, b, rngs, config.transfer_epochs, config, owner=owner)
-    return W, b
+def _fit_classifier(Za, y, L, config, rngs, owner):
+    """Augmented heads (B, h + 1, L) fitted on fixed augmented features Za
+    (B, m, h + 1) with labels y (B, m). Head b draws its initialization and
+    batch orders from rngs[owner[b]], so heads that share a generator share
+    both."""
+    Wc = _init_stacks(rngs, (Za.shape[2] - 1, L))[0][owner]
+    _sgd(Za, _onehot(y, L), Wc, rngs, config.transfer_epochs, config, owner=owner)
+    return Wc
 
 
-def _init_model_stack(rngs, d, h, L):
-    """Encoder and head weights for a stack, each problem drawing its
-    encoder and then its head from its own stream; biases start at 0."""
-    inits = [(0.01 * rng.standard_normal((d, h)), 0.01 * rng.standard_normal((h, L))) for rng in rngs]
-    W_e, W_c = (np.stack(ws) for ws in zip(*inits))
-    return W_e, np.zeros((len(rngs), h)), W_c, np.zeros((len(rngs), L))
+def _init_stacks(rngs, *shapes) -> list[np.ndarray]:
+    """Augmented weight stacks (B, rows + 1, cols), one per (rows, cols) in
+    shapes: 0.01·N(0, 1) weights, each problem drawing them in order from its
+    own stream, and zero biases."""
+    inits = [[np.vstack([0.01 * rng.standard_normal(shape), np.zeros(shape[1])]) for shape in shapes]
+             for rng in rngs]
+    return [np.stack(ws) for ws in zip(*inits)]
 
 
 # Most problems stepped in one stack. It bounds the memory a step holds:
@@ -264,12 +280,12 @@ def train_tasks(datasets: list[TaskDataset], config: TrainConfig | None = None) 
         stack = [datasets[pos] for pos in members]
         L = stack[0].label_count
         rngs = [derive_rng(config.seed, "single", ds.task_id) for ds in stack]
-        W_e, b_e, W_c, b_c = _init_model_stack(rngs, stack[0].dim, config.hidden, L)
-        X = np.stack([ds.train[0] for ds in stack])
+        We, Wc = _init_stacks(rngs, (stack[0].dim, config.hidden), (config.hidden, L))
+        X = _augment(np.stack([ds.train[0] for ds in stack]))
         y = np.stack([ds.train[1] for ds in stack])
-        _sgd(X, _onehot(y, L), W_c, b_c, rngs, config.epochs, config, W_e, b_e)
+        _sgd(X, _onehot(y, L), Wc, rngs, config.epochs, config, We)
         for b, pos in enumerate(members):
-            models[pos] = TaskModel(W_enc=W_e[b], b_enc=b_e[b], W_cls=W_c[b], b_cls=b_c[b])
+            models[pos] = TaskModel(We[b, :-1], We[b, -1], Wc[b, :-1], Wc[b, -1])
     return models
 
 
@@ -300,19 +316,16 @@ def _transfer_scores(jobs, config: TrainConfig) -> list[list[float]]:
     """
     if config.reuse_source_classifier:
         return [[source.accuracy(*target.train) for source in sources] for target, sources in jobs]
-    encoders = [(np.stack([s.W_enc for s in sources]), np.stack([s.b_enc for s in sources])[:, None, :])
-                for _, sources in jobs]
-    Z = np.concatenate([target.train[0] @ W_enc + b_enc
-                        for (target, _), (W_enc, b_enc) in zip(jobs, encoders)])
+    encoders = [np.stack([np.vstack([s.W_enc, s.b_enc]) for s in sources]) for _, sources in jobs]
+    Z = np.concatenate([_augment(_augment(target.train[0]) @ We) for (target, _), We in zip(jobs, encoders)])
     y = np.concatenate([np.tile(target.train[1], (len(sources), 1)) for target, sources in jobs])
     rngs = [derive_rng(config.seed, "transfer", target.task_id) for target, _ in jobs]
     owner = np.repeat(np.arange(len(jobs)), [len(sources) for _, sources in jobs])
-    W, b = _fit_classifier(Z, y, jobs[0][0].label_count, config, rngs, owner)
+    W = _fit_classifier(Z, y, jobs[0][0].label_count, config, rngs, owner)
     scores = []
-    for k, ((target, _), (W_enc, b_enc)) in enumerate(zip(jobs, encoders)):
-        heads = owner == k
+    for k, ((target, _), We) in enumerate(zip(jobs, encoders)):
         Xv, yv = target.valid
-        pred = np.argmax((Xv @ W_enc + b_enc) @ W[heads] + b[heads][:, None, :], axis=2)
+        pred = np.argmax(_augment(_augment(Xv) @ We) @ W[owner == k], axis=2)
         scores.append([float(np.mean(row == yv)) for row in pred])
     return scores
 

@@ -77,6 +77,15 @@ class TestEstimate:
         assert code == 2
         assert stderr_record(err)["error"] == "missing-input"
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0"])
+    def test_bad_learning_rate_exits_two(self, family_dir, tmp_path, capsys, lr):
+        out = tmp_path / "s.csv"
+        code, _, err = run(capsys, "estimate", "--tasks", family_dir, "--out", out,
+                           "--pairs", 8, "--lr", lr, "--seed", 3)
+        assert code == 2
+        assert stderr_record(err)["error"] == "bad-config"
+        assert not out.exists()
+
     def test_rerun_is_byte_identical(self, family_dir, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

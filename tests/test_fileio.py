@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from taskclust.errors import InputError
 from taskclust.filtering import PartialSimilarity
 from taskclust.spectral import TaskPartition
 from taskclust.synthdata import make_task_family
-from taskclust.transfer import TransferMatrix
+from taskclust.transfer import TaskDataset, TransferMatrix
 
 
 def _toy_transfer(n=5, seed=0):
@@ -38,6 +40,51 @@ def test_transfer_csv_rewrite_is_byte_identical(tmp_path):
     fileio.write_transfer_csv(tm, a)
     fileio.write_transfer_csv(fileio.read_transfer_csv(a), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def _random_masks(n, seed):
+    """Symmetric observation masks with the diagonal set: none, sparse, dense, full off-diagonal."""
+    rng = np.random.default_rng(seed)
+    for density in (0.0, 0.1, 0.5, 1.0):
+        upper = np.triu(rng.uniform(size=(n, n)) < density, 1)
+        yield upper | upper.T | np.eye(n, dtype=bool)
+
+
+def loop_transfer_text(tm):
+    """The cell-by-cell writer that write_transfer_csv replaced."""
+    lines = [f"#n={tm.n}"]
+    for i in range(tm.n):
+        for j in range(tm.n):
+            if i != j and tm.observed[i, j]:
+                lines.append(f"{i},{j},{fileio._fmt(tm.scores[i, j])}")
+    return "\n".join(lines) + "\n"
+
+
+def loop_partial_text(ps):
+    """The cell-by-cell writer that write_partial_csv replaced."""
+    lines = [f"#n={ps.n}"]
+    for i in range(ps.n):
+        for j in range(i + 1, ps.n):
+            if ps.observed[i, j]:
+                lines.append(f"{i},{j},{int(ps.values[i, j])}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 2, 17])
+def test_entry_csvs_are_the_cell_by_cell_text(tmp_path, n):
+    rng = np.random.default_rng(n)
+    path = tmp_path / "out.csv"
+    for observed in _random_masks(n, seed=n):
+        scores = np.where(observed, rng.uniform(size=(n, n)), 0.0)
+        np.fill_diagonal(scores, 1.0)
+        tm = TransferMatrix(scores=scores, observed=observed)
+        fileio.write_transfer_csv(tm, path)
+        assert path.read_text() == loop_transfer_text(tm)
+        upper = np.triu(rng.integers(0, 2, size=(n, n)), 1)
+        values = np.where(observed, upper + upper.T, 0) + np.eye(n, dtype=int)
+        ps = PartialSimilarity(values=values, observed=observed)
+        fileio.write_partial_csv(ps, path)
+        assert path.read_text() == loop_partial_text(ps)
 
 
 def test_transfer_csv_bad_rows(tmp_path):
@@ -135,6 +182,31 @@ def test_task_json_round_trip(tmp_path):
         X1, y1 = getattr(back, name)
         assert np.array_equal(X0, X1)
         assert np.array_equal(y0, y1)
+
+
+def json_task_text(ds):
+    """The task document through json.dumps, as write_json writes it."""
+    splits = {name: [{"x": [float(v) for v in row], "y": int(lab)}
+                     for row, lab in zip(*getattr(ds, name))] for name in fileio.SPLITS}
+    doc = {"task_id": ds.task_id, "label_count": ds.label_count, "splits": splits}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_task_json_is_the_json_dumps_text(tmp_path):
+    tasks, _ = make_task_family(48, 3, seed=0)
+    X, y = tasks[0].train
+    odd = X.copy()
+    odd[0, :3] = [np.nan, np.inf, -np.inf]
+    empty = (np.zeros((0, X.shape[1])), np.zeros(0, dtype=int))
+    tasks += [
+        TaskDataset("empty-split \u00e9\"", 3, tasks[1].train, empty, tasks[1].test),
+        TaskDataset("non-finite", 3, (odd, y), tasks[2].valid, tasks[2].test),
+        TaskDataset("no-features", 2, (np.zeros((2, 0)), np.array([0, 1])), empty, empty),
+    ]
+    path = tmp_path / "task.json"
+    for ds in tasks:
+        fileio.write_task_json(ds, path)
+        assert path.read_text() == json_task_text(ds)
 
 
 def test_task_dir_sorted_and_skips_membership(tmp_path):

@@ -132,25 +132,76 @@ class TestClusterTraining:
         assert exc.value.code == "no-head"
 
 
-def reference_sgd_epoch(X, y, L, W_e, b_e, W_c, b_c, cfg, rng):
-    """One epoch of the per-problem encoder+softmax loop the stacked kernel replaces."""
+# The per-problem loops that the stacked kernels replace, in the kernels'
+# augmented form: inputs end in a ones column and every weight matrix in its
+# bias row. Stacked models must equal them bit for bit.
+
+
+def augment(X):
+    return np.hstack([X, np.ones((X.shape[0], 1))])
+
+
+def reference_sgd_epoch(X, y, L, W_e, W_c, cfg, rng):
+    """One epoch of the augmented per-problem encoder+softmax loop; X is augmented."""
     order = rng.permutation(len(y))
     for start in range(0, len(y), cfg.batch_size):
         idx = order[start:start + cfg.batch_size]
         Xb, yb = X[idx], y[idx]
-        Z = Xb @ W_e + b_e
-        G = (softmax(Z @ W_c + b_c) - np.eye(L)[yb]) / len(idx)
-        dZ = G @ W_c.T
+        Z = augment(Xb @ W_e)
+        G = (softmax(Z @ W_c) - np.eye(L)[yb]) / len(idx)
+        dZ = G @ W_c[:-1].T
         W_c -= cfg.lr * (Z.T @ G)
-        b_c -= cfg.lr * G.sum(axis=0)
         W_e -= cfg.lr * (Xb.T @ dZ)
-        b_e -= cfg.lr * dZ.sum(axis=0)
+
+
+def init_augmented(rng, rows, cols):
+    W = np.zeros((rows + 1, cols))
+    W[:rows] = 0.01 * rng.standard_normal((rows, cols))
+    return W
 
 
 def reference_cluster_arrays(cluster, kind, cfg, cluster_id):
     """Every trained array of a cluster model, from the per-cluster loops."""
     rng = derive_rng(cfg.seed, "cluster", cluster_id, kind)
     d, h = cluster[0].dim, cfg.hidden
+    W_e = init_augmented(rng, d, h)
+    if kind == "shared_classifier":
+        L = cluster[0].label_count
+        W_c = init_augmented(rng, h, L)
+        X = augment(np.vstack([t.train[0] for t in cluster]))
+        y = np.concatenate([t.train[1] for t in cluster])
+        for _ in range(cfg.epochs):
+            reference_sgd_epoch(X, y, L, W_e, W_c, cfg, rng)
+        return [W_e[:-1], W_e[-1], W_c[:-1], W_c[-1]]
+    heads = {}
+    for t in cluster:
+        heads[t.task_id] = init_augmented(rng, h, t.label_count)
+    for _ in range(cfg.epochs):
+        for t in cluster:
+            X, y = t.train
+            reference_sgd_epoch(augment(X), y, t.label_count, W_e, heads[t.task_id], cfg, rng)
+    return [W_e[:-1], W_e[-1]] + [a for tid in heads for a in (heads[tid][:-1], heads[tid][-1])]
+
+
+def separate_bias_cluster_arrays(cluster, kind, cfg, cluster_id):
+    """reference_cluster_arrays before the augmented form: each bias added
+    and its gradient summed on its own."""
+    rng = derive_rng(cfg.seed, "cluster", cluster_id, kind)
+    d, h = cluster[0].dim, cfg.hidden
+
+    def epoch(X, y, L, W_e, b_e, W_c, b_c):
+        order = rng.permutation(len(y))
+        for start in range(0, len(y), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            Xb, yb = X[idx], y[idx]
+            Z = Xb @ W_e + b_e
+            G = (softmax(Z @ W_c + b_c) - np.eye(L)[yb]) / len(idx)
+            dZ = G @ W_c.T
+            W_c -= cfg.lr * (Z.T @ G)
+            b_c -= cfg.lr * G.sum(axis=0)
+            W_e -= cfg.lr * (Xb.T @ dZ)
+            b_e -= cfg.lr * dZ.sum(axis=0)
+
     W_e, b_e = 0.01 * rng.standard_normal((d, h)), np.zeros(h)
     if kind == "shared_classifier":
         L = cluster[0].label_count
@@ -158,14 +209,14 @@ def reference_cluster_arrays(cluster, kind, cfg, cluster_id):
         X = np.vstack([t.train[0] for t in cluster])
         y = np.concatenate([t.train[1] for t in cluster])
         for _ in range(cfg.epochs):
-            reference_sgd_epoch(X, y, L, W_e, b_e, W_c, b_c, cfg, rng)
+            epoch(X, y, L, W_e, b_e, W_c, b_c)
         return [W_e, b_e, W_c, b_c]
     heads = {}
     for t in cluster:
         heads[t.task_id] = (0.01 * rng.standard_normal((h, t.label_count)), np.zeros(t.label_count))
     for _ in range(cfg.epochs):
         for t in cluster:
-            reference_sgd_epoch(*t.train, t.label_count, W_e, b_e, *heads[t.task_id], cfg, rng)
+            epoch(*t.train, t.label_count, W_e, b_e, *heads[t.task_id])
     return [W_e, b_e] + [a for tid in heads for a in heads[tid]]
 
 
@@ -175,48 +226,70 @@ def model_arrays(model):
     return [model.W_enc, model.b_enc] + [a for tid in model.heads for a in model.heads[tid]]
 
 
+def stack_clusters(fc):
+    """Two stackable triples, a pair, a triple of the first shape again, and
+    a triple whose repeated task id shares one head."""
+    tasks, _ = make_task_family(9, 3, fc, seed=4)
+    twin = TaskDataset(tasks[0].task_id, 3, tasks[8].train, tasks[8].valid, tasks[8].test)
+    return [tasks[0:3], tasks[3:6], tasks[6:8], [tasks[2], tasks[5], tasks[7]],
+            [tasks[0], tasks[4], twin]]
+
+
+# Small shapes, and the FamilyConfig() / TrainConfig() shapes (dim 8, hidden
+# 16, batch 32), where the augmented and separate-bias arithmetic round
+# differently.
+CLUSTER_CASES = [(FC, TrainConfig(hidden=5, epochs=8, batch_size=16, seed=2)),
+                 (FamilyConfig(), TrainConfig(seed=2))]
+
+
 class TestClusterStacks:
     """Clusters of one shape train as a stack; no model may depend on that."""
 
     @pytest.fixture(scope="class")
-    def clusters(self):
-        tasks, _ = make_task_family(9, 3, FC, seed=4)
-        twin = TaskDataset(tasks[0].task_id, 3, tasks[8].train, tasks[8].valid, tasks[8].test)
-        # two stackable triples, a pair, a triple of the first shape again,
-        # and a triple whose repeated task id shares one head
-        return [tasks[0:3], tasks[3:6], tasks[6:8], [tasks[2], tasks[5], tasks[7]],
-                [tasks[0], tasks[4], twin]]
+    def cases(self):
+        return [(stack_clusters(fc), cfg) for fc, cfg in CLUSTER_CASES]
 
     @pytest.mark.parametrize("kind", ["shared_classifier", "shared_encoder_multihead"])
-    def test_stacked_clusters_are_the_per_cluster_loops(self, clusters, kind):
-        cfg = TrainConfig(hidden=5, epochs=8, batch_size=16, seed=2)
-        models = train_cluster_models(clusters, kind, cfg)
-        for k, (cluster, model) in enumerate(zip(clusters, models)):
-            assert model.cluster_id == k
-            alone = train_cluster_model(cluster, kind, cfg, cluster_id=k)
-            expected = reference_cluster_arrays(cluster, kind, cfg, k)
-            assert len(model_arrays(model)) == len(expected)
-            for a, b, c in zip(model_arrays(model), model_arrays(alone), expected):
-                assert np.array_equal(a, c) and np.array_equal(b, c)
+    def test_stacked_clusters_are_the_per_cluster_loops(self, cases, kind):
+        for clusters, cfg in cases:
+            models = train_cluster_models(clusters, kind, cfg)
+            for k, (cluster, model) in enumerate(zip(clusters, models)):
+                assert model.cluster_id == k
+                alone = train_cluster_model(cluster, kind, cfg, cluster_id=k)
+                expected = reference_cluster_arrays(cluster, kind, cfg, k)
+                assert len(model_arrays(model)) == len(expected)
+                for a, b, c in zip(model_arrays(model), model_arrays(alone), expected):
+                    assert np.array_equal(a, c) and np.array_equal(b, c)
 
-    def test_metric_encoders_equal_one_call_per_cluster(self, clusters):
-        cfg = TrainConfig(hidden=5, epochs=8, seed=2)
-        for k, model in enumerate(train_cluster_models(clusters, "metric_encoder", cfg)):
-            alone = train_cluster_model(clusters[k], "metric_encoder", cfg, cluster_id=k)
-            assert np.array_equal(model.W_enc, alone.W_enc)
-            assert np.array_equal(model.b_enc, alone.b_enc)
+    @pytest.mark.parametrize("kind", ["shared_classifier", "shared_encoder_multihead"])
+    def test_augmented_loops_agree_with_the_separate_bias_loops(self, cases, kind):
+        for clusters, cfg in cases:
+            for k, cluster in enumerate(clusters):
+                new = reference_cluster_arrays(cluster, kind, cfg, k)
+                old = separate_bias_cluster_arrays(cluster, kind, cfg, k)
+                for a, b in zip(new, old):
+                    assert np.abs(a - b).max() <= 1e-12
 
-    def test_a_bad_cluster_is_reported_before_any_training(self, clusters):
+    def test_metric_encoders_equal_one_call_per_cluster(self, cases):
+        for clusters, cfg in cases:
+            for k, model in enumerate(train_cluster_models(clusters, "metric_encoder", cfg)):
+                alone = train_cluster_model(clusters[k], "metric_encoder", cfg, cluster_id=k)
+                assert np.array_equal(model.W_enc, alone.W_enc)
+                assert np.array_equal(model.b_enc, alone.b_enc)
+
+    def test_a_bad_cluster_is_reported_before_any_training(self, cases):
+        clusters, _ = cases[0]
         with pytest.raises(InputError) as exc:
             train_cluster_models(clusters + [[]], "shared_classifier")
         assert exc.value.code == "empty-cluster"
 
 
-def reference_metric_encoder(cluster, cfg, cluster_id):
-    """The per-episode metric_encoder loop that the stacked episodes replace."""
+def metric_episodes(cluster, cfg, cluster_id):
+    """Each episode's member rows and labels, anchor rows and query rows, drawn
+    from the cluster's stream as the per-episode loop draws them."""
     rng = derive_rng(cfg.seed, "cluster", cluster_id, "metric_encoder")
     W = 0.01 * rng.standard_normal((cluster[0].dim, cfg.hidden))
-    b = np.zeros(cfg.hidden)
+    episodes = []
     for ep in range(cfg.epochs * len(cluster)):
         X, y = cluster[ep % len(cluster)].train
         labels = np.unique(y)
@@ -224,12 +297,54 @@ def reference_metric_encoder(cluster, cfg, cluster_id):
             continue
         anchor_idx = np.array([rng.choice(np.flatnonzero(y == l)) for l in labels])
         q_idx = rng.choice(X.shape[0], size=min(cfg.batch_size, X.shape[0]), replace=False)
-        Xa, Xq, yq = X[anchor_idx], X[q_idx], y[q_idx]
+        Y = np.eye(labels.size)[np.searchsorted(labels, y[q_idx])]
+        episodes.append((X, anchor_idx, q_idx, Y))
+    return W, episodes
+
+
+def reference_metric_encoder(cluster, cfg, cluster_id):
+    """The augmented per-episode metric_encoder loop that the stacked
+    episodes replace: anchors and queries gathered and encoded together."""
+    W0, episodes = metric_episodes(cluster, cfg, cluster_id)
+    W = np.vstack([W0, np.zeros(cfg.hidden)])
+    for X, anchor_idx, q_idx, Y in episodes:
+        La = anchor_idx.size
+        Xaq = augment(X)[np.concatenate([anchor_idx, q_idx])]
+        U = Xaq @ W
+        Ua, Vq = U[:La], U[La:]
+        G = (softmax(Vq @ Ua.T) - Y) / len(q_idx)
+        W -= cfg.lr * (Xaq.T @ np.vstack([G.T @ Vq, G @ Ua]))
+    return W[:-1], W[-1]
+
+
+def separate_bias_metric_encoder(cluster, cfg, cluster_id):
+    """reference_metric_encoder before the augmented form: anchors and
+    queries encoded apart, with the bias added and its gradient summed on
+    its own."""
+    W, episodes = metric_episodes(cluster, cfg, cluster_id)
+    b = np.zeros(cfg.hidden)
+    for X, anchor_idx, q_idx, Y in episodes:
+        Xa, Xq = X[anchor_idx], X[q_idx]
         Ua, Vq = Xa @ W + b, Xq @ W + b
-        G = (softmax(Vq @ Ua.T) - np.eye(labels.size)[np.searchsorted(labels, yq)]) / len(q_idx)
+        G = (softmax(Vq @ Ua.T) - Y) / len(q_idx)
         W -= cfg.lr * (Xa.T @ (G.T @ Vq) + Xq.T @ (G @ Ua))
         b -= cfg.lr * ((G @ Ua).sum(axis=0) + (G.T @ Vq).sum(axis=0))
     return W, b
+
+
+def metric_clusters(fc):
+    """Three triples of one shape (the last repeats a task id), two triples
+    holding a single-label member, a pair, and a triple that differs from
+    the first shape only in one member's label count."""
+    tasks, _ = make_task_family(9, 3, fc, seed=4)
+    X, y = tasks[8].train
+    rest = tasks[8].valid, tasks[8].test
+    twin = TaskDataset(tasks[0].task_id, 3, tasks[8].train, *rest)
+    one_label = TaskDataset("one-label", 3, (X[y == 0], y[y == 0]), *rest)
+    two_labels = TaskDataset("two-labels", 3, (X, y % 2), *rest)
+    return [tasks[0:3], tasks[3:6], [tasks[6], tasks[7], one_label], tasks[6:8],
+            [tasks[1], tasks[4], twin], [tasks[2], tasks[5], two_labels],
+            [tasks[3], tasks[7], one_label]]
 
 
 class TestMetricStacks:
@@ -237,26 +352,15 @@ class TestMetricStacks:
     every model must still be the per-episode loop's."""
 
     @pytest.fixture(scope="class")
-    def clusters(self):
-        tasks, _ = make_task_family(9, 3, FC, seed=4)
-        X, y = tasks[8].train
-        rest = tasks[8].valid, tasks[8].test
-        twin = TaskDataset(tasks[0].task_id, 3, tasks[8].train, *rest)
-        one_label = TaskDataset("one-label", 3, (X[y == 0], y[y == 0]), *rest)
-        two_labels = TaskDataset("two-labels", 3, (X, y % 2), *rest)
-        # three triples of one shape (the last repeats a task id), two
-        # triples holding a single-label member, a pair, and a triple that
-        # differs from the first shape only in one member's label count
-        return [tasks[0:3], tasks[3:6], [tasks[6], tasks[7], one_label], tasks[6:8],
-                [tasks[1], tasks[4], twin], [tasks[2], tasks[5], two_labels],
-                [tasks[3], tasks[7], one_label]]
+    def cases(self):
+        return [(metric_clusters(FC), TrainConfig(hidden=5, epochs=6, batch_size=16, seed=2)),
+                (metric_clusters(FamilyConfig()), TrainConfig(seed=2))]
 
     @pytest.mark.parametrize("limit, stacks", [
         (64, [[0, 1, 4], [2, 6], [3], [5]]),
         (2, [[0, 1], [4], [2, 6], [3], [5]]),
     ])
-    def test_stacked_episodes_are_the_per_episode_loop(self, clusters, limit, stacks, monkeypatch):
-        cfg = TrainConfig(hidden=5, epochs=6, batch_size=16, seed=2)
+    def test_stacked_episodes_are_the_per_episode_loop(self, cases, limit, stacks, monkeypatch):
         monkeypatch.setattr(transfer, "_STACK_LIMIT", limit)
         seen = []
         stack_trainer = learning._train_metric_stack
@@ -266,20 +370,39 @@ class TestMetricStacks:
             return stack_trainer(stack, ids, *args)
 
         monkeypatch.setattr(learning, "_train_metric_stack", recording)
-        models = train_cluster_models(clusters, "metric_encoder", cfg)
-        assert seen == stacks
-        for k, (cluster, model) in enumerate(zip(clusters, models)):
-            assert model.cluster_id == k
-            W, b = reference_metric_encoder(cluster, cfg, k)
-            assert np.array_equal(model.W_enc, W) and np.array_equal(model.b_enc, b)
-            alone = train_cluster_model(cluster, "metric_encoder", cfg, cluster_id=k)
-            assert np.array_equal(alone.W_enc, W) and np.array_equal(alone.b_enc, b)
+        for clusters, cfg in cases:
+            seen.clear()
+            models = train_cluster_models(clusters, "metric_encoder", cfg)
+            assert seen == stacks
+            for k, (cluster, model) in enumerate(zip(clusters, models)):
+                assert model.cluster_id == k
+                W, b = reference_metric_encoder(cluster, cfg, k)
+                assert np.array_equal(model.W_enc, W) and np.array_equal(model.b_enc, b)
+                alone = train_cluster_model(cluster, "metric_encoder", cfg, cluster_id=k)
+                assert np.array_equal(alone.W_enc, W) and np.array_equal(alone.b_enc, b)
 
-    def test_empty_training_split_is_reported_before_any_episode(self, clusters, monkeypatch):
+    def test_augmented_loop_agrees_with_the_separate_bias_loop(self, cases):
+        """At the default shapes the clusters with a two-label or a one-label
+        member diverge (weights reach 886 and 1.7e16 after 200 epochs), and
+        divergence magnifies any rounding difference, so only the clusters
+        whose weights stay bounded are compared; the other 12 must be."""
+        compared = 0
+        for clusters, cfg in cases:
+            for k, cluster in enumerate(clusters):
+                old = separate_bias_metric_encoder(cluster, cfg, k)
+                if np.abs(old[0]).max() > 10:
+                    continue
+                compared += 1
+                for a, b in zip(reference_metric_encoder(cluster, cfg, k), old):
+                    assert np.abs(a - b).max() <= 1e-12
+        assert compared == 12
+
+    def test_empty_training_split_is_reported_before_any_episode(self, cases, monkeypatch):
         def no_training(*args):
             raise AssertionError("an episode ran before the clusters were checked")
 
         monkeypatch.setattr(learning, "_train_metric_stack", no_training)
+        clusters, _ = cases[0]
         first = clusters[0][0]
         d = first.dim
         empty = TaskDataset("empty", 3, (np.zeros((0, d)), np.zeros(0, dtype=int)), first.valid, first.test)

@@ -86,6 +86,20 @@ class TestSoftmax:
             assert np.array_equal(softmax(Z), P / P.sum(axis=-1, keepdims=True))
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("hidden", 0), ("epochs", 0), ("batch_size", 0), ("transfer_epochs", 0),
+        ("lr", 0.0), ("lr", -0.1), ("lr", math.nan), ("lr", math.inf),
+    ])
+    def test_rejects_a_bad_field(self, field, value):
+        with pytest.raises(InputError) as exc:
+            TrainConfig(**{field: value})
+        assert exc.value.code == "bad-config"
+
+    def test_defaults_are_accepted(self):
+        TrainConfig()
+
+
 class TestSingleTaskTraining:
     def test_separable_blobs_reach_grid_search_bar(self):
         """The trained model matches what exhaustive linear search proves attainable."""
@@ -304,11 +318,74 @@ class TestBuildTransferMatrix:
 
 
 # ---------------------------------------------------------------------------
-# The per-problem SGD loops that the stacked kernel replaces. Stacking must
-# reproduce them bit for bit, whatever else is in the stack.
+# The per-problem SGD loops that the stacked kernel replaces, in the kernel's
+# augmented form: inputs end in a ones column and every weight matrix in its
+# bias row. Stacking must reproduce them bit for bit, whatever else is in the
+# stack.
 
 
-def reference_sgd_step(Xb, yb, L, W_c, b_c, lr, W_e=None, b_e=None):
+def augment(X):
+    return np.hstack([X, np.ones((X.shape[0], 1))])
+
+
+def reference_sgd_step(Xb, yb, L, W_c, lr, W_e=None):
+    Z = Xb if W_e is None else augment(Xb @ W_e)
+    G = (softmax(Z @ W_c) - np.eye(L)[yb]) / len(yb)
+    if W_e is not None:
+        dZ = G @ W_c[:-1].T
+    W_c -= lr * (Z.T @ G)
+    if W_e is not None:
+        W_e -= lr * (Xb.T @ dZ)
+
+
+def reference_train(ds, cfg):
+    X, y = augment(ds.train[0]), ds.train[1]
+    L, d, h = ds.label_count, ds.dim, cfg.hidden
+    rng = derive_rng(cfg.seed, "single", ds.task_id)
+    W_e, W_c = np.zeros((d + 1, h)), np.zeros((h + 1, L))
+    W_e[:d] = 0.01 * rng.standard_normal((d, h))
+    W_c[:h] = 0.01 * rng.standard_normal((h, L))
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(y))
+        for start in range(0, len(y), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            reference_sgd_step(X[idx], y[idx], L, W_c, cfg.lr, W_e)
+    return TaskModel(W_enc=W_e[:-1], b_enc=W_e[-1], W_cls=W_c[:-1], b_cls=W_c[-1])
+
+
+def reference_features(source, X):
+    return augment(augment(X) @ np.vstack([source.W_enc, source.b_enc]))
+
+
+def reference_head(source, target, cfg):
+    """The augmented head (h + 1, L) fitted on source's frozen features of target.train."""
+    yt, L = target.train[1], target.label_count
+    rng = derive_rng(cfg.seed, "transfer", target.task_id)
+    Z = reference_features(source, target.train[0])
+    h = Z.shape[1] - 1
+    W = np.zeros((h + 1, L))
+    W[:h] = 0.01 * rng.standard_normal((h, L))
+    for _ in range(cfg.transfer_epochs):
+        order = rng.permutation(len(yt))
+        for start in range(0, len(yt), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            reference_sgd_step(Z[idx], yt[idx], L, W, cfg.lr)
+    return W
+
+
+def reference_score(source, target, cfg):
+    if cfg.reuse_source_classifier:
+        return source.accuracy(*target.train)
+    W = reference_head(source, target, cfg)
+    Xv, yv = target.valid
+    return float(np.mean(np.argmax(reference_features(source, Xv) @ W, axis=1) == yv))
+
+
+# The loops before the augmented form: each bias added and its gradient
+# summed on its own. They must agree with the augmented loops to rounding.
+
+
+def separate_bias_step(Xb, yb, L, W_c, b_c, lr, W_e=None, b_e=None):
     Z = Xb if W_e is None else Xb @ W_e + b_e
     G = (softmax(Z @ W_c + b_c) - np.eye(L)[yb]) / len(yb)
     if W_e is not None:
@@ -320,7 +397,7 @@ def reference_sgd_step(Xb, yb, L, W_c, b_c, lr, W_e=None, b_e=None):
         b_e -= lr * dZ.sum(axis=0)
 
 
-def reference_train(ds, cfg):
+def separate_bias_train(ds, cfg):
     X, y = ds.train
     L = ds.label_count
     rng = derive_rng(cfg.seed, "single", ds.task_id)
@@ -330,11 +407,11 @@ def reference_train(ds, cfg):
         order = rng.permutation(len(y))
         for start in range(0, len(y), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            reference_sgd_step(X[idx], y[idx], L, W_c, b_c, cfg.lr, W_e, b_e)
+            separate_bias_step(X[idx], y[idx], L, W_c, b_c, cfg.lr, W_e, b_e)
     return TaskModel(W_enc=W_e, b_enc=b_e, W_cls=W_c, b_cls=b_c)
 
 
-def reference_head(source, target, cfg):
+def separate_bias_head(source, target, cfg):
     Xt, yt = target.train
     L = target.label_count
     rng = derive_rng(cfg.seed, "transfer", target.task_id)
@@ -344,16 +421,8 @@ def reference_head(source, target, cfg):
         order = rng.permutation(len(yt))
         for start in range(0, len(yt), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            reference_sgd_step(Z[idx], yt[idx], L, W, b, cfg.lr)
-    return W, b
-
-
-def reference_score(source, target, cfg):
-    if cfg.reuse_source_classifier:
-        return source.accuracy(*target.train)
-    W, b = reference_head(source, target, cfg)
-    Xv, yv = target.valid
-    return float(np.mean(np.argmax((Xv @ source.W_enc + source.b_enc) @ W + b, axis=1) == yv))
+            separate_bias_step(Z[idx], yt[idx], L, W, b, cfg.lr)
+    return np.vstack([W, b])
 
 
 def assert_same_model(a, b):
@@ -361,58 +430,82 @@ def assert_same_model(a, b):
         assert np.array_equal(x, y)
 
 
-@pytest.fixture(scope="module")
-def stack_family():
-    """Six same-shaped tasks (39 training rows: the last batch is short) and
-    one task of another shape, which must train in a stack of its own."""
-    fc = FamilyConfig(dim=5, label_count=3, train_per_class=13, valid_per_class=6)
-    tasks, _ = make_task_family(6, 2, fc, seed=3)
-    return tasks + [make_blobs(seed=4, n_per=20, dim=3, labels=4, task_id="odd")]
-
-
 STACK_CFG = TrainConfig(hidden=6, epochs=12, transfer_epochs=9, batch_size=16, seed=5)
 
 
-class TestBatchInvariance:
-    def test_task_models_are_the_per_task_loop_alone_or_in_any_stack(self, stack_family):
-        together = train_tasks(stack_family, STACK_CFG)
-        reversed_ = train_tasks(stack_family[::-1], STACK_CFG)[::-1]
-        for ds, a, b in zip(stack_family, together, reversed_):
-            expected = reference_train(ds, STACK_CFG)
-            assert_same_model(a, expected)
-            assert_same_model(b, expected)
-            assert_same_model(train_single_task(ds, STACK_CFG), expected)
+@pytest.fixture(scope="module")
+def stack_cases():
+    """Two shapes, each six same-shaped tasks and one task of another shape
+    (which must train in a stack of its own), with the config they train under.
 
-    def test_heads_fitted_as_one_stack_are_the_per_pair_heads(self, stack_family):
+    The first: 39 training rows of dim 5, hidden 6, batch 16 (the last batch
+    is short). The second: the FamilyConfig() and TrainConfig() shapes (60
+    rows of dim 8, hidden 16, batch 32, 3 labels), where the augmented and
+    the separate-bias arithmetic round differently.
+    """
+    cases = []
+    for fc, cfg in ((FamilyConfig(dim=5, label_count=3, train_per_class=13, valid_per_class=6), STACK_CFG),
+                    (FamilyConfig(), TrainConfig(seed=5))):
+        tasks, _ = make_task_family(6, 2, fc, seed=3)
+        cases.append((tasks + [make_blobs(seed=4, n_per=20, dim=3, labels=4, task_id="odd")], cfg))
+    return cases
+
+
+class TestBatchInvariance:
+    def test_task_models_are_the_per_task_loop_alone_or_in_any_stack(self, stack_cases):
+        for family, cfg in stack_cases:
+            together = train_tasks(family, cfg)
+            reversed_ = train_tasks(family[::-1], cfg)[::-1]
+            for ds, a, b in zip(family, together, reversed_):
+                expected = reference_train(ds, cfg)
+                assert_same_model(a, expected)
+                assert_same_model(b, expected)
+                assert_same_model(train_single_task(ds, cfg), expected)
+
+    def test_heads_fitted_as_one_stack_are_the_per_pair_heads(self, stack_cases):
         """Heads of several targets in one stack, each target's heads sharing its stream."""
-        models = train_tasks(stack_family[:6], STACK_CFG)
-        for jobs in ([(0, [1, 2, 3, 4, 5])], [(0, [3])], [(0, [4, 1]), (2, [5]), (3, [0, 1, 2])]):
-            Z = np.stack([stack_family[t].train[0] @ models[s].W_enc + models[s].b_enc
-                                for t, srcs in jobs for s in srcs])
-            y = np.concatenate([[stack_family[t].train[1]] * len(srcs) for t, srcs in jobs])
-            rngs = [derive_rng(STACK_CFG.seed, "transfer", stack_family[t].task_id) for t, _ in jobs]
-            owner = np.repeat(np.arange(len(jobs)), [len(srcs) for _, srcs in jobs])
-            W, b = _fit_classifier(Z, y, 3, STACK_CFG, rngs, owner)
-            refs = [reference_head(models[s], stack_family[t], STACK_CFG) for t, srcs in jobs for s in srcs]
-            for k, (W_ref, b_ref) in enumerate(refs):
-                assert np.array_equal(W[k], W_ref) and np.array_equal(b[k], b_ref)
+        for family, cfg in stack_cases:
+            models = train_tasks(family[:6], cfg)
+            for jobs in ([(0, [1, 2, 3, 4, 5])], [(0, [3])], [(0, [4, 1]), (2, [5]), (3, [0, 1, 2])]):
+                Z = np.stack([reference_features(models[s], family[t].train[0])
+                              for t, srcs in jobs for s in srcs])
+                y = np.concatenate([[family[t].train[1]] * len(srcs) for t, srcs in jobs])
+                rngs = [derive_rng(cfg.seed, "transfer", family[t].task_id) for t, _ in jobs]
+                owner = np.repeat(np.arange(len(jobs)), [len(srcs) for _, srcs in jobs])
+                W = _fit_classifier(Z, y, 3, cfg, rngs, owner)
+                refs = [reference_head(models[s], family[t], cfg) for t, srcs in jobs for s in srcs]
+                for k, W_ref in enumerate(refs):
+                    assert np.array_equal(W[k], W_ref)
+
+    def test_augmented_loops_agree_with_the_separate_bias_loops(self, stack_cases):
+        for family, cfg in stack_cases:
+            for ds in family:
+                new, old = reference_train(ds, cfg), separate_bias_train(ds, cfg)
+                for a, b in zip((new.W_enc, new.b_enc, new.W_cls, new.b_cls),
+                                (old.W_enc, old.b_enc, old.W_cls, old.b_cls)):
+                    assert np.abs(a - b).max() <= 1e-12
+            models = train_tasks(family[:6], cfg)
+            for s, t in ((1, 0), (0, 3), (5, 2)):
+                assert np.abs(reference_head(models[s], family[t], cfg)
+                              - separate_bias_head(models[s], family[t], cfg)).max() <= 1e-12
 
     @pytest.mark.parametrize("reuse", [False, True])
-    def test_matrix_entries_are_standalone_transfer_scores(self, stack_family, reuse, monkeypatch):
+    def test_matrix_entries_are_standalone_transfer_scores(self, stack_cases, reuse, monkeypatch):
         """Every entry equals its pair scored alone, whether each target
         shape's heads fit in one stack or are cut into stacks of 3 heads."""
-        cfg = replace(STACK_CFG, reuse_source_classifier=reuse)
-        short = make_blobs(seed=9, n_per=15, dim=5, labels=3, task_id="short")
-        tasks = stack_family[:6] + [short]
         pairs = {(0, 1), (0, 2), (0, 5), (1, 3), (2, 3), (3, 4), (4, 5), (1, 5), (0, 6), (4, 6)}
-        expected = {}
-        for i, j in pairs:
-            for s, t in ((i, j), (j, i)):
-                source = train_single_task(tasks[s], cfg)
-                expected[s, t] = transfer_score(source, tasks[t], cfg)
-                assert expected[s, t] == reference_score(reference_train(tasks[s], cfg), tasks[t], cfg)
-        for limit in (64, 3):
-            monkeypatch.setattr(transfer, "_STACK_LIMIT", limit)
-            tm = build_transfer_matrix(tasks, pairs, cfg)
-            for (s, t), score in expected.items():
-                assert tm.scores[s, t] == score
+        for family, cfg in stack_cases:
+            cfg = replace(cfg, reuse_source_classifier=reuse)
+            short = make_blobs(seed=9, n_per=15, dim=family[0].dim, labels=3, task_id="short")
+            tasks = family[:6] + [short]
+            expected = {}
+            for i, j in pairs:
+                for s, t in ((i, j), (j, i)):
+                    source = train_single_task(tasks[s], cfg)
+                    expected[s, t] = transfer_score(source, tasks[t], cfg)
+                    assert expected[s, t] == reference_score(reference_train(tasks[s], cfg), tasks[t], cfg)
+            for limit in (64, 3):
+                monkeypatch.setattr(transfer, "_STACK_LIMIT", limit)
+                tm = build_transfer_matrix(tasks, pairs, cfg)
+                for (s, t), score in expected.items():
+                    assert tm.scores[s, t] == score
