@@ -15,6 +15,8 @@ import argparse
 import itertools
 import json
 import sys
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -56,10 +58,27 @@ def _load_config(path) -> dict:
     return doc
 
 
+def _fits(value, kind) -> bool:
+    """Whether a JSON value fits a setting of type ``kind``: an int fits a
+    float, a bool fits no number, and None fits only an optional setting."""
+    kinds = typing.get_args(kind) or (kind,)
+    if isinstance(value, bool):
+        return bool in kinds
+    return any(isinstance(value, (int, float) if k is float else k) for k in kinds)
+
+
+def _get(settings: dict, key: str, kind, default=None):
+    """Setting ``key`` (``default`` if unset); bad-config unless its JSON type fits ``kind``."""
+    value = settings.get(key, default)
+    if key in settings and not _fits(value, kind):
+        raise InputError("bad-config", f"setting {key!r} cannot be {type(value).__name__} {value!r}")
+    return value
+
+
 def _settings(args, stage: str, *required: str) -> dict:
     """Stage settings: config-file section overridden by explicit flags.
 
-    Every name in ``required`` must be set by one or the other.
+    Every name in ``required`` is a path that one or the other must set.
     """
     config = _load_config(args.config)
     section = config.get(stage, {})
@@ -73,19 +92,20 @@ def _settings(args, stage: str, *required: str) -> dict:
     for key in required:
         if key not in merged:
             raise InputError("missing-setting", f"required setting {key!r} was not provided")
-    if "seed" not in merged:
-        merged["seed"] = stage_seed(int(config.get("seed", 0)), stage)
+        _get(merged, key, str)
+    merged.setdefault("seed", stage_seed(_get(config, "seed", int, 0), stage))
+    _get(merged, "seed", int)
     return merged
 
 
 def _pick(settings: dict, cls, **renames):
-    """Build a config dataclass from the matching keys of ``settings``."""
-    fields = cls.__dataclass_fields__
+    """Build a config dataclass from the matching keys of ``settings``, type-checked."""
+    types = typing.get_type_hints(cls)
     kwargs = {}
-    for key, value in settings.items():
+    for key in settings:
         name = renames.get(key, key)
-        if name in fields:
-            kwargs[name] = value
+        if name in types:
+            kwargs[name] = _get(settings, key, types[name])
     return cls(**kwargs)
 
 
@@ -95,21 +115,16 @@ def _pick(settings: dict, cls, **renames):
 
 def cmd_synth(args) -> int:
     s = _settings(args, "synth", "out")
-    fc = _pick(s, FamilyConfig)
+    clusters = _get(s, "clusters", int, 3)
+    tasks, membership = make_task_family(_get(s, "n_tasks", int, 12), clusters, _pick(s, FamilyConfig),
+                                         seed=s["seed"], opposed=_get(s, "opposed", bool, False))
     out = Path(s["out"])
     out.mkdir(parents=True, exist_ok=True)
-    tasks, membership = make_task_family(
-        int(s.get("n_tasks", 12)),
-        int(s.get("clusters", 3)),
-        fc,
-        seed=int(s["seed"]),
-        opposed=bool(s.get("opposed", False)),
-    )
     for t, ds in enumerate(tasks):
         fileio.write_task_json(ds, out / f"task-{t:03d}.json")
     fileio.write_json(
-        {"n_tasks": len(tasks), "clusters": int(s.get("clusters", 3)),
-         "membership": membership, "seed": int(s["seed"])},
+        {"n_tasks": len(tasks), "clusters": clusters,
+         "membership": membership, "seed": s["seed"]},
         out / "membership.json",
     )
     print(f"wrote {len(tasks)} tasks to {out}")
@@ -118,14 +133,19 @@ def cmd_synth(args) -> int:
 
 def cmd_estimate(args) -> int:
     s = _settings(args, "estimate", "tasks", "out")
+    config = _pick(s, TrainConfig)
+    budget = _get(s, "pairs", int | str | None)
     tasks = fileio.read_task_dir(s["tasks"])
     n = len(tasks)
-    budget = s.get("pairs")
     if budget in (None, "all"):
         pairs = set(itertools.combinations(range(n), 2))
     else:
-        pairs = sample_task_pairs(n, int(budget), seed=int(s["seed"]))
-    config = _pick(s, TrainConfig)
+        try:
+            budget = int(budget)
+        except ValueError as exc:
+            raise InputError("bad-config",
+                             f"setting 'pairs' must be an integer or 'all', not {budget!r}") from exc
+        pairs = sample_task_pairs(n, budget, seed=s["seed"])
     tm = build_transfer_matrix(tasks, pairs, config)
     fileio.write_transfer_csv(tm, s["out"])
     print(f"estimated {len(pairs)} pairs over {n} tasks -> {s['out']}")
@@ -133,12 +153,9 @@ def cmd_estimate(args) -> int:
 
 
 def _filter_params(s: dict) -> FilterParams:
-    return FilterParams(
-        p1=float(s.get("p1", 0.5)),
-        p2=float(s.get("p2", 0.5)),
-        mode=str(s.get("mode", "standard")),
-        include_diagonal_in_stats=bool(s.get("include_diagonal", True)),
-    )
+    """FilterParams from the p1, p2, mode and include_diagonal settings."""
+    return _pick({k: s[k] for k in ("p1", "p2", "mode", "include_diagonal") if k in s},
+                 FilterParams, include_diagonal="include_diagonal_in_stats")
 
 
 def cmd_filter(args) -> int:
@@ -153,35 +170,29 @@ def cmd_filter(args) -> int:
 
 def _solve(ps, s: dict):
     solver = _pick(s, SolverConfig, solver_tol="tol", solver_max_iter="max_iter")
-    X, clipped, result = complete_similarity(ps.values, ps.observed, s.get("lam"), solver)
+    lam = _get(s, "lam", float | None)
+    X, clipped, result = complete_similarity(ps.values, ps.observed, lam, solver)
     if not result.converged:
         raise NumericalError(
             "no-convergence",
             f"solver stopped after {result.iterations} iterations "
             f"with residual {result.final_residual:.3e}",
         )
-    diagnostics = {
-        "iterations": result.iterations,
-        "final_residual": result.final_residual,
-        "converged": result.converged,
-        "lambda": result.lam,
-        "clipped_fraction": clipped,
-        "rho_initial": result.rho_initial,
-        "rho_final": result.rho_final,
-        "x_rank": result.x_rank,
-        "e_support": result.e_support,
-        "full_steps": result.full_steps,
-    }
+    # every scalar the solver reports, lam under the name "lambda"
+    diagnostics = {f.name: getattr(result, f.name) for f in fields(result) if f.name not in ("X", "E")}
+    diagnostics["lambda"] = diagnostics.pop("lam")
+    diagnostics["clipped_fraction"] = clipped
     return X, result, diagnostics
 
 
 def cmd_complete(args) -> int:
     s = _settings(args, "complete", "similarity", "out_x", "out_e")
+    diagnostics_path = _get(s, "diagnostics", str, "diagnostics.json")
     ps = fileio.read_partial_csv(s["similarity"])
     X, result, diagnostics = _solve(ps, s)
     fileio.write_dense_csv(X, s["out_x"])
     fileio.write_dense_csv(result.E, s["out_e"])
-    fileio.write_json(diagnostics, s.get("diagnostics", "diagnostics.json"))
+    fileio.write_json(diagnostics, diagnostics_path)
     print(
         f"completed {ps.n}x{ps.n} in {result.iterations} iterations, "
         f"residual {result.final_residual:.3e}"
@@ -191,13 +202,13 @@ def cmd_complete(args) -> int:
 
 def cmd_cluster(args) -> int:
     s = _settings(args, "cluster", "scores", "out")
-    K = int(s.get("clusters", 0))
+    K = _get(s, "clusters", int, 0)
     if K < 1:
         raise InputError("bad-K", "clusters must be >= 1")
-    tm = fileio.read_transfer_csv(s["scores"])
-    ps = filter_scores(tm, _filter_params(s))
+    params, diagnostics_path = _filter_params(s), _get(s, "diagnostics", str, "diagnostics.json")
+    ps = filter_scores(fileio.read_transfer_csv(s["scores"]), params)
     X, result, diagnostics = _solve(ps, s)
-    part = spectral_cluster(X, K, seed=int(s["seed"]))
+    part = spectral_cluster(X, K, seed=s["seed"])
     diagnostics["laplacian_gap"] = part.laplacian_gap
     if part.laplacian_gap is not None and part.laplacian_gap <= LAPLACIAN_GAP_WARNING:
         _report(
@@ -206,24 +217,35 @@ def cmd_cluster(args) -> int:
             "so the partition depends on an arbitrary eigenbasis",
         )
     fileio.write_partition_json(part, s["out"])
-    fileio.write_json(diagnostics, s.get("diagnostics", "diagnostics.json"))
+    fileio.write_json(diagnostics, diagnostics_path)
     print(f"partitioned {ps.n} tasks into {K} clusters -> {s['out']}")
     return 0
 
 
-def _cluster_members(tasks, part):
+def _cluster_inputs(s: dict):
+    """What mtl and fsl share: the model kind, its TrainConfig and the task clusters."""
+    kind = _get(s, "kind", str, "shared_classifier")
+    config = _pick(s, TrainConfig)
+    tasks = fileio.read_task_dir(s["tasks"])
+    part = fileio.read_partition_json(s["partition"])
     if part.n != len(tasks):
         raise InputError("bad-shape", "partition size does not match task count")
-    return [[tasks[i] for i in part.members(k)] for k in range(part.K)]
+    return kind, config, [[tasks[i] for i in part.members(k)] for k in range(part.K)]
+
+
+def _write_report(rows: list[dict], path, label: str, noun: str) -> int:
+    """Write the rows, sorted by task id, and their macro accuracy, print a
+    summary line, and return the command's exit code."""
+    rows.sort(key=lambda r: r["task_id"])
+    macro = float(np.mean([r["accuracy"] for r in rows]))
+    fileio.write_json({"tasks": rows, "macro_accuracy": macro}, path)
+    print(f"{label}: macro accuracy {macro:.4f} over {len(rows)} {noun} -> {path}")
+    return 0
 
 
 def cmd_mtl(args) -> int:
     s = _settings(args, "mtl", "tasks", "partition", "out")
-    tasks = fileio.read_task_dir(s["tasks"])
-    part = fileio.read_partition_json(s["partition"])
-    kind = str(s.get("kind", "shared_classifier"))
-    config = _pick(s, TrainConfig)
-    clusters = _cluster_members(tasks, part)
+    kind, config, clusters = _cluster_inputs(s)
     rows = []
     for members, model in zip(clusters, train_cluster_models(clusters, kind, config)):
         for ds in members:
@@ -233,24 +255,16 @@ def cmd_mtl(args) -> int:
                 {"task_id": ds.task_id, "method": f"mtl-{kind}",
                  "accuracy": float(np.mean(proba.argmax(axis=1) == y)), "alpha": []}
             )
-    rows.sort(key=lambda r: r["task_id"])
-    macro = float(np.mean([r["accuracy"] for r in rows]))
-    fileio.write_json({"tasks": rows, "macro_accuracy": macro}, s["out"])
-    print(f"mtl {kind}: macro accuracy {macro:.4f} over {len(rows)} tasks -> {s['out']}")
-    return 0
+    return _write_report(rows, s["out"], f"mtl {kind}", "tasks")
 
 
 def cmd_fsl(args) -> int:
     s = _settings(args, "fsl", "tasks", "partition", "targets", "out")
-    tasks = fileio.read_task_dir(s["tasks"])
-    part = fileio.read_partition_json(s["partition"])
+    shots = _get(s, "shots", int, 5)
+    adaptive = _get(s, "adaptive", bool, False)
+    threshold = _get(s, "threshold", float, 0.20)
+    kind, config, clusters = _cluster_inputs(s)
     targets = fileio.read_task_dir(s["targets"])
-    kind = str(s.get("kind", "shared_classifier"))
-    config = _pick(s, TrainConfig)
-    shots = int(s.get("shots", 5))
-    adaptive = bool(s.get("adaptive", False))
-    threshold = float(s.get("threshold", 0.20))
-    clusters = _cluster_members(tasks, part)
     if kind in PER_TASK_KINDS:
         # Per-task heads cannot score an unseen target: train nothing.
         if not adaptive:
@@ -261,7 +275,7 @@ def cmd_fsl(args) -> int:
         models = train_cluster_models(clusters, kind, config)
     rows = []
     for ds in targets:
-        fs = fewshot_from_dataset(ds, shots=shots, seed=int(s["seed"]))
+        fs = fewshot_from_dataset(ds, shots=shots, seed=s["seed"])
         if adaptive:
             predictor = adaptive_fsl(models, fs, threshold=threshold, fallback_config=config)
             method = "adaptive-fsl"
@@ -273,23 +287,19 @@ def cmd_fsl(args) -> int:
             {"task_id": ds.task_id, "method": method,
              "accuracy": predictor.accuracy(*fs.query), "alpha": alpha}
         )
-    rows.sort(key=lambda r: r["task_id"])
-    macro = float(np.mean([r["accuracy"] for r in rows]))
-    fileio.write_json({"tasks": rows, "macro_accuracy": macro}, s["out"])
-    print(f"fsl: macro accuracy {macro:.4f} over {len(rows)} targets -> {s['out']}")
-    return 0
+    return _write_report(rows, s["out"], "fsl", "targets")
 
 
 def cmd_sweep(args) -> int:
     s = _settings(args, "sweep", "out")
     cells = phase_sweep(
-        n=int(s.get("n", 30)),
-        k=int(s.get("clusters", 3)),
-        m1_fracs=_fracs(s.get("m1_fracs", "0.2,0.4,0.6,0.8,1.0")),
-        m2_fracs=_fracs(s.get("m2_fracs", "0.0,0.05")),
-        trials=int(s.get("trials", 5)),
-        seed=int(s["seed"]),
-        lam=float(s["lam"]) if s.get("lam") is not None else None,
+        n=_get(s, "n", int, 30),
+        k=_get(s, "clusters", int, 3),
+        m1_fracs=_fracs(_get(s, "m1_fracs", str | list, "0.2,0.4,0.6,0.8,1.0")),
+        m2_fracs=_fracs(_get(s, "m2_fracs", str | list, "0.0,0.05")),
+        trials=_get(s, "trials", int, 5),
+        seed=s["seed"],
+        lam=_get(s, "lam", float | None),
     )
     fileio.write_sweep_csv(cells, s["out"])
     print(f"swept {len(cells)} grid cells -> {s['out']}")
@@ -302,6 +312,8 @@ def _fracs(spec) -> list[float]:
             return [float(v) for v in spec.split(",") if v.strip()]
         except ValueError as exc:
             raise InputError("bad-format", f"bad fraction list {spec!r}") from exc
+    if not all(_fits(v, float) for v in spec):
+        raise InputError("bad-config", f"fraction list {spec!r} holds a non-number")
     return [float(v) for v in spec]
 
 
@@ -309,9 +321,41 @@ def _fracs(spec) -> list[float]:
 # argument parsing
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file with per-stage sections")
-    sub.add_argument("--seed", type=int, help="stage seed (overrides derivation)")
+def _add_command(sub, name: str, func, help: str):
+    """Subcommand ``name`` running ``func``, with the --config and --seed flags."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--config", help="JSON config file with per-stage sections")
+    p.add_argument("--seed", type=int, help="stage seed (overrides derivation)")
+    p.set_defaults(func=func)
+    return p
+
+
+def _add_filter_flags(sub):
+    """FilterParams' settings: filter and cluster."""
+    sub.add_argument("--p1", type=float, help="high threshold: mu + p1*sigma of the target column")
+    sub.add_argument("--p2", type=float, help="low threshold: mu - p2*sigma of the target column")
+    sub.add_argument("--mode", choices=MODES)
+    sub.add_argument(
+        "--exclude-diagonal", dest="include_diagonal", action="store_const", const=False,
+        help="leave the diagonal scores out of the column statistics",
+    )
+
+
+def _add_solver_flags(sub):
+    """The completion step's settings: complete and cluster."""
+    sub.add_argument("--diagnostics", help="output JSON for solver diagnostics")
+    sub.add_argument("--lam", type=float, help="sparsity weight (default: observation-aware)")
+    sub.add_argument("--solver-tol", dest="solver_tol", type=float)
+    sub.add_argument("--solver-max-iter", dest="solver_max_iter", type=int)
+
+
+def _add_model_flags(sub):
+    """The cluster-model settings and report path: mtl and fsl."""
+    sub.add_argument("--tasks", help="directory of task JSON files")
+    sub.add_argument("--partition", help="partition JSON from cluster")
+    sub.add_argument("--out", help="output report JSON")
+    sub.add_argument("--kind", choices=KINDS)
+    sub.add_argument("--epochs", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,8 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic task family")
-    _add_common(p)
+    p = _add_command(sub, "synth", cmd_synth, "generate a synthetic task family")
     p.add_argument("--out", help="output directory for task JSON files")
     p.add_argument("--n-tasks", dest="n_tasks", type=int)
     p.add_argument("--clusters", type=int)
@@ -332,10 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task-noise", dest="task_noise", type=float)
     p.add_argument("--sample-spread", dest="sample_spread", type=float)
     p.add_argument("--opposed", action="store_const", const=True)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("estimate", help="evaluate pairwise transfer scores")
-    _add_common(p)
+    p = _add_command(sub, "estimate", cmd_estimate, "evaluate pairwise transfer scores")
     p.add_argument("--tasks", help="directory of task JSON files")
     p.add_argument("--out", help="output transfer CSV")
     p.add_argument("--pairs", help="pair budget, or 'all'")
@@ -347,75 +388,38 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_const", const=True,
         help="score by direct evaluation instead of retraining a classifier",
     )
-    p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("filter", help="threshold scores into binary similarities")
-    _add_common(p)
+    p = _add_command(sub, "filter", cmd_filter, "threshold scores into binary similarities")
     p.add_argument("--scores", help="transfer CSV from estimate")
     p.add_argument("--out", help="output partial similarity CSV")
-    p.add_argument("--p1", type=float)
-    p.add_argument("--p2", type=float)
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument(
-        "--exclude-diagonal", dest="include_diagonal", action="store_const", const=False,
-        help="leave the diagonal scores out of the column statistics",
-    )
-    p.set_defaults(func=cmd_filter)
+    _add_filter_flags(p)
 
-    p = sub.add_parser("complete", help="recover the full similarity matrix")
-    _add_common(p)
+    p = _add_command(sub, "complete", cmd_complete, "recover the full similarity matrix")
     p.add_argument("--similarity", help="partial similarity CSV from filter")
     p.add_argument("--out-x", dest="out_x", help="output CSV for the low-rank matrix")
     p.add_argument("--out-e", dest="out_e", help="output CSV for the sparse error matrix")
-    p.add_argument("--diagnostics", help="output JSON for solver diagnostics")
-    p.add_argument("--lam", type=float, help="sparsity weight (default: observation-aware)")
-    p.add_argument("--solver-tol", dest="solver_tol", type=float)
-    p.add_argument("--solver-max-iter", dest="solver_max_iter", type=int)
-    p.set_defaults(func=cmd_complete)
+    _add_solver_flags(p)
 
-    p = sub.add_parser("cluster", help="filter + complete + spectral partition")
-    _add_common(p)
+    p = _add_command(sub, "cluster", cmd_cluster, "filter + complete + spectral partition")
     p.add_argument("--scores", help="transfer CSV from estimate")
     p.add_argument("--out", help="output partition JSON")
-    p.add_argument("--diagnostics", help="output JSON for solver diagnostics")
     p.add_argument("--clusters", type=int, help="number of clusters K")
-    p.add_argument("--p1", type=float)
-    p.add_argument("--p2", type=float)
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument(
-        "--exclude-diagonal", dest="include_diagonal", action="store_const", const=False,
-    )
-    p.add_argument("--lam", type=float)
-    p.add_argument("--solver-tol", dest="solver_tol", type=float)
-    p.add_argument("--solver-max-iter", dest="solver_max_iter", type=int)
-    p.set_defaults(func=cmd_cluster)
+    _add_filter_flags(p)
+    _add_solver_flags(p)
 
-    p = sub.add_parser("mtl", help="train cluster models, report per-task accuracy")
-    _add_common(p)
-    p.add_argument("--tasks", help="directory of task JSON files")
-    p.add_argument("--partition", help="partition JSON from cluster")
-    p.add_argument("--out", help="output report JSON")
-    p.add_argument("--kind", choices=KINDS)
-    p.add_argument("--epochs", type=int)
+    p = _add_command(sub, "mtl", cmd_mtl, "train cluster models, report per-task accuracy")
+    _add_model_flags(p)
     p.add_argument("--hidden", type=int)
-    p.set_defaults(func=cmd_mtl)
 
-    p = sub.add_parser("fsl", help="few-shot evaluation on target tasks")
-    _add_common(p)
-    p.add_argument("--tasks", help="directory of task JSON files")
-    p.add_argument("--partition", help="partition JSON from cluster")
+    p = _add_command(sub, "fsl", cmd_fsl, "few-shot evaluation on target tasks")
+    _add_model_flags(p)
     p.add_argument("--targets", help="directory of target task JSON files")
-    p.add_argument("--out", help="output report JSON")
-    p.add_argument("--kind", choices=KINDS)
     p.add_argument("--shots", type=int)
     p.add_argument("--adaptive", action="store_const", const=True,
                    help="fall back to support-only training on poor fit")
     p.add_argument("--threshold", type=float)
-    p.add_argument("--epochs", type=int)
-    p.set_defaults(func=cmd_fsl)
 
-    p = sub.add_parser("sweep", help="recovery probability over a sampling grid")
-    _add_common(p)
+    p = _add_command(sub, "sweep", cmd_sweep, "recovery probability over a sampling grid")
     p.add_argument("--out", help="output sweep CSV")
     p.add_argument("--n", type=int)
     p.add_argument("--clusters", type=int)
@@ -423,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m2-fracs", dest="m2_fracs")
     p.add_argument("--trials", type=int)
     p.add_argument("--lam", type=float)
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 

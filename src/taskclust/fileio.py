@@ -8,6 +8,7 @@ the same object always produces byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -151,16 +152,36 @@ def read_task_dir(path) -> list[TaskDataset]:
 # transfer scores and filtered similarities
 
 
-def _read_header(lines, path) -> int:
+def _read_entries(path, parse, upper: bool):
+    """The '#n=<n>' size of a file that _write_entries wrote and an iterator
+    over its rows as (i, j, parse(value)), blank lines skipped. A row is
+    bad-format unless it has three fields, parse accepts its value, and i and
+    j are distinct indices in [0, n), with i < j when ``upper``."""
+    p = require_file(path)
+    lines = p.read_text().splitlines()
     if not lines or not lines[0].startswith("#n="):
-        raise InputError("bad-format", f"{path} must start with a '#n=<int>' header")
+        raise InputError("bad-format", f"{p} must start with a '#n=<int>' header")
     try:
         n = int(lines[0][3:])
     except ValueError as exc:
-        raise InputError("bad-format", f"{path} has a malformed size header") from exc
+        raise InputError("bad-format", f"{p} has a malformed size header") from exc
     if n < 1:
-        raise InputError("bad-format", f"{path} declares a non-positive size")
-    return n
+        raise InputError("bad-format", f"{p} declares a non-positive size")
+
+    def rows():
+        for line in itertools.islice(lines, 1, None):
+            if not line.strip():
+                continue
+            parts = line.split(",")
+            try:
+                i, j, v = int(parts[0]), int(parts[1]), parse(parts[2])
+            except (IndexError, ValueError) as exc:
+                raise InputError("bad-format", f"{p}: bad row {line!r}") from exc
+            if len(parts) != 3 or not (0 <= i < n and 0 <= j < n) or (i >= j if upper else i == j):
+                raise InputError("bad-format", f"{p}: bad row {line!r}")
+            yield i, j, v
+
+    return n, rows()
 
 
 def _write_entries(mask: np.ndarray, values: np.ndarray, path) -> None:
@@ -179,21 +200,10 @@ def write_transfer_csv(tm: TransferMatrix, path) -> None:
 
 
 def read_transfer_csv(path) -> TransferMatrix:
-    p = require_file(path)
-    lines = p.read_text().splitlines()
-    n = _read_header(lines, p)
+    n, rows = _read_entries(path, float, upper=False)
     scores = np.eye(n)
     observed = np.eye(n, dtype=bool)
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        try:
-            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-        except (IndexError, ValueError) as exc:
-            raise InputError("bad-format", f"{p}: bad row {line!r}") from exc
-        if len(parts) != 3 or not (0 <= i < n and 0 <= j < n) or i == j:
-            raise InputError("bad-format", f"{p}: bad row {line!r}")
+    for i, j, v in rows:
         scores[i, j] = v
         observed[i, j] = True
     return TransferMatrix(scores=scores, observed=observed)
@@ -204,22 +214,16 @@ def write_partial_csv(ps: PartialSimilarity, path) -> None:
     _write_entries(np.triu(ps.observed, 1), ps.values, path)
 
 
+def _bit(text: str) -> int:
+    """int(text) if that is 0 or 1; ValueError otherwise."""
+    return (0, 1).index(int(text))
+
+
 def read_partial_csv(path) -> PartialSimilarity:
-    p = require_file(path)
-    lines = p.read_text().splitlines()
-    n = _read_header(lines, p)
+    n, rows = _read_entries(path, _bit, upper=True)
     values = np.eye(n, dtype=np.int8)
     observed = np.eye(n, dtype=bool)
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        try:
-            i, j, v = int(parts[0]), int(parts[1]), int(parts[2])
-        except (IndexError, ValueError) as exc:
-            raise InputError("bad-format", f"{p}: bad row {line!r}") from exc
-        if len(parts) != 3 or not (0 <= i < j < n) or v not in (0, 1):
-            raise InputError("bad-format", f"{p}: bad row {line!r}")
+    for i, j, v in rows:
         values[i, j] = values[j, i] = v
         observed[i, j] = observed[j, i] = True
     return PartialSimilarity(values=values, observed=observed)

@@ -5,6 +5,8 @@ clears a high threshold derived from the score distribution of the target
 column, dissimilar (0) when both fall below a low threshold, and left
 unobserved otherwise. The extra-large-scale variant decides every sampled
 pair with a single mean-based disjunction so that no entry is left undecided.
+Each rule is stated once, as a boolean matrix over the sampled upper
+triangle, not pair by pair.
 """
 
 from __future__ import annotations
@@ -88,38 +90,27 @@ def column_stats(S: TransferMatrix, j: int, params: FilterParams) -> tuple[float
 def filter_scores(S: TransferMatrix, params: FilterParams | None = None) -> PartialSimilarity:
     """Apply the dynamic-threshold rule to every sampled pair of S.
 
-    Standard mode marks a pair 1 only when S_ij > mu_j + p1*sigma_j and
-    S_ji > mu_i + p1*sigma_i both hold strictly, 0 only when both scores sit
-    strictly below their mu - p2*sigma lines, and leaves the pair unobserved
-    otherwise. XL mode instead decides every sampled pair: 1 when
-    S_ij >= mu_j or S_ji >= mu_i, else 0. The diagonal is always 1.
+    Each rule is one boolean matrix, built from the column statistics mu_j,
+    sigma_j of column_stats and kept on the sampled upper triangle. Standard mode marks a pair 1
+    (``hi``) only when S_ij > mu_j + p1*sigma_j and S_ji > mu_i + p1*sigma_i
+    both hold strictly, 0 (``lo``) only when both scores sit strictly below
+    their mu - p2*sigma lines, and leaves the pair unobserved otherwise. XL
+    mode instead decides every sampled pair: 1 (``hi``) when S_ij >= mu_j or
+    S_ji >= mu_i, else 0 (``lo``, the complement). The diagonal is always 1.
     """
     params = params or FilterParams()
-    n = S.n
-    stats = [column_stats(S, j, params) for j in range(n)]
-    mu = np.array([m for m, _ in stats])
-    sd = np.array([s for _, s in stats])
-
-    values = np.zeros((n, n), dtype=np.int8)
-    observed = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not S.observed[i, j]:
-                continue
-            s_ij, s_ji = S.scores[i, j], S.scores[j, i]
-            if params.mode == "xl":
-                hit = s_ij >= mu[j] or s_ji >= mu[i]
-                values[i, j] = values[j, i] = 1 if hit else 0
-                observed[i, j] = observed[j, i] = True
-                continue
-            hi = s_ij > mu[j] + params.p1 * sd[j] and s_ji > mu[i] + params.p1 * sd[i]
-            lo = s_ij < mu[j] - params.p2 * sd[j] and s_ji < mu[i] - params.p2 * sd[i]
-            if hi:
-                values[i, j] = values[j, i] = 1
-                observed[i, j] = observed[j, i] = True
-            elif lo:
-                observed[i, j] = observed[j, i] = True
-    d = np.arange(n)
-    values[d, d] = 1
-    observed[d, d] = True
-    return PartialSimilarity(values=values, observed=observed)
+    mu, sd = np.array([column_stats(S, j, params) for j in range(S.n)]).T
+    # entry [i, j] tests S_ij against column j's line; its transpose tests S_ji against column i's
+    if params.mode == "xl":
+        reach = S.scores >= mu
+        hi = reach | reach.T
+        lo = ~hi
+    else:
+        above = S.scores > mu + params.p1 * sd
+        below = S.scores < mu - params.p2 * sd
+        hi = above & above.T
+        lo = below & below.T
+    sampled = np.triu(S.observed, 1)
+    hi, decided = hi & sampled, (hi | lo) & sampled
+    eye = np.eye(S.n, dtype=bool)
+    return PartialSimilarity(values=hi | hi.T | eye, observed=decided | decided.T | eye)

@@ -18,6 +18,7 @@ on the other clusters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -295,8 +296,10 @@ class CombineConfig:
     lr: float = 0.1
 
     def __post_init__(self):
-        if self.steps < 1 or self.lr <= 0:
-            raise InputError("bad-config", "steps and lr must be positive")
+        if self.steps < 1:
+            raise InputError("bad-config", "steps must be positive")
+        if not 0 < self.lr < math.inf:  # NaN fails the test too
+            raise InputError("bad-config", "learning rate must be positive and finite")
 
 
 @dataclass

@@ -460,3 +460,75 @@ class TestConfigPrecedence:
         code, _, err = run(capsys, "synth", "--config", config, "--out", tmp_path / "t")
         assert code == 2
         assert stderr_record(err)["error"] == "bad-format"
+
+
+class TestConfigTypes:
+    @pytest.fixture
+    def argv(self, family_dir, tmp_path):
+        """Per command, flags that set its required settings to valid inputs
+        and its outputs to paths under tmp_path (the main one is "out")."""
+        tm, _ = synthetic_transfer_matrix(12, 3, 19, seed=0, sampling="anchored")
+        scores, partial, part = tmp_path / "scores.csv", tmp_path / "partial.csv", tmp_path / "p.json"
+        fileio.write_transfer_csv(tm, scores)
+        fileio.write_partial_csv(filter_scores(tm), partial)
+        fileio.write_json({"n": 6, "K": 2, "assignment": [0, 0, 0, 1, 1, 1], "seed": 0}, part)
+        out = tmp_path / "out"
+        models = ["--tasks", family_dir, "--partition", part, "--out", out]
+        return {
+            "synth": ["--out", out],
+            "estimate": ["--tasks", family_dir, "--out", out],
+            "filter": ["--scores", scores, "--out", out],
+            "complete": ["--similarity", partial, "--out-x", out, "--out-e", tmp_path / "E.csv",
+                         "--diagnostics", tmp_path / "diag.json"],
+            "cluster": ["--scores", scores, "--out", out, "--clusters", 2],
+            "mtl": models,
+            "fsl": models + ["--targets", family_dir],
+        }
+
+    @pytest.mark.parametrize("command, section", [
+        ("synth", {"dim": "8"}),
+        ("synth", {"opposed": 1}),
+        ("estimate", {"lr": "0.1"}),
+        ("estimate", {"pairs": 4.5}),
+        ("estimate", {"pairs": "lots"}),
+        ("filter", {"include_diagonal": "false"}),
+        ("filter", {"p1": True}),
+        ("complete", {"solver_max_iter": 5.0}),
+        ("complete", {"lam": "0.1"}),
+        ("cluster", {"tol": "1e-3"}),
+        ("cluster", {"p2": "0.5"}),
+        ("mtl", {"epochs": "5"}),
+        ("fsl", {"threshold": "0.2"}),
+        ("fsl", {"shots": 2.0}),
+    ])
+    def test_a_value_of_the_wrong_type_exits_two(self, argv, tmp_path, capsys, command, section):
+        config = tmp_path / "config.json"
+        fileio.write_json({command: section}, config)
+        code, _, err = run(capsys, command, "--config", config, *argv[command])
+        assert code == 2
+        record = stderr_record(err)
+        assert record["error"] == "bad-config"
+        assert repr(next(iter(section))) in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_a_string_master_seed_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        fileio.write_json({"seed": "7"}, config)
+        code, _, err = run(capsys, "synth", "--config", config, "--out", tmp_path / "out")
+        assert code == 2
+        assert stderr_record(err)["error"] == "bad-config"
+
+    def test_an_int_fits_a_float_setting(self, tmp_path, capsys):
+        tm, _ = synthetic_transfer_matrix(12, 3, 19, seed=0, sampling="anchored")
+        scores = tmp_path / "scores.csv"
+        fileio.write_transfer_csv(tm, scores)
+        outs = []
+        for tag, section, flags in (("config", {"p1": 1, "p2": 0}, []),
+                                    ("flags", {}, ["--p1", "1.0", "--p2", "0.0"])):
+            config, out = tmp_path / f"{tag}.json", tmp_path / f"{tag}.csv"
+            fileio.write_json({"filter": section}, config)
+            code, _, _ = run(capsys, "filter", "--config", config, "--scores", scores,
+                             "--out", out, *flags)
+            assert code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]

@@ -103,6 +103,41 @@ def test_transfer_csv_bad_rows(tmp_path):
     assert err.value.code == "bad-format"
 
 
+@pytest.mark.parametrize("read, v", [
+    (fileio.read_transfer_csv, "0.5"), (fileio.read_partial_csv, "1"),
+], ids=["transfer", "partial"])
+@pytest.mark.parametrize("row", [
+    "1,1,{v}", "0,3,{v}", "-1,0,{v}", "0,1", "0,1,{v},7", "0,1,abc",
+], ids=["i==j", "index>=n", "negative-index", "2-fields", "4-fields", "non-numeric"])
+def test_entry_readers_reject_a_bad_row(tmp_path, read, v, row):
+    path = tmp_path / "entries.csv"
+    path.write_text(f"#n=3\n0,2,{v}\n" + row.format(v=v) + "\n")
+    with pytest.raises(InputError) as err:
+        read(path)
+    assert err.value.code == "bad-format"
+
+
+@pytest.mark.parametrize("row", ["1,0,1", "0,1,2"], ids=["i>j", "value-2"])
+def test_partial_reader_rejects_a_bad_row(tmp_path, row):
+    path = tmp_path / "partial.csv"
+    path.write_text(f"#n=3\n{row}\n")
+    with pytest.raises(InputError) as err:
+        fileio.read_partial_csv(path)
+    assert err.value.code == "bad-format"
+
+
+@pytest.mark.parametrize("read, body", [
+    (fileio.read_transfer_csv, "0,1,0.5\n\n1,0,0.25\n"),
+    (fileio.read_partial_csv, "0,1,1\n"),
+], ids=["transfer", "partial"])
+def test_entry_readers_skip_blank_lines(tmp_path, read, body):
+    path = tmp_path / "entries.csv"
+    path.write_text("#n=3\n\n" + body + "  \n")
+    result = read(path)
+    assert result.observed[0, 1] and result.observed[1, 0]
+    assert int(result.observed.sum()) == 5
+
+
 def test_missing_file_error():
     with pytest.raises(InputError) as err:
         fileio.read_transfer_csv("/nonexistent/transfer.csv")

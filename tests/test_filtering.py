@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from taskclust.errors import InputError
 from taskclust.filtering import FilterParams, column_stats, filter_scores
+from taskclust.synthdata import synthetic_transfer_matrix
 from taskclust.transfer import TransferMatrix
 
 UNOBSERVED = -1  # sentinel used by the reference implementation below
@@ -164,6 +165,52 @@ def test_oracle_equivalence_partial_and_excluded_diagonal():
             tm.scores.tolist(), tm.observed.tolist(), 0.3, 0.8, "standard", False
         )
         assert np.array_equal(as_reference(ps), np.array(ref)), f"seed {seed}"
+
+
+@pytest.mark.parametrize("mode", ["standard", "xl"])
+@pytest.mark.parametrize("include_diag", [True, False])
+def test_oracle_equivalence_on_anchored_samples(mode, include_diag):
+    """Realistic masks: planted scores at n = 60 with about 4 n ln n pairs sampled."""
+    for seed in range(3):
+        tm, _ = synthetic_transfer_matrix(60, 3, 491, seed=seed, sampling="anchored")
+        ps = filter_scores(tm, FilterParams(mode=mode, include_diagonal_in_stats=include_diag))
+        ref = reference_filter(
+            tm.scores.tolist(), tm.observed.tolist(), 0.5, 0.5, mode, include_diag
+        )
+        assert np.array_equal(as_reference(ps), np.array(ref)), f"seed {seed}"
+
+
+# Column 0 holds `col0` in rows 1-4, so S_10 = col0[0]; column 1 holds `col1`
+# in rows 0, 2, 3, 4, so S_01 = col1[0]. Every value is exact in binary, so mu
+# and sigma are exact and S_10 sits exactly on a threshold line of column 0.
+MEAN_TIE = [0.5, 0.25, 0.75, 0.5]     # mu = 0.5
+SIGMA_HI = [0.75, 0.25, 0.25, 0.75]   # mu + sigma = 0.75
+SIGMA_LO = [0.25, 0.25, 0.75, 0.75]   # mu - sigma = 0.25
+PARTNER_HI = [1.0, 0.25, 0.25, 0.25]  # S_01 clears mu_1 + sigma_1
+PARTNER_LO = [0.0, 0.75, 0.75, 0.75]  # S_01 sits below mu_1 - sigma_1
+
+
+@pytest.mark.parametrize("mode, p1, p2, col0, col1, line, expected", [
+    ("xl", 0.5, 0.5, MEAN_TIE, PARTNER_LO, 0.0, 1),                  # >= mu_0 holds
+    ("standard", 0.0, 0.5, MEAN_TIE, PARTNER_HI, 0.0, UNOBSERVED),   # > mu_0 fails
+    ("standard", 0.5, 0.0, MEAN_TIE, PARTNER_LO, 0.0, UNOBSERVED),   # < mu_0 fails
+    ("standard", 1.0, 0.5, SIGMA_HI, PARTNER_HI, 1.0, UNOBSERVED),   # > mu_0 + sigma_0 fails
+    ("standard", 0.5, 1.0, SIGMA_LO, PARTNER_LO, -1.0, UNOBSERVED),  # < mu_0 - sigma_0 fails
+], ids=["xl-mean", "hi-mean", "lo-mean", "hi-sigma", "lo-sigma"])
+def test_score_on_a_threshold_line(mode, p1, p2, col0, col1, line, expected):
+    n = 5
+    scores = np.where(np.add.outer(range(n), range(n)) % 2, 0.25, 0.75)
+    scores[1:, 0] = col0
+    scores[[0, 2, 3, 4], 1] = col1
+    np.fill_diagonal(scores, 1.0)
+    tm = TransferMatrix(scores=scores, observed=np.ones((n, n), dtype=bool))
+    params = FilterParams(p1=p1, p2=p2, mode=mode, include_diagonal_in_stats=False)
+    mu, sigma = column_stats(tm, 0, params)
+    assert scores[1, 0] == mu + line * sigma
+    got = as_reference(filter_scores(tm, params))
+    assert got[0, 1] == got[1, 0] == expected
+    ref = reference_filter(scores.tolist(), tm.observed.tolist(), p1, p2, mode, False)
+    assert np.array_equal(got, np.array(ref))
 
 
 def test_output_exactly_symmetric():

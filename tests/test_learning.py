@@ -1,5 +1,7 @@
 """Tests for cluster-level models, mixture few-shot prediction and fallback."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -473,6 +475,19 @@ class TestFewShotTask:
             FewShotTask(support=(np.zeros((2, 3)), np.array([0, 0])),
                         query=(np.zeros((1, 3)), np.zeros(1, dtype=int)), label_count=2)
         assert exc.value.code == "missing-label"
+
+
+class TestCombineConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 0), ("lr", 0.0), ("lr", -0.1), ("lr", math.nan), ("lr", math.inf),
+    ])
+    def test_rejects_a_bad_field(self, field, value):
+        with pytest.raises(InputError) as exc:
+            CombineConfig(**{field: value})
+        assert exc.value.code == "bad-config"
+
+    def test_defaults_are_accepted(self):
+        CombineConfig()
 
 
 class TestFslCombine:
