@@ -313,11 +313,10 @@ def fewshot_trial(seed: int, n_tasks: int = 10, targets: int = 6, shots: int = 1
     """
     tasks, membership = make_task_family(n_tasks, 2, FEWSHOT_FAMILY, seed=seed, opposed=True)
     pairs = set(itertools.combinations(range(n_tasks), 2))
-    estimate = TrainConfig(epochs=epochs, seed=0, reuse_source_classifier=True)
-    ps = filter_scores(build_transfer_matrix(tasks, pairs, estimate),
+    config = TrainConfig(epochs=epochs, seed=0)
+    ps = filter_scores(build_transfer_matrix(tasks, pairs, config, direct=True),
                        FilterParams(include_diagonal_in_stats=False))
     part = spectral_cluster(complete_similarity(ps.values, ps.observed)[0], 2, seed=seed)
-    config = TrainConfig(epochs=epochs, seed=0)
     cluster_models = train_cluster_models(
         [[tasks[i] for i in part.members(k)] for k in range(2)], "shared_classifier", config)
     flat_models = train_cluster_models([[t] for t in tasks], "shared_classifier", config)

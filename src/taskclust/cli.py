@@ -37,11 +37,13 @@ from .learning import (
 from .seeding import derive_rng
 from .spectral import spectral_cluster
 from .synthdata import FamilyConfig, fewshot_from_dataset, make_task_family
-from .transfer import build_transfer_matrix, sample_task_pairs
+from .transfer import accuracy, build_transfer_matrix, sample_task_pairs
 
 STAGES = ("synth", "estimate", "filter", "complete", "cluster", "mtl", "fsl", "sweep")
 # cluster warns on stderr when the Laplacian's eigengap at K is this small.
 LAPLACIAN_GAP_WARNING = 1e-9
+# Config keys that name the same setting as another key: key -> that setting.
+ALIASES = {"solver_tol": "tol", "solver_max_iter": "max_iter"}
 
 
 def stage_seed(master: int, stage: str) -> int:
@@ -78,16 +80,26 @@ def _get(settings: dict, key: str, kind, default=None):
 def _settings(args, stage: str, *required: str) -> dict:
     """Stage settings: config-file section overridden by explicit flags.
 
-    Every name in ``required`` is a path that one or the other must set.
+    Every name in ``required`` is a path that one or the other must set. A
+    section may name a setting once (under one of its ALIASES), and a flag
+    overrides it under either name.
     """
     config = _load_config(args.config)
     section = config.get(stage, {})
     if not isinstance(section, dict):
         raise InputError("bad-format", f"config section {stage!r} must be an object")
     merged = dict(section)
+    keys = {}  # setting -> the section key that names it
+    for key in section:
+        setting = ALIASES.get(key, key)
+        if setting in keys:
+            raise InputError("bad-config", f"config section {stage!r} names one setting twice: "
+                                           f"{keys[setting]!r} and {key!r}")
+        keys[setting] = key
     for key, value in vars(args).items():
         if key in ("config", "command", "func") or value is None:
             continue
+        merged.pop(keys.get(ALIASES.get(key, key)), None)  # whichever name the section used
         merged[key] = value
     for key in required:
         if key not in merged:
@@ -135,6 +147,7 @@ def cmd_estimate(args) -> int:
     s = _settings(args, "estimate", "tasks", "out")
     config = _pick(s, TrainConfig)
     budget = _get(s, "pairs", int | str | None)
+    direct = _get(s, "reuse_source_classifier", bool, False)
     tasks = fileio.read_task_dir(s["tasks"])
     n = len(tasks)
     if budget in (None, "all"):
@@ -146,7 +159,7 @@ def cmd_estimate(args) -> int:
             raise InputError("bad-config",
                              f"setting 'pairs' must be an integer or 'all', not {budget!r}") from exc
         pairs = sample_task_pairs(n, budget, seed=s["seed"])
-    tm = build_transfer_matrix(tasks, pairs, config)
+    tm = build_transfer_matrix(tasks, pairs, config, direct)
     fileio.write_transfer_csv(tm, s["out"])
     print(f"estimated {len(pairs)} pairs over {n} tasks -> {s['out']}")
     return 0
@@ -169,7 +182,7 @@ def cmd_filter(args) -> int:
 
 
 def _solve(ps, s: dict):
-    solver = _pick(s, SolverConfig, solver_tol="tol", solver_max_iter="max_iter")
+    solver = _pick(s, SolverConfig, **ALIASES)
     lam = _get(s, "lam", float | None)
     X, clipped, result = complete_similarity(ps.values, ps.observed, lam, solver)
     if not result.converged:
@@ -253,7 +266,7 @@ def cmd_mtl(args) -> int:
             proba = model.predict_proba(X, task_id=ds.task_id, support=ds.train)
             rows.append(
                 {"task_id": ds.task_id, "method": f"mtl-{kind}",
-                 "accuracy": float(np.mean(proba.argmax(axis=1) == y)), "alpha": []}
+                 "accuracy": accuracy(proba, y), "alpha": []}
             )
     return _write_report(rows, s["out"], f"mtl {kind}", "tasks")
 

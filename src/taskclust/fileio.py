@@ -139,12 +139,18 @@ def _first_dim(doc) -> int:
 
 
 def read_task_dir(path) -> list[TaskDataset]:
-    """All task files in a directory, sorted by file name."""
+    """All task files in a directory, sorted by file name; no two may hold one task id."""
     p = require_dir(path)
-    files = sorted(p.glob("*.json"))
-    tasks = [read_task_json(f) for f in files if f.name != "membership.json"]
-    if not tasks:
+    files = [f for f in sorted(p.glob("*.json")) if f.name != "membership.json"]
+    if not files:
         raise InputError("missing-input", f"no task files found in {p}")
+    tasks, seen = [], {}
+    for f in files:
+        ds = read_task_json(f)
+        if ds.task_id in seen:
+            raise InputError("duplicate-task", f"{seen[ds.task_id]} and {f} both hold task {ds.task_id}")
+        seen[ds.task_id] = f
+        tasks.append(ds)
     return tasks
 
 

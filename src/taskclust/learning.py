@@ -31,10 +31,13 @@ from .transfer import (
     TrainConfig,
     _augment,
     _descend,
+    _encode,
     _init_stacks,
     _onehot,
     _sgd,
     _stacks,
+    _train_encoders,
+    accuracy,
     softmax,
     train_single_task,
 )
@@ -79,7 +82,6 @@ class ClusterModel:
     W_cls: np.ndarray | None = None            # shared_classifier
     b_cls: np.ndarray | None = None
     heads: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    label_count: int | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -90,13 +92,7 @@ class ClusterModel:
         return self.W_enc.shape[0]
 
     def encode(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.W_enc.shape[0]:
-            raise InputError(
-                "dim-mismatch",
-                f"encoder expects dim {self.W_enc.shape[0]}, got {X.shape[1]}",
-            )
-        return X @ self.W_enc + self.b_enc
+        return _encode(self.W_enc, self.b_enc, X)
 
     def predict_proba(self, X, task_id: str | None = None, support=None) -> np.ndarray:
         """Distribution over labels for each row of X; row sums are 1."""
@@ -142,6 +138,11 @@ def _check_cluster(cluster: list[TaskDataset], kind: str) -> None:
         raise InputError("empty-cluster", "cannot train on an empty cluster")
     if len({t.dim for t in cluster}) != 1:
         raise InputError("dim-mismatch", "cluster tasks disagree on feature dimension")
+    if kind in PER_TASK_KINDS:
+        ids = [t.task_id for t in cluster]
+        for tid in ids:
+            if ids.count(tid) > 1:
+                raise InputError("duplicate-task", f"task {tid} appears twice in one {kind} cluster")
     if kind == "shared_classifier":
         if len({t.label_count for t in cluster}) != 1:
             raise InputError(
@@ -156,12 +157,6 @@ def _check_cluster(cluster: list[TaskDataset], kind: str) -> None:
                 raise InputError("empty-train", f"task {t.task_id} has no training data")
 
 
-def _head_slots(cluster: list[TaskDataset]) -> list[int]:
-    """For each member, the position of the first member with its task id (the head it trains)."""
-    ids = [t.task_id for t in cluster]
-    return [ids.index(tid) for tid in ids]
-
-
 def _stack_key(cluster: list[TaskDataset], kind: str):
     """Clusters with equal keys train as one stack."""
     if kind == "shared_classifier":
@@ -169,8 +164,7 @@ def _stack_key(cluster: list[TaskDataset], kind: str):
     if kind == "metric_encoder":
         return (cluster[0].dim,
                 tuple((t.train[0].shape[0], np.unique(t.train[1]).size) for t in cluster))
-    return (cluster[0].dim, tuple((t.train[0].shape[0], t.label_count) for t in cluster),
-            tuple(_head_slots(cluster)))
+    return cluster[0].dim, tuple((t.train[0].shape[0], t.label_count) for t in cluster)
 
 
 def _train_stack(clusters: list[list[TaskDataset]], ids: list[int], kind: str,
@@ -181,28 +175,23 @@ def _train_stack(clusters: list[list[TaskDataset]], ids: list[int], kind: str,
         return _train_metric_stack(clusters, ids, rngs, config)
     d, h = clusters[0][0].dim, config.hidden
     if kind == "shared_classifier":
-        L = clusters[0][0].label_count
-        We, Wc = _init_stacks(rngs, (d, h), (h, L))
-        X = _augment(np.stack([np.vstack([t.train[0] for t in c]) for c in clusters]))
-        y = np.stack([np.concatenate([t.train[1] for t in c]) for c in clusters])
-        _sgd(X, _onehot(y, L), Wc, rngs, config.epochs, config, We)
-        return [ClusterModel(k, kind, We[b, :-1], We[b, -1], Wc[b, :-1], Wc[b, -1], label_count=L)
+        We, Wc = _train_encoders(np.stack([np.vstack([t.train[0] for t in c]) for c in clusters]),
+                                 np.stack([np.concatenate([t.train[1] for t in c]) for c in clusters]),
+                                 clusters[0][0].label_count, rngs, config)
+        return [ClusterModel(k, kind, We[b, :-1], We[b, -1], Wc[b, :-1], Wc[b, -1])
                 for b, k in enumerate(ids)]
 
     # shared_encoder_multihead: one encoder per cluster, stepped by every
-    # member's batches in turn, and one head per task id (a repeated id
-    # draws a head of its own, and the last draw is kept).
-    slots = _head_slots(clusters[0])
+    # member's batches in turn, and one head per member.
     We, *heads = _init_stacks(rngs, (d, h), *[(h, t.label_count) for t in clusters[0]])
-    Wh = dict(zip(slots, heads))
     data = [(_augment(np.stack([c[p].train[0] for c in clusters])),
              _onehot(np.stack([c[p].train[1] for c in clusters]), t.label_count))
             for p, t in enumerate(clusters[0])]
     for _ in range(config.epochs):
-        for slot, (X, Y) in zip(slots, data):
-            _sgd(X, Y, Wh[slot], rngs, 1, config, We)
+        for Wc, (X, Y) in zip(heads, data):
+            _sgd(X, Y, Wc, rngs, 1, config, We)
     return [ClusterModel(k, kind, We[b, :-1], We[b, -1], heads={
-                t.task_id: (Wh[slot][b, :-1], Wh[slot][b, -1]) for slot, t in zip(slots, cluster)})
+                t.task_id: (Wc[b, :-1], Wc[b, -1]) for Wc, t in zip(heads, cluster)})
             for b, (k, cluster) in enumerate(zip(ids, clusters))]
 
 
@@ -334,8 +323,7 @@ class MixturePredictor:
         return np.tensordot(self.weights.alpha, P, axes=1)
 
     def accuracy(self, X, y) -> float:
-        y = np.asarray(y, dtype=int)
-        return float(np.mean(self.predict_proba(X).argmax(axis=1) == y))
+        return accuracy(self.predict_proba(X), np.asarray(y, dtype=int))
 
 
 def train_support_only(task: FewShotTask, config: TrainConfig | None = None) -> TaskModel:
@@ -355,21 +343,25 @@ class SingleTaskPredictor:
         self.used_fallback = True
 
     def predict_proba(self, X) -> np.ndarray:
-        return softmax(self.model.logits(np.atleast_2d(np.asarray(X, dtype=float))))
+        return softmax(self.model.logits(X))
 
     def accuracy(self, X, y) -> float:
-        y = np.asarray(y, dtype=int)
-        return float(np.mean(self.predict_proba(X).argmax(axis=1) == y))
+        return accuracy(self.predict_proba(X), np.asarray(y, dtype=int))
 
 
 def _compatible(model: ClusterModel, task: FewShotTask) -> bool:
-    if model.dim != task.dim:
+    if model.dim != task.dim or model.kind in PER_TASK_KINDS:
         return False
-    if model.kind == "metric_encoder":
-        return True
     if model.kind == "shared_classifier":
-        return model.label_count == task.label_count
-    return False  # per-task heads cannot score an unseen task
+        return model.W_cls.shape[1] == task.label_count
+    return True  # metric_encoder
+
+
+def _support_probs(models: list[ClusterModel], task: FewShotTask):
+    """Positions of the models that can score the task, and each one's label
+    distribution on its support set."""
+    indices = [i for i, m in enumerate(models) if _compatible(m, task)]
+    return indices, [models[i].predict_proba(task.support[0], support=task.support) for i in indices]
 
 
 def fsl_combine(
@@ -383,17 +375,18 @@ def fsl_combine(
     Models that cannot emit a distribution over the task's label space are
     left out of the mixture.
     """
+    return _combine(models, task, *_support_probs(models, task), config)
+
+
+def _combine(models, task, indices, probs, config=None):
+    """fsl_combine over the compatible positions and their support
+    distributions from _support_probs."""
     config = config or CombineConfig()
-    indices = [i for i, m in enumerate(models) if _compatible(m, task)]
     if not indices:
         raise InputError("no-compatible-cluster", "no cluster model covers the label space")
-    Xs, ys = task.support
+    ys = task.support[1]
     # Q[k, i] = model k's probability of the true label of support example i
-    Q = np.stack([
-        models[i].predict_proba(Xs, support=task.support)[np.arange(len(ys)), ys]
-        for i in indices
-    ])
-    Q = np.maximum(Q, 1e-300)
+    Q = np.maximum(np.stack([P[np.arange(len(ys)), ys] for P in probs]), 1e-300)
     logits = np.zeros(len(indices))
     for _ in range(config.steps):
         z = logits - logits.max()
@@ -421,14 +414,9 @@ def adaptive_fsl(
     """
     if not 0 <= threshold < 1:
         raise InputError("bad-threshold", "threshold must lie in [0, 1)")
-    Xs, ys = task.support
-    best = 0.0
-    for m in models:
-        if not _compatible(m, task):
-            continue
-        acc = float(np.mean(m.predict_proba(Xs, support=task.support).argmax(axis=1) == ys))
-        best = max(best, acc)
+    indices, probs = _support_probs(models, task)
+    best = max((accuracy(P, task.support[1]) for P in probs), default=0.0)
     if best <= threshold:
         return SingleTaskPredictor(train_support_only(task, fallback_config))
-    _, predictor = fsl_combine(models, task)
+    _, predictor = _combine(models, task, indices, probs)
     return predictor

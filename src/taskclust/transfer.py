@@ -1,11 +1,13 @@
 """Per-task models and cross-task transfer scores.
 
 Each task gets a small linear encoder plus softmax classifier trained by
-mini-batch gradient descent. Transfer from task i to task j is measured by
-freezing i's encoder, fitting a fresh classifier on j's training split, and
-scoring accuracy on j's validation split. Scores for a sampled set of task
-pairs are assembled into an asymmetric, partially observed matrix with unit
-diagonal.
+mini-batch gradient descent. Transfer from task i to task j is measured in
+one of two ways. By default i's encoder is frozen, a fresh classifier is
+fitted on j's training split, and the score is its accuracy on j's
+validation split. With direct evaluation (``direct=True``) i's model is
+scored unchanged on j's training split, which needs equal label counts.
+Scores for a sampled set of task pairs are assembled into an asymmetric,
+partially observed matrix with unit diagonal.
 
 All training runs through one kernel that steps a stack of same-shaped
 problems at once: tasks of one shape train together, and so do the
@@ -102,7 +104,6 @@ class TrainConfig:
     batch_size: int = 32
     transfer_epochs: int = 50
     seed: int = 0
-    reuse_source_classifier: bool = False  # identical-label-set shortcut
 
     def __post_init__(self):
         if min(self.hidden, self.epochs, self.transfer_epochs, self.batch_size) < 1:
@@ -119,21 +120,29 @@ class TaskModel:
     b_cls: np.ndarray  # (L,)
 
     def encode(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.shape[1] != self.W_enc.shape[0]:
-            raise InputError(
-                "dim-mismatch",
-                f"encoder expects dim {self.W_enc.shape[0]}, got {X.shape[1]}",
-            )
-        return X @ self.W_enc + self.b_enc
+        return _encode(self.W_enc, self.b_enc, X)
 
     def logits(self, X: np.ndarray) -> np.ndarray:
         return self.encode(X) @ self.W_cls + self.b_cls
 
     def accuracy(self, X: np.ndarray, y: np.ndarray) -> float:
-        if len(y) == 0:
-            raise InputError("empty-split", "cannot score an empty split")
-        return float(np.mean(np.argmax(self.logits(X), axis=1) == y))
+        return accuracy(self.logits(X), y)
+
+
+def _encode(W_enc: np.ndarray, b_enc: np.ndarray, X) -> np.ndarray:
+    """X @ W_enc + b_enc for the rows of X (one row if X is a vector), or dim-mismatch."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != W_enc.shape[0]:
+        raise InputError("dim-mismatch", f"encoder expects dim {W_enc.shape[0]}, got {X.shape[1]}")
+    return X @ W_enc + b_enc
+
+
+def accuracy(scores: np.ndarray, y: np.ndarray) -> float:
+    """Share of rows whose highest score (a logit or a probability) is at
+    label y; an empty split has none (empty-split)."""
+    if len(y) == 0:
+        raise InputError("empty-split", "cannot score an empty split")
+    return float(np.mean(np.argmax(scores, axis=1) == y))
 
 
 # numpy sums fewer than this many elements along an axis one by one, in index
@@ -264,6 +273,15 @@ def _stacks(keys, sizes=None) -> list[list[int]]:
     return stacks
 
 
+def _train_encoders(X, y, L, rngs, config):
+    """Augmented encoders (B, k + 1, h) and heads (B, h + 1, L) trained jointly
+    on a stack of B problems: rows X (B, m, k), labels y (B, m), problem b
+    drawing its initialization and batch orders from rngs[b]."""
+    We, Wc = _init_stacks(rngs, (X.shape[2], config.hidden), (config.hidden, L))
+    _sgd(_augment(X), _onehot(y, L), Wc, rngs, config.epochs, config, We)
+    return We, Wc
+
+
 def train_tasks(datasets: list[TaskDataset], config: TrainConfig | None = None) -> list[TaskModel]:
     """Jointly train encoder and classifier on each task's training split.
 
@@ -278,12 +296,10 @@ def train_tasks(datasets: list[TaskDataset], config: TrainConfig | None = None) 
     models: list = [None] * len(datasets)
     for members in _stacks((ds.train[0].shape, ds.label_count) for ds in datasets):
         stack = [datasets[pos] for pos in members]
-        L = stack[0].label_count
         rngs = [derive_rng(config.seed, "single", ds.task_id) for ds in stack]
-        We, Wc = _init_stacks(rngs, (stack[0].dim, config.hidden), (config.hidden, L))
-        X = _augment(np.stack([ds.train[0] for ds in stack]))
-        y = np.stack([ds.train[1] for ds in stack])
-        _sgd(X, _onehot(y, L), Wc, rngs, config.epochs, config, We)
+        We, Wc = _train_encoders(np.stack([ds.train[0] for ds in stack]),
+                                 np.stack([ds.train[1] for ds in stack]),
+                                 stack[0].label_count, rngs, config)
         for b, pos in enumerate(members):
             models[pos] = TaskModel(We[b, :-1], We[b, -1], Wc[b, :-1], Wc[b, -1])
     return models
@@ -294,7 +310,7 @@ def train_single_task(dataset: TaskDataset, config: TrainConfig | None = None) -
     return train_tasks([dataset], config)[0]
 
 
-def _check_transfer(source: TaskModel, target: TaskDataset, config: TrainConfig) -> None:
+def _check_transfer(source: TaskModel, target: TaskDataset, direct: bool) -> None:
     if target.dim != source.W_enc.shape[0]:
         raise InputError(
             "dim-mismatch",
@@ -302,11 +318,17 @@ def _check_transfer(source: TaskModel, target: TaskDataset, config: TrainConfig)
         )
     if len(target.train[1]) == 0:
         raise InputError("empty-train", f"task {target.task_id} has no training data")
-    if not config.reuse_source_classifier and len(target.valid[1]) == 0:
+    if direct and target.label_count != source.W_cls.shape[1]:
+        raise InputError(
+            "label-mismatch",
+            f"source head has {source.W_cls.shape[1]} labels but task {target.task_id} "
+            f"has {target.label_count}, so it cannot be scored directly",
+        )
+    if not direct and len(target.valid[1]) == 0:
         raise InputError("empty-split", f"task {target.task_id} has no validation data")
 
 
-def _transfer_scores(jobs, config: TrainConfig) -> list[list[float]]:
+def _transfer_scores(jobs, config: TrainConfig, direct: bool) -> list[list[float]]:
     """transfer_score of every source on its target, for (target, sources) jobs.
 
     Every (source, target) must have passed _check_transfer, and the targets
@@ -314,7 +336,7 @@ def _transfer_scores(jobs, config: TrainConfig) -> list[list[float]]:
     target all draw from its stream, so they share their initialization and
     batch orders; the heads of every job are fitted as one stack.
     """
-    if config.reuse_source_classifier:
+    if direct:
         return [[source.accuracy(*target.train) for source in sources] for target, sources in jobs]
     encoders = [np.stack([np.vstack([s.W_enc, s.b_enc]) for s in sources]) for _, sources in jobs]
     Z = np.concatenate([_augment(_augment(target.train[0]) @ We) for (target, _), We in zip(jobs, encoders)])
@@ -325,21 +347,22 @@ def _transfer_scores(jobs, config: TrainConfig) -> list[list[float]]:
     scores = []
     for k, ((target, _), We) in enumerate(zip(jobs, encoders)):
         Xv, yv = target.valid
-        pred = np.argmax(_augment(_augment(Xv) @ We) @ W[owner == k], axis=2)
-        scores.append([float(np.mean(row == yv)) for row in pred])
+        logits = _augment(_augment(Xv) @ We) @ W[owner == k]
+        scores.append([accuracy(row, yv) for row in logits])
     return scores
 
 
-def transfer_score(source: TaskModel, target: TaskDataset, config: TrainConfig | None = None) -> float:
+def transfer_score(source: TaskModel, target: TaskDataset, config: TrainConfig | None = None,
+                   direct: bool = False) -> float:
     """Accuracy on target.valid of a fresh classifier over source's frozen encoder.
 
-    With reuse_source_classifier set the unmodified source model is scored
-    directly on target.train instead, which only makes sense when the label
-    sets coincide.
+    With ``direct`` set the unmodified source model is scored on
+    target.train instead; the label counts must then be equal
+    (label-mismatch otherwise).
     """
     config = config or TrainConfig()
-    _check_transfer(source, target, config)
-    return _transfer_scores([(target, [source])], config)[0][0]
+    _check_transfer(source, target, direct)
+    return _transfer_scores([(target, [source])], config, direct)[0][0]
 
 
 def _pair_offset(i: int, n: int) -> int:
@@ -375,8 +398,10 @@ def build_transfer_matrix(
     tasks: list[TaskDataset],
     pairs: set[tuple[int, int]],
     config: TrainConfig | None = None,
+    direct: bool = False,
 ) -> TransferMatrix:
-    """Evaluate both directions of every sampled pair into a score matrix."""
+    """Evaluate both directions of every sampled pair into a score matrix,
+    by direct evaluation when ``direct`` is set (see transfer_score)."""
     config = config or TrainConfig()
     n = len(tasks)
     for i, j in pairs:
@@ -389,8 +414,8 @@ def build_transfer_matrix(
     sources: dict[int, list[int]] = {}
     for i, j in sorted(set((min(p), max(p)) for p in pairs)):
         try:
-            _check_transfer(models[i], tasks[j], config)
-            _check_transfer(models[j], tasks[i], config)
+            _check_transfer(models[i], tasks[j], direct)
+            _check_transfer(models[j], tasks[i], direct)
         except InputError as exc:
             raise InputError(exc.code, f"pair ({i},{j}): {exc.message}") from exc
         sources.setdefault(j, []).append(i)
@@ -401,7 +426,7 @@ def build_transfer_matrix(
     for members in _stacks(keys, [len(sources[j]) for j in targets]):
         chunk = [targets[pos] for pos in members]
         jobs = [(tasks[j], [models[i] for i in sources[j]]) for j in chunk]
-        for j, row in zip(chunk, _transfer_scores(jobs, config)):
+        for j, row in zip(chunk, _transfer_scores(jobs, config, direct)):
             scores[sources[j], j] = row
     d = np.arange(n)
     scores[d, d] = 1.0

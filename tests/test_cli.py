@@ -86,6 +86,32 @@ class TestEstimate:
         assert stderr_record(err)["error"] == "bad-config"
         assert not out.exists()
 
+    def test_a_task_id_held_twice_exits_two(self, family_dir, tmp_path, capsys):
+        (family_dir / "task-006.json").write_bytes((family_dir / "task-000.json").read_bytes())
+        out = tmp_path / "s.csv"
+        code, _, err = run(capsys, "estimate", "--tasks", family_dir, "--out", out,
+                           "--pairs", "all", "--reuse-source-classifier", "--seed", 3)
+        assert code == 2
+        record = stderr_record(err)
+        assert record["error"] == "duplicate-task"
+        assert "task-000.json" in record["message"] and "task-006.json" in record["message"]
+        assert not out.exists()
+
+    def test_direct_evaluation_needs_equal_label_counts(self, family_dir, tmp_path, capsys):
+        path = family_dir / "task-001.json"
+        doc = fileio.read_json(path)
+        doc["label_count"] += 2
+        fileio.write_json(doc, path)
+        out = tmp_path / "s.csv"
+        argv = ["estimate", "--tasks", family_dir, "--out", out, "--pairs", "all",
+                "--epochs", 5, "--seed", 3]
+        code, _, err = run(capsys, *argv, "--reuse-source-classifier")
+        assert code == 2
+        assert stderr_record(err)["error"] == "label-mismatch"
+        assert not out.exists()
+        code, _, _ = run(capsys, *argv)  # a retrained head takes the target's label count
+        assert code == 0
+
     def test_rerun_is_byte_identical(self, family_dir, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -368,6 +394,24 @@ class TestLearningCommands:
         doc = fileio.read_json(report)
         assert all(row["method"] == "adaptive-fsl" for row in doc["tasks"])
 
+    def test_an_empty_test_split_exits_two(self, pipeline, tmp_path, capsys):
+        tasks, part = pipeline
+        targets = tmp_path / "targets"
+        run(capsys, "synth", "--out", targets, "--n-tasks", 2, "--clusters", 2,
+            "--dim", 5, "--seed", 9)
+        for path in (tasks / "task-003.json", targets / "task-001.json"):
+            doc = fileio.read_json(path)
+            doc["splits"]["test"] = []
+            fileio.write_json(doc, path)
+        models = ["--tasks", tasks, "--partition", part, "--epochs", 20, "--seed", 0]
+        for argv in (["mtl"], ["mtl", "--kind", "shared_encoder_multihead"],
+                     ["fsl", "--targets", targets, "--shots", 2],
+                     ["fsl", "--targets", targets, "--shots", 2, "--adaptive"]):
+            report = tmp_path / "report.json"
+            code, _, err = run(capsys, *argv, *models, "--out", report)
+            assert code == 2
+            assert stderr_record(err)["error"] == "empty-split"
+            assert not report.exists()
 
     def test_fsl_multihead_fails_before_training(self, pipeline, tmp_path, capsys, monkeypatch):
         tasks, part = pipeline
@@ -453,6 +497,46 @@ class TestConfigPrecedence:
             assert code == 0
             outputs.append((x.read_bytes(), e.read_bytes()))
         assert outputs[0] == outputs[1]
+
+    @pytest.fixture
+    def cluster_argv(self, tmp_path):
+        tm, _ = synthetic_transfer_matrix(12, 3, 19, seed=0, sampling="anchored")
+        scores = tmp_path / "scores.csv"
+        fileio.write_transfer_csv(tm, scores)
+        return ["cluster", "--scores", scores, "--clusters", 3, "--seed", 0]
+
+    @pytest.mark.parametrize("section", [
+        {"solver_tol": 1e-3, "tol": 1e-9},
+        {"tol": 1e-9, "solver_tol": 1e-3},
+        {"solver_max_iter": 20, "max_iter": 1000},
+        {"max_iter": 1000, "solver_max_iter": 20},
+    ])
+    def test_a_solver_setting_named_twice_exits_two(self, cluster_argv, tmp_path, capsys, section):
+        config = tmp_path / "config.json"
+        fileio.write_json({"cluster": section}, config)
+        out = tmp_path / "p.json"
+        code, _, err = run(capsys, *cluster_argv, "--config", config, "--out", out)
+        assert code == 2
+        record = stderr_record(err)
+        assert record["error"] == "bad-config"
+        assert all(repr(key) in record["message"] for key in section)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["tol", "solver_tol", "max_iter", "solver_max_iter"])
+    def test_a_solver_flag_overrides_the_config_under_either_name(self, cluster_argv, tmp_path,
+                                                                   capsys, key):
+        flag, bad, good = (("--solver-tol", 0.5, 1e-7) if key.endswith("tol")
+                           else ("--solver-max-iter", 1, 1000))
+        config = tmp_path / "config.json"
+        fileio.write_json({"cluster": {key: bad}}, config)
+        runs = {}
+        for tag, extra in (("config", ["--config", config]), ("flag-only", [])):
+            diag = tmp_path / f"diag-{tag}.json"
+            code, _, _ = run(capsys, *cluster_argv, *extra, flag, good,
+                             "--out", tmp_path / f"p-{tag}.json", "--diagnostics", diag)
+            assert code == 0
+            runs[tag] = diag.read_bytes(), (tmp_path / f"p-{tag}.json").read_bytes()
+        assert runs["config"] == runs["flag-only"]
 
     def test_config_must_hold_an_object(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -253,6 +253,16 @@ def test_task_dir_sorted_and_skips_membership(tmp_path):
     assert [ds.task_id for ds in back] == [ds.task_id for ds in tasks]
 
 
+def test_task_dir_rejects_a_task_id_held_twice(tmp_path):
+    tasks, _ = make_task_family(3, 3, seed=2)
+    for t, ds in enumerate(tasks + [tasks[1]]):
+        fileio.write_task_json(ds, tmp_path / f"task-{t}.json")
+    with pytest.raises(InputError) as err:
+        fileio.read_task_dir(tmp_path)
+    assert err.value.code == "duplicate-task"
+    assert "task-1.json" in err.value.message and "task-3.json" in err.value.message
+
+
 def test_partition_round_trip(tmp_path):
     part = TaskPartition(n=5, K=2, assignment=[0, 0, 1, 1, 0], seed=9)
     path = tmp_path / "part.json"

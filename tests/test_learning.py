@@ -230,7 +230,7 @@ def model_arrays(model):
 
 def stack_clusters(fc):
     """Two stackable triples, a pair, a triple of the first shape again, and
-    a triple whose repeated task id shares one head."""
+    a triple that holds one task id twice (multihead rejects it)."""
     tasks, _ = make_task_family(9, 3, fc, seed=4)
     twin = TaskDataset(tasks[0].task_id, 3, tasks[8].train, tasks[8].valid, tasks[8].test)
     return [tasks[0:3], tasks[3:6], tasks[6:8], [tasks[2], tasks[5], tasks[7]],
@@ -254,6 +254,14 @@ class TestClusterStacks:
     @pytest.mark.parametrize("kind", ["shared_classifier", "shared_encoder_multihead"])
     def test_stacked_clusters_are_the_per_cluster_loops(self, cases, kind):
         for clusters, cfg in cases:
+            if kind == "shared_encoder_multihead":
+                # one head per member cannot serve a task id held twice
+                for train in (lambda: train_cluster_models(clusters, kind, cfg),
+                              lambda: train_cluster_model(clusters[4], kind, cfg, cluster_id=4)):
+                    with pytest.raises(InputError) as exc:
+                        train()
+                    assert exc.value.code == "duplicate-task"
+                clusters = clusters[:4]
             models = train_cluster_models(clusters, kind, cfg)
             for k, (cluster, model) in enumerate(zip(clusters, models)):
                 assert model.cluster_id == k
@@ -644,6 +652,24 @@ class TestAdaptiveFallback:
         predictor = adaptive_fsl(models, fs, threshold=0.20)
         assert isinstance(predictor, MixturePredictor)
         assert not predictor.used_fallback
+
+    def test_each_model_scores_the_support_set_once(self, monkeypatch):
+        """The threshold test and the mixture share one pass over the support
+        set, and the mixture is fsl_combine's."""
+        models = family_models(seed=6, n_tasks=6, K=2, epochs=40)
+        fs = fewshot_from_dataset(make_target_task(1, 2, FC, seed=6, tag=0), shots=1, seed=6)
+        expected, _ = fsl_combine(models, fs)
+        calls = []
+        predict_proba = ClusterModel.predict_proba
+
+        def counted(model, *args, **kwargs):
+            calls.append(model)
+            return predict_proba(model, *args, **kwargs)
+
+        monkeypatch.setattr(ClusterModel, "predict_proba", counted)
+        predictor = adaptive_fsl(models, fs, threshold=0.0)
+        assert [id(m) for m in calls] == [id(m) for m in models]
+        assert np.array_equal(predictor.weights.logits, expected.logits)
 
     def test_seventeen_label_stranger_task_falls_back(self):
         """A cluster model trained on unrelated 17-label data scores at chance

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from taskclust.transfer import (
     TrainConfig,
     _fit_classifier,
     _unrank_pair,
+    accuracy,
     build_transfer_matrix,
     sample_task_pairs,
     softmax,
@@ -179,8 +179,24 @@ class TestTransferScore:
         ds = make_blobs(seed=13, n_per=50)
         other = make_blobs(seed=14, n_per=50, task_id="other")
         model = train_single_task(ds, TrainConfig(seed=0))
-        cfg = TrainConfig(seed=0, reuse_source_classifier=True)
-        assert transfer_score(model, other, cfg) == model.accuracy(*other.train)
+        assert transfer_score(model, other, TrainConfig(seed=0), direct=True) == model.accuracy(*other.train)
+
+    def test_direct_evaluation_needs_equal_label_counts(self):
+        """A 3-label head scored task 1 relabelled to y % 2 at 0.667 whether
+        the task declared 2 labels or 5; both are now label-mismatch."""
+        tasks, _ = make_task_family(4, 2, seed=0)
+        model = train_single_task(tasks[0], TrainConfig(epochs=50))
+        splits = [(X, y % 2) for X, y in (tasks[1].train, tasks[1].valid, tasks[1].test)]
+        for labels in (2, 5):
+            relabelled = TaskDataset("relabelled", labels, *splits)
+            with pytest.raises(InputError) as exc:
+                transfer_score(model, relabelled, direct=True)
+            assert exc.value.code == "label-mismatch"
+            with pytest.raises(InputError) as exc:
+                build_transfer_matrix([tasks[0], relabelled], {(0, 1)}, TrainConfig(epochs=50), direct=True)
+            assert exc.value.code == "label-mismatch"
+            # a retrained head takes the target's own label count
+            assert 0.0 <= transfer_score(model, relabelled, TrainConfig(epochs=5)) <= 1.0
 
     def test_dimension_mismatch_rejected(self):
         ds = make_blobs(seed=2)
@@ -216,6 +232,17 @@ class TestTransferScore:
             arr.tobytes() for arr in (model.W_enc, model.b_enc, model.W_cls, model.b_cls)
         )
         assert before == after
+
+
+class TestAccuracy:
+    def test_share_of_rows_whose_top_score_is_the_label(self):
+        scores = np.array([[0.1, 0.9], [2.0, -1.0], [0.3, 0.7], [5.0, 4.0]])
+        assert accuracy(scores, np.array([1, 0, 0, 1])) == 0.5
+
+    def test_an_empty_split_has_no_accuracy(self):
+        with pytest.raises(InputError) as exc:
+            accuracy(np.zeros((0, 3)), np.zeros(0, dtype=int))
+        assert exc.value.code == "empty-split"
 
 
 class TestPairSampling:
@@ -373,8 +400,8 @@ def reference_head(source, target, cfg):
     return W
 
 
-def reference_score(source, target, cfg):
-    if cfg.reuse_source_classifier:
+def reference_score(source, target, cfg, direct):
+    if direct:
         return source.accuracy(*target.train)
     W = reference_head(source, target, cfg)
     Xv, yv = target.valid
@@ -495,17 +522,16 @@ class TestBatchInvariance:
         shape's heads fit in one stack or are cut into stacks of 3 heads."""
         pairs = {(0, 1), (0, 2), (0, 5), (1, 3), (2, 3), (3, 4), (4, 5), (1, 5), (0, 6), (4, 6)}
         for family, cfg in stack_cases:
-            cfg = replace(cfg, reuse_source_classifier=reuse)
             short = make_blobs(seed=9, n_per=15, dim=family[0].dim, labels=3, task_id="short")
             tasks = family[:6] + [short]
             expected = {}
             for i, j in pairs:
                 for s, t in ((i, j), (j, i)):
                     source = train_single_task(tasks[s], cfg)
-                    expected[s, t] = transfer_score(source, tasks[t], cfg)
-                    assert expected[s, t] == reference_score(reference_train(tasks[s], cfg), tasks[t], cfg)
+                    expected[s, t] = transfer_score(source, tasks[t], cfg, direct=reuse)
+                    assert expected[s, t] == reference_score(reference_train(tasks[s], cfg), tasks[t], cfg, reuse)
             for limit in (64, 3):
                 monkeypatch.setattr(transfer, "_STACK_LIMIT", limit)
-                tm = build_transfer_matrix(tasks, pairs, cfg)
+                tm = build_transfer_matrix(tasks, pairs, cfg, direct=reuse)
                 for (s, t), score in expected.items():
                     assert tm.scores[s, t] == score
