@@ -44,6 +44,10 @@ STAGES = ("synth", "estimate", "filter", "complete", "cluster", "mtl", "fsl", "s
 LAPLACIAN_GAP_WARNING = 1e-9
 # Config keys that name the same setting as another key: key -> that setting.
 ALIASES = {"solver_tol": "tol", "solver_max_iter": "max_iter"}
+# The dataclass each stage builds with _pick: a section may set its fields
+# as well as the stage's flags. (FilterParams is built only from flags.)
+SECTION_CLASSES = {"synth": FamilyConfig, "estimate": TrainConfig, "complete": SolverConfig,
+                   "cluster": SolverConfig, "mtl": TrainConfig, "fsl": TrainConfig}
 
 
 def stage_seed(master: int, stage: str) -> int:
@@ -82,15 +86,26 @@ def _settings(args, stage: str, *required: str) -> dict:
 
     Every name in ``required`` is a path that one or the other must set. A
     section may name a setting once (under one of its ALIASES), and a flag
-    overrides it under either name.
+    overrides it under either name. The top level holds stage sections and
+    the master ``seed``; a section holds the stage's flag names and the
+    fields of its SECTION_CLASSES entry. Any other key is bad-config.
     """
     config = _load_config(args.config)
+    for key in config:
+        if key not in STAGES and key != "seed":
+            raise InputError("bad-config", f"config key {key!r} is neither a stage nor 'seed'")
     section = config.get(stage, {})
     if not isinstance(section, dict):
         raise InputError("bad-format", f"config section {stage!r} must be an object")
+    known = set(vars(args)) - {"config", "command", "func"}  # the flags, seed included
+    if stage in SECTION_CLASSES:
+        known.update(f.name for f in fields(SECTION_CLASSES[stage]))
     merged = dict(section)
     keys = {}  # setting -> the section key that names it
     for key in section:
+        if key not in known:
+            raise InputError("bad-config", f"config section {stage!r} has key {key!r}, "
+                                           f"which no {stage} setting reads")
         setting = ALIASES.get(key, key)
         if setting in keys:
             raise InputError("bad-config", f"config section {stage!r} names one setting twice: "
@@ -221,6 +236,7 @@ def cmd_cluster(args) -> int:
     params, diagnostics_path = _filter_params(s), _get(s, "diagnostics", str, "diagnostics.json")
     ps = filter_scores(fileio.read_transfer_csv(s["scores"]), params)
     X, result, diagnostics = _solve(ps, s)
+    del result  # its X and E are not needed for the partition
     part = spectral_cluster(X, K, seed=s["seed"])
     diagnostics["laplacian_gap"] = part.laplacian_gap
     if part.laplacian_gap is not None and part.laplacian_gap <= LAPLACIAN_GAP_WARNING:

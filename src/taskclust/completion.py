@@ -25,7 +25,11 @@ primal residual are exactly 0, so complete() keeps those three as vectors
 over Omega. X, the shrink input and the shrink itself stay dense: the
 eigendecomposition needs the whole matrix, and at the benchmark's sizes
 (Omega covers 12-18% of an n = 240-360 matrix) dense BLAS beats a product
-gathered over Omega.
+gathered over Omega. Between steps the solve holds four dense n x n
+float64 arrays: X, the previous X, the residual R and one work buffer
+that takes the shrink input M, is symmetrized in place by the shrink, and
+then takes X_prev - X for the dual residual. The eigendecomposition adds
+its own copy, workspace and eigenvectors on top of those.
 """
 
 from __future__ import annotations
@@ -73,6 +77,9 @@ class CompletionProblem:
     """Observed values Y, observation mask Omega, l1 weight.
 
     Omega and P_Omega(Y) must be exactly symmetric; Y off Omega is never read.
+    A real-valued Y keeps its dtype (fileio.read_partial_csv gives a 0/1
+    int8 matrix), since complete() converts P_Omega(Y) to float64 itself;
+    any other Y is converted to float64 here.
     """
 
     Y: np.ndarray
@@ -80,7 +87,9 @@ class CompletionProblem:
     lam: float
 
     def __post_init__(self):
-        self.Y = np.asarray(self.Y, dtype=float)
+        self.Y = np.asarray(self.Y)
+        if self.Y.dtype.kind not in "biuf":
+            self.Y = self.Y.astype(float, copy=False)
         self.omega = np.asarray(self.omega, dtype=bool)
         if self.Y.ndim != 2 or self.Y.shape[0] != self.Y.shape[1]:
             raise InputError("bad-shape", f"Y must be square, got {self.Y.shape}")
@@ -92,7 +101,7 @@ class CompletionProblem:
             raise InputError("empty-mask", "no observed entries")
         if not np.isfinite(self.Y[self.omega]).all():
             raise InputError("non-finite", "observed entries must be finite")
-        Yp = np.where(self.omega, self.Y, 0.0)
+        Yp = np.where(self.omega, self.Y, 0)  # in Y's dtype: int8 stays 1 byte an entry
         if not (np.array_equal(self.omega, self.omega.T) and np.array_equal(Yp, Yp.T)):
             raise InputError("asymmetric-input", "omega and the observed values must be symmetric")
         if not 0 < self.lam < np.inf:  # NaN fails the test too
@@ -138,7 +147,7 @@ def svt(M: np.ndarray, tau: float) -> np.ndarray:
     """
     if tau <= 0:
         raise InputError("bad-tau", "tau must be positive")
-    M = np.asarray(M, dtype=float)
+    M = np.array(M, dtype=float)  # a copy: _shrink_step overwrites it
     if not np.array_equal(M, M.T, equal_nan=True):  # a NaN is reported as non-finite
         raise InputError("asymmetric-input", "svt needs a symmetric matrix")
     if not np.isfinite(M).all():
@@ -149,19 +158,24 @@ def svt(M: np.ndarray, tau: float) -> np.ndarray:
 def _shrink_step(M, tau, basis):
     """One prox step of complete(): (X, kept rank, next warm basis, full).
 
-    M is finite (the callers check) and symmetric up to rounding; S =
-    (M + M^T)/2 is shrunk. M + M^T can still overflow, so a decomposition
-    that fails raises NumericalError("diverged"). Without a basis, S is
-    decomposed in full (the exact svt). With an orthonormal basis B, S is multiplied by B once, the
-    product orthonormalized, and only the Ritz pairs of S in that subspace
-    are shrunk. When every Ritz value clears tau, the kept rank may have
-    outgrown the basis, so S is decomposed in full after all (full=True).
+    M is a float64 array that is finite (the callers check) and symmetric
+    up to rounding. It is overwritten with S = (M + M^T)/2, the matrix that
+    is shrunk: numpy buffers the overlapping operand of ``S += S.T``, so S
+    has the bits of the out-of-place (M + M^T)/2. M + M^T can still
+    overflow, so a decomposition that fails raises
+    NumericalError("diverged"). Without a basis, S is decomposed in full
+    (the exact svt). With an orthonormal basis B, S is multiplied by B
+    once, the product orthonormalized, and only the Ritz pairs of S in that
+    subspace are shrunk. When every Ritz value clears tau, the kept rank
+    may have outgrown the basis, so S is decomposed in full after all
+    (full=True).
 
     The next basis holds the eigenvectors of the kept rank plus _BUFFER
     more, by |eigenvalue|; it is None (next step full) when that is wider
     than _WARM_WIDTH_FRACTION * n.
     """
-    S = M + M.T
+    S = M
+    S += S.T
     S /= 2.0
     full = basis is None
     try:
@@ -174,7 +188,7 @@ def _shrink_step(M, tau, basis):
             w, V = np.linalg.eigh(S)
     except np.linalg.LinAlgError as err:
         raise NumericalError("diverged", f"eigendecomposition failed: {err}") from err
-    X, rank = _threshold(V * np.sign(w), np.abs(w), V.T, tau)
+    X, rank = _threshold(V, w, tau)
     width = rank + _BUFFER
     if width > _WARM_WIDTH_FRACTION * len(S):
         return X, rank, None, full
@@ -182,14 +196,19 @@ def _shrink_step(M, tau, basis):
     return X, rank, V[:, order], full
 
 
-def _threshold(U, s, Vt, tau):
-    """Shrink the singular values s by tau: (U diag(s - tau)_+ Vt, kept rank)."""
-    s = np.maximum(s - tau, 0.0)
+def _threshold(V, w, tau):
+    """Shrink the eigenvalues w of V diag(w) V^T by tau in magnitude:
+    (V diag(sign(w) (|w| - tau)_+) V^T, kept rank).
+
+    Only the kept columns of V are scaled, so a step keeping r of n
+    eigenpairs forms an n x r product, not an n x n one.
+    """
+    s = np.maximum(np.abs(w) - tau, 0.0)
     keep = s > 0
     rank = int(keep.sum())
     if not rank:
-        return np.zeros((U.shape[0], Vt.shape[1])), 0
-    return (U[:, keep] * s[keep]) @ Vt[keep], rank
+        return np.zeros((V.shape[0], V.shape[0])), 0
+    return (V[:, keep] * np.sign(w[keep]) * s[keep]) @ V.T[keep], rank
 
 
 def soft_threshold(M: np.ndarray, tau: float) -> np.ndarray:
@@ -254,7 +273,9 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
     over n x n buffers (R scattered into zeros; X_prev - X with e - e_prev
     on Omega), so that they sum the same squares in the same order as the
     all-dense iteration, and every result is bit for bit the same as with
-    E, Lambda and R dense.
+    E, Lambda and R dense. M and X_prev - X share one work buffer, written
+    in place each step, and P_Omega(Y) is dropped once its norms and its
+    values on Omega are taken.
 
     The input is symmetric, so each step shrinks an eigendecomposition. It
     starts from the previous step's basis (its kept eigenvectors plus a
@@ -268,8 +289,9 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
     omega = problem.omega
     lam = problem.lam
 
-    Yp = np.where(omega, problem.Y, 0.0)
     n = problem.n
+    Yp = np.zeros((n, n))  # P_Omega(Y) in float64, whatever Y's dtype
+    np.copyto(Yp, problem.Y, where=omega)
     y_norm = np.linalg.norm(Yp)
     denom = max(1.0, y_norm)
 
@@ -286,7 +308,9 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
     # without fancy indexing.
     idx = slice(None) if omega.all() else np.flatnonzero(omega)
     y = Yp.ravel()[idx]
+    del Yp
     X = np.zeros((n, n))
+    W = np.empty((n, n))  # the work buffer: M, then X_prev - X
     e = np.zeros(y.size)  # E on Omega
     mult = np.zeros(y.size)  # the multiplier Lambda on Omega
     R = np.zeros(n * n)  # the primal residual, zero off Omega
@@ -301,10 +325,10 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
         m = y - e + mult_rho
         if not np.isfinite(m).all():  # off Omega M is X_prev, checked last step
             raise NumericalError("non-finite", "svt input contains NaN or inf")
-        M = X + 0.0
-        M.ravel()[idx] = m
+        np.add(X, 0.0, out=W)
+        W.ravel()[idx] = m
         X_prev = X
-        X, rank, basis, full = _shrink_step(M, 1.0 / rho, basis)
+        X, rank, basis, full = _shrink_step(W, 1.0 / rho, basis)
         full_steps += full
         yx = y - X.ravel()[idx]
         e_prev = e
@@ -315,7 +339,7 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
             raise NumericalError("diverged", f"non-finite iterate at iteration {it}")
         R[idx] = r
         residual = np.linalg.norm(R) / denom
-        dE = X_prev - X  # E - E_prev off Omega, up to the sign of zeros
+        dE = np.subtract(X_prev, X, out=W)  # E - E_prev off Omega, up to the sign of zeros
         dE.ravel()[idx] = e - e_prev
         dual = rho * np.linalg.norm(dE) / denom
         if residual < config.tol and dual < config.tol:
@@ -328,7 +352,9 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
         elif dual > 10.0 * residual:
             rho = max(rho / config.rho_growth, rho_floor)
 
-    X = (X + X.T) / 2.0
+    del W, R, X_prev
+    X += X.T  # X is the last shrink's own array; the overlap is buffered
+    X /= 2.0
     E = np.zeros((n, n))
     E.ravel()[idx] = e
     return CompletionResult(

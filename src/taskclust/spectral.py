@@ -115,10 +115,18 @@ def spectral_cluster(X: np.ndarray, K: int, seed: int = 0) -> TaskPartition:
     if K == 1:
         return TaskPartition(n=n, K=1, assignment=np.zeros(n, dtype=int), seed=seed)
 
-    A = (X + X.T) / 2.0 + SELF_LOOP * np.eye(n)
-    d = A.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(d)
-    L = np.eye(n) - inv_sqrt[:, None] * A * inv_sqrt[None, :]
+    # A and then L are built in one n x n buffer, each step rounding as the
+    # out-of-place formula (X + X^T)/2 + SELF_LOOP*I and I - D^-1/2 A D^-1/2
+    # does. 0.0 - a, unlike -a, keeps a zero off the diagonal +0.0.
+    diag = np.diag_indices(n)
+    A = X + X.T
+    A /= 2.0
+    A[diag] += SELF_LOOP
+    inv_sqrt = 1.0 / np.sqrt(A.sum(axis=1))
+    A *= inv_sqrt[:, None]
+    A *= inv_sqrt[None, :]
+    L = np.subtract(0.0, A, out=A)
+    L[diag] += 1.0
     w, vecs = np.linalg.eigh(L)
     U = vecs[:, :K]
     norms = np.linalg.norm(U, axis=1, keepdims=True)

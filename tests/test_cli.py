@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line pipeline, run in process."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -345,26 +346,6 @@ class TestLearningCommands:
             assert 0.0 <= row["accuracy"] <= 1.0
         assert doc["macro_accuracy"] == np.mean([r["accuracy"] for r in doc["tasks"]])
 
-    def test_fsl_steps_key_does_not_reach_the_mixture_fit(self, pipeline, tmp_path, capsys):
-        """The mixture fit's step count is not a setting: a ``steps`` key in
-        the fsl section leaves the weights unchanged."""
-        tasks, part = pipeline
-        targets = tmp_path / "targets"
-        run(capsys, "synth", "--out", targets, "--n-tasks", 2, "--clusters", 2,
-            "--dim", 5, "--seed", 9)
-        reports = []
-        for tag, section in (("plain", {}), ("steps", {"steps": 1})):
-            config = tmp_path / f"{tag}-config.json"
-            fileio.write_json({"fsl": section}, config)
-            report = tmp_path / f"{tag}-fsl.json"
-            code, _, _ = run(capsys, "fsl", "--config", config, "--tasks", tasks,
-                             "--partition", part, "--targets", targets, "--out", report,
-                             "--shots", 2, "--epochs", 30, "--seed", 0)
-            assert code == 0
-            reports.append(fileio.read_json(report))
-        assert [r["alpha"] for r in reports[0]["tasks"]] == [r["alpha"] for r in reports[1]["tasks"]]
-        assert reports[0] == reports[1]
-
     def test_fsl_singleton_clusters_match_the_no_clustering_setup(self, pipeline, tmp_path, capsys):
         tasks, _ = pipeline
         part = tmp_path / "singletons.json"
@@ -481,23 +462,6 @@ class TestConfigPrecedence:
         doc = fileio.read_json(out / "membership.json")
         assert doc["seed"] == stage_seed(7, "synth")
 
-    def test_lambda_override_key_is_ignored(self, tmp_path, capsys):
-        tm, _ = synthetic_transfer_matrix(12, 3, 19, seed=0, sampling="anchored")
-        scores, sim = tmp_path / "scores.csv", tmp_path / "sim.csv"
-        fileio.write_transfer_csv(tm, scores)
-        run(capsys, "filter", "--scores", scores, "--out", sim, "--seed", 0)
-        outputs = []
-        for tag, section in (("plain", {}), ("override", {"lambda_override": 0.05})):
-            config = tmp_path / f"{tag}.json"
-            fileio.write_json({"complete": section}, config)
-            x, e = tmp_path / f"{tag}-X.csv", tmp_path / f"{tag}-E.csv"
-            code, _, _ = run(capsys, "complete", "--config", config, "--similarity", sim,
-                             "--out-x", x, "--out-e", e,
-                             "--diagnostics", tmp_path / f"{tag}-diag.json", "--seed", 0)
-            assert code == 0
-            outputs.append((x.read_bytes(), e.read_bytes()))
-        assert outputs[0] == outputs[1]
-
     @pytest.fixture
     def cluster_argv(self, tmp_path):
         tm, _ = synthetic_transfer_matrix(12, 3, 19, seed=0, sampling="anchored")
@@ -567,6 +531,7 @@ class TestConfigTypes:
             "cluster": ["--scores", scores, "--out", out, "--clusters", 2],
             "mtl": models,
             "fsl": models + ["--targets", family_dir],
+            "sweep": ["--out", out],
         }
 
     @pytest.mark.parametrize("command, section", [
@@ -594,6 +559,45 @@ class TestConfigTypes:
         assert record["error"] == "bad-config"
         assert repr(next(iter(section))) in record["message"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, section", [
+        ("mtl", {"epoch": 1}),                      # a misspelt epochs
+        ("mtl", {"reuse_source_classifier": True}),  # an estimate flag
+        ("fsl", {"steps": 1}),                      # the mixture fit's step count is no setting
+        ("complete", {"lambda_override": 0.05}),
+        ("filter", {"include_diagonal_in_stats": False}),  # FilterParams' name for include_diagonal
+        ("sweep", {"tol": 1e-3}),                   # a solver setting sweep does not take
+    ], ids=["mtl-epoch", "mtl-reuse", "fsl-steps", "complete-lambda_override",
+            "filter-include_diagonal_in_stats", "sweep-tol"])
+    def test_a_key_no_setting_reads_exits_two(self, argv, tmp_path, capsys, command, section):
+        config = tmp_path / "config.json"
+        fileio.write_json({command: section}, config)
+        code, _, err = run(capsys, command, "--config", config, *argv[command])
+        assert code == 2
+        record = stderr_record(err)
+        assert record["error"] == "bad-config"
+        assert repr(command) in record["message"] and repr(next(iter(section))) in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_a_top_level_key_that_is_no_stage_exits_two(self, tmp_path, capsys):
+        # Reported before any input is read: the scores file does not exist.
+        config = tmp_path / "config.json"
+        fileio.write_json({"seed": 7, "clustr": {"clusters": 3}}, config)
+        code, _, err = run(capsys, "cluster", "--config", config, "--scores", tmp_path / "missing.csv",
+                           "--out", tmp_path / "out", "--clusters", 3)
+        assert code == 2
+        record = stderr_record(err)
+        assert record["error"] == "bad-config" and "'clustr'" in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", sorted(cli.SECTION_CLASSES))
+    def test_a_section_may_set_every_field_of_its_dataclass(self, tmp_path, command):
+        cls = cli.SECTION_CLASSES[command]
+        section = {f.name: f.default for f in fields(cls)}
+        config = tmp_path / "config.json"
+        fileio.write_json({command: section}, config)
+        args = cli.build_parser().parse_args([command, "--config", str(config)])
+        assert section.items() <= cli._settings(args, command).items()
 
     def test_a_string_master_seed_exits_two(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,21 @@ def test_svt_non_expansive(A, B):
     P, Q = symmetrize(A), symmetrize(B)
     d = np.linalg.norm(svt(P, 0.7) - svt(Q, 0.7))
     assert d <= np.linalg.norm(P - Q) + 1e-9
+
+
+def test_svt_leaves_its_input_untouched():
+    # _shrink_step symmetrizes its argument in place, so svt hands it a copy:
+    # a read-only M is accepted, and an M whose M + M^T overflows keeps its
+    # values when the decomposition fails.
+    A = np.random.default_rng(2).standard_normal((7, 7))
+    M = A + A.T
+    M.flags.writeable = False
+    assert np.abs(svt(M, 0.5) - svd_prox(M, 0.5)).max() < 1e-10
+    M = np.full((3, 3), 1e308)
+    with pytest.raises(NumericalError) as err, np.errstate(over="ignore"):
+        svt(M, 0.5)
+    assert err.value.code == "diverged"
+    assert (M == 1e308).all()
 
 
 def test_svt_rejects_non_finite():
@@ -534,6 +551,44 @@ def test_omega_loop_fails_like_the_dense_loop(scale, rho0, code, shrinks, monkey
     assert (err.code, err.message) == (ref.code, ref.message)
     assert err.code == code and len(ref_inputs) == shrinks
     assert_same_shrink_inputs(ref_inputs, inputs)
+
+
+def test_an_int8_y_solves_bit_for_bit_like_float64():
+    # fileio.read_partial_csv hands the solver a 0/1 int8 matrix. The problem
+    # keeps it as int8, and the solve is the float64 solve to the bit.
+    _, plan, _ = planted_problem(60, 3, 0.3, 0.03, 2)
+    Y8 = plan.Y.astype(np.int8)
+    assert np.array_equal(Y8, plan.Y)
+    lam = observation_lambda(plan.omega)
+    problem = CompletionProblem(Y8, plan.omega, lam)
+    assert problem.Y.dtype == np.int8
+    res = complete(problem)
+    ref = complete(CompletionProblem(Y8.astype(float), plan.omega, lam))
+    assert res.converged
+    assert res.X.tobytes() == ref.X.tobytes() and res.E.tobytes() == ref.E.tobytes()
+    for name in RESULT_FIELDS:
+        assert getattr(res, name) == getattr(ref, name), name
+
+
+def test_peak_memory_is_a_few_n_by_n_arrays():
+    """At a full step the solve holds five n x n float64 arrays that
+    tracemalloc sees: the previous X, the work buffer, the residual R, the
+    eigenvectors and the new X. Vectors over Omega (15% of n x n here) add
+    about 1.5 more; LAPACK's own workspace is not traced. The int8 Y is
+    never copied to float64."""
+    n = 200
+    _, plan, _ = planted_problem(n, 3, 0.15, 0.02, 0)
+    problem = CompletionProblem(plan.Y.astype(np.int8), plan.omega, observation_lambda(plan.omega))
+    complete(planted_problem(12, 3, 0.5, 0.0, 0)[2])  # first-call set-up is not counted
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = complete(problem)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert peak < 8 * n * n * 8
 
 
 def test_default_rho0_is_the_lambda_scaled_spectral_rule():

@@ -1,10 +1,13 @@
-"""The README's library example runs as written and prints what it promises."""
+"""The README's library example runs as written and prints what it promises,
+and its config example holds only keys that a setting reads."""
 
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
 
+from taskclust import cli
 from taskclust.spectral import adjusted_rand_index
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -23,3 +26,15 @@ def test_library_use_block_clusters_the_plant():
         exec(compile(blocks[0], str(README), "exec"), namespace)
     assert out.getvalue() == "1.0\n"
     assert adjusted_rand_index(namespace["part"].assignment, namespace["membership"]) == 1.0
+
+
+def test_config_example_names_only_settings(tmp_path):
+    section = README.read_text().split("## Determinism and configuration", 1)[1]
+    doc = re.search(r"^```json\n(.*?)^```$", section, flags=re.M | re.S).group(1)
+    config = tmp_path / "config.json"
+    config.write_text(doc)
+    stages = [key for key in json.loads(doc) if key != "seed"]
+    assert stages == ["synth", "estimate", "cluster"]
+    for stage in stages:
+        args = cli.build_parser().parse_args([stage, "--config", str(config)])
+        assert cli._settings(args, stage)["seed"] == cli.stage_seed(7, stage)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from taskclust.spectral import (
     SELF_LOOP,
     TaskPartition,
     adjusted_rand_index,
+    kmeans,
     spectral_cluster,
 )
 
@@ -145,6 +147,58 @@ def test_laplacian_gap_vanishes_when_a_row_is_zero():
     X[9, 9] = 0.0
     assert spectral_cluster(X, 3, seed=0).laplacian_gap < 1e-9
     assert spectral_cluster(X, 4, seed=0).laplacian_gap > 0.5
+
+
+def test_in_place_laplacian_matches_the_out_of_place_formula(monkeypatch):
+    """L is built in place; it must hold the bits of I - D^-1/2 A D^-1/2 with
+    A = (X + X^T)/2 + SELF_LOOP * I, signed zeros included, where X holds
+    +0.0 and -0.0 off the diagonal and -0.0 on it."""
+    member = [0] * 7 + [1] * 6 + [2] * 5
+    X = planted_affinity(member, noise=0.2, seed=5)
+    X[0, 0] = X[4, 4] = X[5, 5] = 0.0
+    i, j = np.indices(X.shape)
+    X = np.where((X == 0.0) & ((i + j) % 2 == 0), -0.0, X)
+    zeros = X == 0.0
+    assert 20 < np.signbit(X[zeros]).sum() < zeros.sum() - 20
+    n, K = X.shape[0], 3
+    A = (X + X.T) / 2.0 + SELF_LOOP * np.eye(n)
+    inv_sqrt = 1.0 / np.sqrt(A.sum(axis=1))
+    L_ref = np.eye(n) - inv_sqrt[:, None] * A * inv_sqrt[None, :]
+    w_ref, vecs = np.linalg.eigh(L_ref)
+    U = vecs[:, :K]
+    labels_ref = kmeans(U / np.maximum(np.linalg.norm(U, axis=1, keepdims=True), 1e-300), K, seed=3)
+
+    decomposed, eigh = [], np.linalg.eigh
+
+    def recording(L):
+        decomposed.append(L.tobytes())
+        out = eigh(L)
+        decomposed.append(out[0].tobytes())
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    part = spectral_cluster(X, K, seed=3)
+    assert decomposed == [L_ref.tobytes(), w_ref.tobytes()]
+    assert part.laplacian_gap == float(w_ref[K] - w_ref[K - 1])
+    assert np.array_equal(part.assignment, labels_ref)
+    assert adjusted_rand_index(part.assignment, member) == 1.0
+
+
+def test_peak_memory_is_two_n_by_n_arrays():
+    """Beyond its input, spectral_cluster holds the Laplacian and its
+    eigenvectors (the symmetry check's two temporaries come before them).
+    tracemalloc sees numpy's arrays but not LAPACK's workspace."""
+    n = 200
+    X = planted_affinity([k % 3 for k in range(n)], noise=0.1, seed=1)
+    spectral_cluster(X[:12, :12], 3, seed=0)  # first-call set-up is not counted
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        spectral_cluster(X, 3, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * n * 8
 
 
 def test_partition_validation():
