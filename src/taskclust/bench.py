@@ -47,13 +47,6 @@ class ObservationPlan:
     Y: np.ndarray      # X* with delta positions bit-flipped
 
 
-@dataclass
-class CoherenceDiagnostics:
-    mu0: float      # sqrt(n/k) * max_i max(||P_U e_i||, ||P_V e_i||)
-    uv_max: float   # max |(U V^T)_ij|
-    mu1: float      # uv_max * n / sqrt(k)
-
-
 def generate_planted(n: int, k: int, sizes, seed: int = 0) -> PlantedInstance:
     """Block similarity matrix with the given cluster sizes; membership is a
     seeded permutation so blocks are not contiguous."""
@@ -146,21 +139,6 @@ def observe_and_corrupt(
     Y = inst.X_star.copy()
     Y[delta] = 1.0 - Y[delta]
     return ObservationPlan(m1=m1, m2=m2, omega=omega, delta=delta, Y=np.where(omega, Y, 0.0))
-
-
-def coherence(inst: PlantedInstance) -> CoherenceDiagnostics:
-    """Incoherence proxies of X* from its rank-k SVD."""
-    if not inst.X_star.any():
-        raise InputError("zero-matrix", "X* is identically zero")
-    U, _, Vt = np.linalg.svd(inst.X_star)
-    k = inst.k
-    U, V = U[:, :k], Vt[:k].T
-    row_u = np.linalg.norm(U, axis=1)
-    row_v = np.linalg.norm(V, axis=1)
-    mu0 = float(np.sqrt(inst.n / k) * max(row_u.max(), row_v.max()))
-    uv_max = float(np.abs(U @ V.T).max())
-    mu1 = uv_max * inst.n / np.sqrt(k)
-    return CoherenceDiagnostics(mu0=mu0, uv_max=uv_max, mu1=mu1)
 
 
 @dataclass
@@ -314,7 +292,7 @@ def fewshot_trial(seed: int, n_tasks: int = 10, targets: int = 6, shots: int = 1
     tasks, membership = make_task_family(n_tasks, 2, FEWSHOT_FAMILY, seed=seed, opposed=True)
     pairs = set(itertools.combinations(range(n_tasks), 2))
     config = TrainConfig(epochs=epochs, seed=0)
-    ps = filter_scores(build_transfer_matrix(tasks, pairs, config, direct=True),
+    ps = filter_scores(build_transfer_matrix(tasks, pairs, config),
                        FilterParams(include_diagonal_in_stats=False))
     part = spectral_cluster(complete_similarity(ps.values, ps.observed)[0], 2, seed=seed)
     cluster_models = train_cluster_models(

@@ -162,7 +162,7 @@ def cmd_estimate(args) -> int:
     s = _settings(args, "estimate", "tasks", "out")
     config = _pick(s, TrainConfig)
     budget = _get(s, "pairs", int | str | None)
-    direct = _get(s, "reuse_source_classifier", bool, False)
+    _get(s, "reuse_source_classifier", bool)  # accepted for old command lines; changes nothing
     tasks = fileio.read_task_dir(s["tasks"])
     n = len(tasks)
     if budget in (None, "all"):
@@ -174,7 +174,7 @@ def cmd_estimate(args) -> int:
             raise InputError("bad-config",
                              f"setting 'pairs' must be an integer or 'all', not {budget!r}") from exc
         pairs = sample_task_pairs(n, budget, seed=s["seed"])
-    tm = build_transfer_matrix(tasks, pairs, config, direct)
+    tm = build_transfer_matrix(tasks, pairs, config)
     fileio.write_transfer_csv(tm, s["out"])
     print(f"estimated {len(pairs)} pairs over {n} tasks -> {s['out']}")
     return 0
@@ -415,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--reuse-source-classifier", dest="reuse_source_classifier",
         action="store_const", const=True,
-        help="score by direct evaluation instead of retraining a classifier",
+        help="kept for old command lines: scores are always by direct evaluation, so it changes nothing",
     )
 
     p = _add_command(sub, "filter", cmd_filter, "threshold scores into binary similarities")

@@ -196,14 +196,6 @@ def make_target_task(
     return _sample_task(f"target-c{cluster_id}-{tag}", means, fc, rng)
 
 
-def make_outlier_task(K: int, fc: FamilyConfig | None = None, seed: int = 0, tag: int = 0) -> TaskDataset:
-    """A task whose class means are unrelated to every cluster prototype."""
-    fc = fc or FamilyConfig()
-    rng = derive_rng(seed, "outlier", tag)
-    means = fc.separation * rng.standard_normal((fc.label_count, fc.dim))
-    return _sample_task(f"outlier-{tag}", means, fc, rng)
-
-
 def make_adversarial_task(
     cluster_id: int,
     K: int,

@@ -1,20 +1,16 @@
 """Per-task models and cross-task transfer scores.
 
 Each task gets a small linear encoder plus softmax classifier trained by
-mini-batch gradient descent. Transfer from task i to task j is measured in
-one of two ways. By default i's encoder is frozen, a fresh classifier is
-fitted on j's training split, and the score is its accuracy on j's
-validation split. With direct evaluation (``direct=True``) i's model is
-scored unchanged on j's training split, which needs equal label counts.
-Scores for a sampled set of task pairs are assembled into an asymmetric,
-partially observed matrix with unit diagonal.
+mini-batch gradient descent. Transfer from task i to task j is measured by
+direct evaluation: i's model, unchanged, is scored on j's training split,
+so the two tasks must have the same label count. Scores for a sampled set
+of task pairs are assembled into an asymmetric, partially observed matrix
+with unit diagonal.
 
 All training runs through one kernel that steps a stack of same-shaped
-problems at once: tasks of one shape train together, and so do the
-transfer heads of targets of one shape. The heads of one target share the
-target's random stream (initialization and batch orders); everything else
-draws from a stream of its own. Every step works on each problem alone, so
-a result is bit for bit the same whatever else is in the stack. The kernel
+problems at once: tasks of one shape train together, each drawing from a
+random stream of its own. Every step works on each problem alone, so a
+result is bit for bit the same whatever else is in the stack. The kernel
 works in augmented form (inputs end in a ones column and each weight matrix
 in its bias row, so a layer is one matmul forward and one backward), takes
 its one-hot targets built once per call and gathers each epoch's rows once.
@@ -102,12 +98,11 @@ class TrainConfig:
     lr: float = 0.1
     epochs: int = 200
     batch_size: int = 32
-    transfer_epochs: int = 50
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.hidden, self.epochs, self.transfer_epochs, self.batch_size) < 1:
-            raise InputError("bad-config", "hidden, epochs, transfer_epochs and batch_size must be positive")
+        if min(self.hidden, self.epochs, self.batch_size) < 1:
+            raise InputError("bad-config", "hidden, epochs and batch_size must be positive")
         if not 0 < self.lr < math.inf:  # NaN fails the test too
             raise InputError("bad-config", "learning rate must be positive and finite")
 
@@ -190,50 +185,35 @@ def _descend(W, A, G, lr) -> None:
     W -= T
 
 
-def _sgd(Xa, Y, Wc, rngs, epochs, config, We=None, owner=None):
+def _sgd(Xa, Y, Wc, rngs, epochs, config, We):
     """Mini-batch softmax SGD on a stack of B same-shaped problems, in place.
 
     Xa (B, m, k + 1) is augmented, Y (B, m, L) holds the one-hot targets
-    (``_onehot(y, L)``) and Wc (B, h + 1, L) the augmented heads. With the
-    augmented encoder We (B, k + 1, h) it trains with its head; without it
-    Xa holds fixed features (k = h) and only the head moves. Each epoch
+    (``_onehot(y, L)``), We (B, k + 1, h) the augmented encoders and Wc
+    (B, h + 1, L) the augmented heads, which train jointly. Each epoch
     draws one permutation from each generator in ``rngs`` (problem b from
-    rngs[owner[b]], or rngs[b] when owner is None) and gathers the permuted
-    rows once; every batch is a view of them. Every step is stacked matmuls
-    and elementwise operations that work on each problem alone, so a
-    problem's result does not depend on what else is in the stack.
+    rngs[b]) and gathers the permuted rows once; every batch is a view of
+    them. Every step is stacked matmuls and elementwise operations that
+    work on each problem alone, so a problem's result does not depend on
+    what else is in the stack.
     """
     B, m = Xa.shape[:2]
     bs = config.batch_size
     rows = np.arange(B)[:, None]
-    Za = None if We is None else np.ones((B, min(m, bs), We.shape[2] + 1))
+    Za = np.ones((B, min(m, bs), We.shape[2] + 1))
     for _ in range(epochs):
         order = np.stack([rng.permutation(m) for rng in rngs])
-        if owner is not None:
-            order = order[owner]
         Xe, Ye = Xa[rows, order], Y[rows, order]
         for start in range(0, m, bs):
             Xb = Xe[:, start:start + bs]
-            Zb = Xb if Za is None else Za[:, :Xb.shape[1]]
-            if Za is not None:
-                np.matmul(Xb, We, out=Zb[..., :-1])
+            Zb = Za[:, :Xb.shape[1]]
+            np.matmul(Xb, We, out=Zb[..., :-1])
             G = softmax(Zb @ Wc)
             G -= Ye[:, start:start + bs]
             G /= Xb.shape[1]
-            if Za is not None:
-                _descend(We, Xb, G @ Wc[:, :-1].transpose(0, 2, 1), config.lr)
+            _descend(We, Xb, G @ Wc[:, :-1].transpose(0, 2, 1), config.lr)
             _descend(Wc, Zb, G, config.lr)
         del Xe, Ye, Xb, Zb  # so that two epochs' rows are never held at once
-
-
-def _fit_classifier(Za, y, L, config, rngs, owner):
-    """Augmented heads (B, h + 1, L) fitted on fixed augmented features Za
-    (B, m, h + 1) with labels y (B, m). Head b draws its initialization and
-    batch orders from rngs[owner[b]], so heads that share a generator share
-    both."""
-    Wc = _init_stacks(rngs, (Za.shape[2] - 1, L))[0][owner]
-    _sgd(Za, _onehot(y, L), Wc, rngs, config.transfer_epochs, config, owner=owner)
-    return Wc
 
 
 def _init_stacks(rngs, *shapes) -> list[np.ndarray]:
@@ -250,26 +230,16 @@ def _init_stacks(rngs, *shapes) -> list[np.ndarray]:
 _STACK_LIMIT = 64
 
 
-def _stacks(keys, sizes=None) -> list[list[int]]:
-    """Positions grouped into stacks of equal key, in first-seen order.
-
-    A stack holds at most _STACK_LIMIT problems, position p counting as
-    sizes[p] of them (default 1); a position larger than that stands alone.
-    """
+def _stacks(keys) -> list[list[int]]:
+    """Positions grouped into stacks of equal key, in first-seen order, each
+    stack holding at most _STACK_LIMIT positions."""
     groups: dict = {}
     for pos, key in enumerate(keys):
         groups.setdefault(key, []).append(pos)
     stacks = []
     for members in groups.values():
-        stack, total = [], 0
-        for pos in members:
-            size = 1 if sizes is None else sizes[pos]
-            if stack and total + size > _STACK_LIMIT:
-                stacks.append(stack)
-                stack, total = [], 0
-            stack.append(pos)
-            total += size
-        stacks.append(stack)
+        for start in range(0, len(members), _STACK_LIMIT):
+            stacks.append(members[start:start + _STACK_LIMIT])
     return stacks
 
 
@@ -310,7 +280,11 @@ def train_single_task(dataset: TaskDataset, config: TrainConfig | None = None) -
     return train_tasks([dataset], config)[0]
 
 
-def _check_transfer(source: TaskModel, target: TaskDataset, direct: bool) -> None:
+def transfer_score(source: TaskModel, target: TaskDataset) -> float:
+    """Direct evaluation: the accuracy of the unchanged source model on
+    target.train. Source and target must agree on the feature dim
+    (dim-mismatch) and the label count (label-mismatch), and the target
+    needs training rows (empty-train)."""
     if target.dim != source.W_enc.shape[0]:
         raise InputError(
             "dim-mismatch",
@@ -318,51 +292,13 @@ def _check_transfer(source: TaskModel, target: TaskDataset, direct: bool) -> Non
         )
     if len(target.train[1]) == 0:
         raise InputError("empty-train", f"task {target.task_id} has no training data")
-    if direct and target.label_count != source.W_cls.shape[1]:
+    if target.label_count != source.W_cls.shape[1]:
         raise InputError(
             "label-mismatch",
             f"source head has {source.W_cls.shape[1]} labels but task {target.task_id} "
             f"has {target.label_count}, so it cannot be scored directly",
         )
-    if not direct and len(target.valid[1]) == 0:
-        raise InputError("empty-split", f"task {target.task_id} has no validation data")
-
-
-def _transfer_scores(jobs, config: TrainConfig, direct: bool) -> list[list[float]]:
-    """transfer_score of every source on its target, for (target, sources) jobs.
-
-    Every (source, target) must have passed _check_transfer, and the targets
-    must share their training shape and label count. The heads of one
-    target all draw from its stream, so they share their initialization and
-    batch orders; the heads of every job are fitted as one stack.
-    """
-    if direct:
-        return [[source.accuracy(*target.train) for source in sources] for target, sources in jobs]
-    encoders = [np.stack([np.vstack([s.W_enc, s.b_enc]) for s in sources]) for _, sources in jobs]
-    Z = np.concatenate([_augment(_augment(target.train[0]) @ We) for (target, _), We in zip(jobs, encoders)])
-    y = np.concatenate([np.tile(target.train[1], (len(sources), 1)) for target, sources in jobs])
-    rngs = [derive_rng(config.seed, "transfer", target.task_id) for target, _ in jobs]
-    owner = np.repeat(np.arange(len(jobs)), [len(sources) for _, sources in jobs])
-    W = _fit_classifier(Z, y, jobs[0][0].label_count, config, rngs, owner)
-    scores = []
-    for k, ((target, _), We) in enumerate(zip(jobs, encoders)):
-        Xv, yv = target.valid
-        logits = _augment(_augment(Xv) @ We) @ W[owner == k]
-        scores.append([accuracy(row, yv) for row in logits])
-    return scores
-
-
-def transfer_score(source: TaskModel, target: TaskDataset, config: TrainConfig | None = None,
-                   direct: bool = False) -> float:
-    """Accuracy on target.valid of a fresh classifier over source's frozen encoder.
-
-    With ``direct`` set the unmodified source model is scored on
-    target.train instead; the label counts must then be equal
-    (label-mismatch otherwise).
-    """
-    config = config or TrainConfig()
-    _check_transfer(source, target, direct)
-    return _transfer_scores([(target, [source])], config, direct)[0][0]
+    return source.accuracy(*target.train)
 
 
 def _pair_offset(i: int, n: int) -> int:
@@ -398,11 +334,10 @@ def build_transfer_matrix(
     tasks: list[TaskDataset],
     pairs: set[tuple[int, int]],
     config: TrainConfig | None = None,
-    direct: bool = False,
 ) -> TransferMatrix:
-    """Evaluate both directions of every sampled pair into a score matrix,
-    by direct evaluation when ``direct`` is set (see transfer_score)."""
-    config = config or TrainConfig()
+    """Train a model on every task in a sampled pair (train_tasks under
+    config) and score both directions of each pair with transfer_score. An
+    error of either direction names the pair, as ``pair (i,j): ...``."""
     n = len(tasks)
     for i, j in pairs:
         if not (0 <= i < n and 0 <= j < n and i != j):
@@ -411,23 +346,13 @@ def build_transfer_matrix(
     observed = np.zeros((n, n), dtype=bool)
     needed = sorted({i for p in pairs for i in p})
     models = dict(zip(needed, train_tasks([tasks[i] for i in needed], config)))
-    sources: dict[int, list[int]] = {}
     for i, j in sorted(set((min(p), max(p)) for p in pairs)):
         try:
-            _check_transfer(models[i], tasks[j], direct)
-            _check_transfer(models[j], tasks[i], direct)
+            scores[i, j] = transfer_score(models[i], tasks[j])
+            scores[j, i] = transfer_score(models[j], tasks[i])
         except InputError as exc:
             raise InputError(exc.code, f"pair ({i},{j}): {exc.message}") from exc
-        sources.setdefault(j, []).append(i)
-        sources.setdefault(i, []).append(j)
         observed[i, j] = observed[j, i] = True
-    targets = list(sources)
-    keys = [(tasks[j].train[0].shape, tasks[j].label_count) for j in targets]
-    for members in _stacks(keys, [len(sources[j]) for j in targets]):
-        chunk = [targets[pos] for pos in members]
-        jobs = [(tasks[j], [models[i] for i in sources[j]]) for j in chunk]
-        for j, row in zip(chunk, _transfer_scores(jobs, config, direct)):
-            scores[sources[j], j] = row
     d = np.arange(n)
     scores[d, d] = 1.0
     observed[d, d] = True

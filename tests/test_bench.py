@@ -3,7 +3,6 @@ import pytest
 
 from taskclust import bench
 from taskclust.bench import (
-    coherence,
     equal_sizes,
     generate_planted,
     minimal_m1_for_recovery,
@@ -89,26 +88,6 @@ def test_infeasible_odd_corruption():
     with pytest.raises(InputError) as err:
         observe_and_corrupt(inst, m1=2, m2=1, seed=2)
     assert err.value.code == "infeasible-budget"
-
-
-def test_coherence_equal_blocks():
-    diag = coherence(generate_planted(6, 2, (3, 3), seed=0))
-    assert diag.mu0 == pytest.approx(1.0, abs=1e-10)
-    ones = coherence(generate_planted(8, 1, (8,), seed=0))
-    assert ones.mu0 == pytest.approx(1.0, abs=1e-10)
-    assert ones.mu1 == pytest.approx(1.0, abs=1e-10)
-
-
-def test_coherence_unbalanced_closed_form():
-    n = 10
-    diag = coherence(generate_planted(n, 2, (1, n - 1), seed=0))
-    assert diag.mu0 == pytest.approx(np.sqrt(n / 2), abs=1e-10)
-
-
-def test_coherence_lower_bound():
-    for seed, k in ((0, 2), (1, 3), (2, 5)):
-        inst = generate_planted(15, k, equal_sizes(15, k), seed=seed)
-        assert coherence(inst).mu0 >= 1.0 - 1e-12
 
 
 def test_recovery_trial_full_observation():

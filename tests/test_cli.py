@@ -106,12 +106,35 @@ class TestEstimate:
         out = tmp_path / "s.csv"
         argv = ["estimate", "--tasks", family_dir, "--out", out, "--pairs", "all",
                 "--epochs", 5, "--seed", 3]
-        code, _, err = run(capsys, *argv, "--reuse-source-classifier")
-        assert code == 2
-        assert stderr_record(err)["error"] == "label-mismatch"
-        assert not out.exists()
-        code, _, _ = run(capsys, *argv)  # a retrained head takes the target's label count
-        assert code == 0
+        for flags in ([], ["--reuse-source-classifier"]):
+            code, _, err = run(capsys, *argv, *flags)
+            assert code == 2
+            assert stderr_record(err)["error"] == "label-mismatch"
+            assert not out.exists()
+
+    def test_the_reuse_flag_and_its_config_key_change_nothing(self, family_dir, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        fileio.write_json({"estimate": {"reuse_source_classifier": True}}, config)
+        argv = ["estimate", "--tasks", family_dir, "--pairs", 8, "--epochs", 15, "--seed", 3]
+        outs = []
+        for k, flags in enumerate(([], ["--reuse-source-classifier"], ["--config", config])):
+            outs.append(tmp_path / f"scores-{k}.csv")
+            code, _, err = run(capsys, *argv, "--out", outs[-1], *flags)
+            assert code == 0 and err == ""
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+    def test_the_benchmark_family_clusters_from_default_scores(self, tmp_path, capsys):
+        """The benchmark's tasks48 family (48 tasks in 3 clusters, 300 sampled
+        pairs): the default estimate scores separate the clusters."""
+        tasks, scores, part = tmp_path / "tasks", tmp_path / "scores.csv", tmp_path / "p.json"
+        for argv in (["synth", "--out", tasks, "--n-tasks", 48, "--clusters", 3, "--seed", 0],
+                     ["estimate", "--tasks", tasks, "--out", scores, "--pairs", 300, "--seed", 1],
+                     ["cluster", "--scores", scores, "--out", part, "--clusters", 3, "--seed", 2,
+                      "--diagnostics", tmp_path / "diag.json"]):
+            code, _, err = run(capsys, *argv)
+            assert code == 0, err
+        membership = fileio.read_json(tasks / "membership.json")["membership"]
+        assert adjusted_rand_index(fileio.read_partition_json(part).assignment, membership) >= 0.9
 
     def test_rerun_is_byte_identical(self, family_dir, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -563,12 +586,14 @@ class TestConfigTypes:
     @pytest.mark.parametrize("command, section", [
         ("mtl", {"epoch": 1}),                      # a misspelt epochs
         ("mtl", {"reuse_source_classifier": True}),  # an estimate flag
+        ("estimate", {"transfer_epochs": 50}),      # a field of no section's dataclass
+        ("mtl", {"transfer_epochs": 50}),
         ("fsl", {"steps": 1}),                      # the mixture fit's step count is no setting
         ("complete", {"lambda_override": 0.05}),
         ("filter", {"include_diagonal_in_stats": False}),  # FilterParams' name for include_diagonal
         ("sweep", {"tol": 1e-3}),                   # a solver setting sweep does not take
-    ], ids=["mtl-epoch", "mtl-reuse", "fsl-steps", "complete-lambda_override",
-            "filter-include_diagonal_in_stats", "sweep-tol"])
+    ], ids=["mtl-epoch", "mtl-reuse", "estimate-transfer_epochs", "mtl-transfer_epochs", "fsl-steps",
+            "complete-lambda_override", "filter-include_diagonal_in_stats", "sweep-tol"])
     def test_a_key_no_setting_reads_exits_two(self, argv, tmp_path, capsys, command, section):
         config = tmp_path / "config.json"
         fileio.write_json({command: section}, config)

@@ -14,7 +14,6 @@ from taskclust.synthdata import (
     cluster_prototypes,
     fewshot_from_dataset,
     make_adversarial_task,
-    make_outlier_task,
     make_target_task,
     make_task_family,
     synthetic_transfer_matrix,
@@ -215,17 +214,6 @@ class TestTaskFamilies:
             class_mean = X[y == l].mean(axis=0)
             assert np.linalg.norm(class_mean - protos[0, (l - 1) % 3]) < 0.01
             assert np.linalg.norm(class_mean - protos[0, l]) > 0.5
-
-    def test_outlier_task_avoids_every_prototype(self):
-        fc = FamilyConfig(dim=8, label_count=3, train_per_class=50,
-                          task_noise=0.0, sample_spread=0.01)
-        protos = cluster_prototypes(3, fc, seed=6)
-        out = make_outlier_task(3, fc, seed=6, tag=0)
-        X, y = out.train
-        for l in range(3):
-            class_mean = X[y == l].mean(axis=0)
-            dists = np.linalg.norm(protos[:, l] - class_mean, axis=1)
-            assert dists.min() > 0.5
 
 
 class TestFewShot:
