@@ -264,9 +264,8 @@ def minimal_m1_for_recovery(
 
 # fewshot_trial's families: two opposed clusters of noisy tasks. Targets get
 # task_noise 0.15, so they lie close to their cluster's geometry.
-FEWSHOT_FAMILY = FamilyConfig(dim=10, label_count=3, train_per_class=4, valid_per_class=10,
-                              test_per_class=30, separation=1.3, task_noise=0.7,
-                              sample_spread=1.2)
+FEWSHOT_FAMILY = FamilyConfig(dim=10, label_count=3, train_per_class=4, test_per_class=30,
+                              separation=1.3, task_noise=0.7, sample_spread=1.2)
 
 
 @dataclass

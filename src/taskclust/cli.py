@@ -215,12 +215,13 @@ def _solve(ps, s: dict):
 
 def cmd_complete(args) -> int:
     s = _settings(args, "complete", "similarity", "out_x", "out_e")
-    diagnostics_path = _get(s, "diagnostics", str, "diagnostics.json")
+    diagnostics_path = _get(s, "diagnostics", str)
     ps = fileio.read_partial_csv(s["similarity"])
     X, result, diagnostics = _solve(ps, s)
     fileio.write_dense_csv(X, s["out_x"])
     fileio.write_dense_csv(result.E, s["out_e"])
-    fileio.write_json(diagnostics, diagnostics_path)
+    if diagnostics_path is not None:
+        fileio.write_json(diagnostics, diagnostics_path)
     print(
         f"completed {ps.n}x{ps.n} in {result.iterations} iterations, "
         f"residual {result.final_residual:.3e}"
@@ -233,7 +234,7 @@ def cmd_cluster(args) -> int:
     K = _get(s, "clusters", int, 0)
     if K < 1:
         raise InputError("bad-K", "clusters must be >= 1")
-    params, diagnostics_path = _filter_params(s), _get(s, "diagnostics", str, "diagnostics.json")
+    params, diagnostics_path = _filter_params(s), _get(s, "diagnostics", str)
     ps = filter_scores(fileio.read_transfer_csv(s["scores"]), params)
     X, result, diagnostics = _solve(ps, s)
     del result  # its X and E are not needed for the partition
@@ -246,7 +247,8 @@ def cmd_cluster(args) -> int:
             "so the partition depends on an arbitrary eigenbasis",
         )
     fileio.write_partition_json(part, s["out"])
-    fileio.write_json(diagnostics, diagnostics_path)
+    if diagnostics_path is not None:
+        fileio.write_json(diagnostics, diagnostics_path)
     print(f"partitioned {ps.n} tasks into {K} clusters -> {s['out']}")
     return 0
 
@@ -372,7 +374,7 @@ def _add_filter_flags(sub):
 
 def _add_solver_flags(sub):
     """The completion step's settings: complete and cluster."""
-    sub.add_argument("--diagnostics", help="output JSON for solver diagnostics")
+    sub.add_argument("--diagnostics", help="output JSON for solver diagnostics (none written without it)")
     sub.add_argument("--lam", type=float, help="sparsity weight (default: observation-aware)")
     sub.add_argument("--solver-tol", dest="solver_tol", type=float)
     sub.add_argument("--solver-max-iter", dest="solver_max_iter", type=int)

@@ -20,7 +20,7 @@ from .filtering import PartialSimilarity
 from .spectral import TaskPartition
 from .transfer import TaskDataset, TransferMatrix
 
-SPLITS = ("train", "valid", "test")
+SPLITS = ("train", "test")
 
 
 def require_file(path) -> Path:
@@ -75,10 +75,6 @@ def read_json(path):
 # task datasets
 
 
-# json's text for the floats whose repr differs from it
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _indented_list(items: list[str], depth: int) -> str:
     """json.dumps's indent=2 text of a list at nesting depth ``depth`` whose
     items are given as text."""
@@ -93,14 +89,13 @@ def write_task_json(ds: TaskDataset, path) -> None:
 
     json's encoder runs in pure Python when it indents, so the indented text
     is built here: each split is a list of {"x": [...], "y": label} records,
-    keys sorted, floats as repr writes them (json's text for finite floats).
+    keys sorted, floats as repr writes them (json's text for the finite
+    floats a TaskDataset holds).
     """
     splits = []
     for name in sorted(SPLITS):
         X, y = getattr(ds, name)
         rows = [list(map(repr, row)) for row in X.tolist()]
-        if not np.isfinite(X).all():
-            rows = [[_JSON_NONFINITE.get(v, v) for v in row] for row in rows]
         records = [f'{{\n        "x": {_indented_list(row, 4)},\n        "y": {label}\n      }}'
                    for row, label in zip(rows, y.tolist())]
         splits.append(f'    "{name}": {_indented_list(records, 2)}')
@@ -110,6 +105,7 @@ def write_task_json(ds: TaskDataset, path) -> None:
 
 
 def read_task_json(path) -> TaskDataset:
+    """The task in a file write_task_json wrote. Keys it does not read are ignored."""
     doc = read_json(path)
     try:
         splits = {}
@@ -124,7 +120,6 @@ def read_task_json(path) -> TaskDataset:
             task_id=str(doc["task_id"]),
             label_count=int(doc["label_count"]),
             train=splits["train"],
-            valid=splits["valid"],
             test=splits["test"],
         )
     except (KeyError, TypeError, ValueError) as exc:

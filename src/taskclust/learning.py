@@ -331,7 +331,7 @@ def train_support_only(task: FewShotTask, config: TrainConfig | None = None) -> 
     the few-shot baseline that uses no cluster model."""
     d = task.dim
     empty = (np.zeros((0, d)), np.zeros(0, dtype=int))
-    ds = TaskDataset("support-only", task.label_count, task.support, empty, empty)
+    ds = TaskDataset("support-only", task.label_count, task.support, empty)
     return train_single_task(ds, config)
 
 

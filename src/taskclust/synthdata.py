@@ -115,7 +115,6 @@ class FamilyConfig:
     dim: int = 8
     label_count: int = 3
     train_per_class: int = 20
-    valid_per_class: int = 8
     test_per_class: int = 12
     separation: float = 2.5   # spread of class means within a prototype
     task_noise: float = 0.3   # how far a task's means drift from its prototype
@@ -124,23 +123,24 @@ class FamilyConfig:
     def __post_init__(self):
         if self.dim < 1 or self.label_count < 2:
             raise InputError("bad-config", "need dim >= 1 and at least 2 labels")
-        if min(self.train_per_class, self.valid_per_class, self.test_per_class) < 1:
+        if min(self.train_per_class, self.test_per_class) < 1:
             raise InputError("bad-config", "per-class split sizes must be positive")
+        for name in ("separation", "task_noise", "sample_spread"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise InputError("bad-config", f"{name} must be finite and non-negative")
 
 
 def _sample_task(task_id: str, means: np.ndarray, fc: FamilyConfig, rng) -> TaskDataset:
+    """Train then test: per class, ``*_per_class`` rows around its mean, shuffled."""
     L, d = means.shape
-    splits = {}
-    for name, per in (("train", fc.train_per_class),
-                      ("valid", fc.valid_per_class),
-                      ("test", fc.test_per_class)):
+    splits = []
+    for per in (fc.train_per_class, fc.test_per_class):
         X = np.vstack([means[l] + fc.sample_spread * rng.standard_normal((per, d))
                        for l in range(L)])
         y = np.repeat(np.arange(L), per)
         order = rng.permutation(len(y))
-        splits[name] = (X[order], y[order])
-    return TaskDataset(task_id=task_id, label_count=L,
-                       train=splits["train"], valid=splits["valid"], test=splits["test"])
+        splits.append((X[order], y[order]))
+    return TaskDataset(task_id, L, *splits)
 
 
 def cluster_prototypes(K: int, fc: FamilyConfig, seed: int, opposed: bool = False) -> np.ndarray:

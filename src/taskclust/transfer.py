@@ -35,19 +35,20 @@ class TaskDataset:
     task_id: str
     label_count: int
     train: tuple[np.ndarray, np.ndarray]
-    valid: tuple[np.ndarray, np.ndarray]
     test: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
         if self.label_count < 1:
             raise InputError("bad-label-count", "label_count must be positive")
         dims = set()
-        for name in ("train", "valid", "test"):
+        for name in ("train", "test"):
             X, y = getattr(self, name)
             X = np.asarray(X, dtype=float)
             y = np.asarray(y, dtype=int)
             if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
                 raise InputError("bad-shape", f"{name} split of {self.task_id} is malformed")
+            if not np.isfinite(X).all():
+                raise InputError("non-finite", f"{name} split of {self.task_id} has a non-finite feature")
             if y.size and (y.min() < 0 or y.max() >= self.label_count):
                 raise InputError(
                     "label-out-of-range",

@@ -50,6 +50,17 @@ class TestSynth:
         assert code == 2
         assert stderr_record(err)["error"] == "missing-setting"
 
+    @pytest.mark.parametrize("flag, value", [("--sample-spread", "nan"), ("--separation", "inf"),
+                                             ("--task-noise", "-0.5")])
+    def test_a_non_finite_or_negative_spread_exits_two(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "tasks"
+        code, _, err = run(capsys, "synth", "--out", out, "--n-tasks", 3, "--clusters", 1, flag, value)
+        assert code == 2
+        record = stderr_record(err)
+        assert record["error"] == "bad-config"
+        assert flag[2:].replace("-", "_") in record["message"]
+        assert not out.exists()
+
     def test_internal_key_error_is_not_a_missing_setting(self, family_dir, tmp_path, capsys,
                                                           monkeypatch):
         def broken(*args, **kwargs):
@@ -111,6 +122,19 @@ class TestEstimate:
             assert code == 2
             assert stderr_record(err)["error"] == "label-mismatch"
             assert not out.exists()
+
+    def test_a_non_finite_feature_exits_two(self, family_dir, tmp_path, capsys):
+        path = family_dir / "task-002.json"
+        doc = fileio.read_json(path)
+        doc["splits"]["train"][3]["x"][1] = float("nan")
+        fileio.write_json(doc, path)
+        out = tmp_path / "s.csv"
+        code, _, err = run(capsys, "estimate", "--tasks", family_dir, "--out", out, "--pairs", "all")
+        assert code == 2
+        record = stderr_record(err)
+        assert record["error"] == "non-finite"
+        assert "task002" in record["message"]
+        assert not out.exists()
 
     def test_the_reuse_flag_and_its_config_key_change_nothing(self, family_dir, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -307,6 +331,18 @@ class TestCluster:
             part = spectral_cluster(X, K, seed=0)
             assert fileio.read_partition_json(out).assignment.tolist() == part.assignment.tolist()
             assert part.laplacian_gap == gap
+
+    def test_diagnostics_are_written_only_when_asked(self, tmp_path, capsys, monkeypatch):
+        tm, _ = synthetic_transfer_matrix(12, 3, 19, seed=0, sampling="anchored")
+        fileio.write_transfer_csv(tm, tmp_path / "scores.csv")
+        fileio.write_partial_csv(filter_scores(tm), tmp_path / "partial.csv")
+        monkeypatch.chdir(tmp_path)
+        for argv in (["cluster", "--scores", "scores.csv", "--out", "p.json", "--clusters", 3],
+                     ["complete", "--similarity", "partial.csv", "--out-x", "X.csv", "--out-e", "E.csv"]):
+            code, _, err = run(capsys, *argv)
+            assert code == 0, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["E.csv", "X.csv", "p.json",
+                                                              "partial.csv", "scores.csv"]
 
     def test_zero_clusters_rejected(self, tmp_path, capsys):
         tm, _ = synthetic_transfer_matrix(6, 2, 9, seed=0)
@@ -588,11 +624,13 @@ class TestConfigTypes:
         ("mtl", {"reuse_source_classifier": True}),  # an estimate flag
         ("estimate", {"transfer_epochs": 50}),      # a field of no section's dataclass
         ("mtl", {"transfer_epochs": 50}),
+        ("synth", {"valid_per_class": 8}),          # the split synth no longer draws
         ("fsl", {"steps": 1}),                      # the mixture fit's step count is no setting
         ("complete", {"lambda_override": 0.05}),
         ("filter", {"include_diagonal_in_stats": False}),  # FilterParams' name for include_diagonal
         ("sweep", {"tol": 1e-3}),                   # a solver setting sweep does not take
-    ], ids=["mtl-epoch", "mtl-reuse", "estimate-transfer_epochs", "mtl-transfer_epochs", "fsl-steps",
+    ], ids=["mtl-epoch", "mtl-reuse", "estimate-transfer_epochs", "mtl-transfer_epochs",
+            "synth-valid_per_class", "fsl-steps",
             "complete-lambda_override", "filter-include_diagonal_in_stats", "sweep-tol"])
     def test_a_key_no_setting_reads_exits_two(self, argv, tmp_path, capsys, command, section):
         config = tmp_path / "config.json"

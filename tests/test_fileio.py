@@ -212,7 +212,7 @@ def test_task_json_round_trip(tmp_path):
     back = fileio.read_task_json(path)
     assert back.task_id == tasks[0].task_id
     assert back.label_count == tasks[0].label_count
-    for name in ("train", "valid", "test"):
+    for name in ("train", "test"):
         X0, y0 = getattr(tasks[0], name)
         X1, y1 = getattr(back, name)
         assert np.array_equal(X0, X1)
@@ -229,19 +229,30 @@ def json_task_text(ds):
 
 def test_task_json_is_the_json_dumps_text(tmp_path):
     tasks, _ = make_task_family(48, 3, seed=0)
-    X, y = tasks[0].train
-    odd = X.copy()
-    odd[0, :3] = [np.nan, np.inf, -np.inf]
-    empty = (np.zeros((0, X.shape[1])), np.zeros(0, dtype=int))
+    empty = (np.zeros((0, tasks[0].dim)), np.zeros(0, dtype=int))
     tasks += [
-        TaskDataset("empty-split \u00e9\"", 3, tasks[1].train, empty, tasks[1].test),
-        TaskDataset("non-finite", 3, (odd, y), tasks[2].valid, tasks[2].test),
-        TaskDataset("no-features", 2, (np.zeros((2, 0)), np.array([0, 1])), empty, empty),
+        TaskDataset("empty-split \u00e9\"", 3, tasks[1].train, empty),
+        TaskDataset("no-features", 2, (np.zeros((2, 0)), np.array([0, 1])), empty),
     ]
     path = tmp_path / "task.json"
     for ds in tasks:
         fileio.write_task_json(ds, path)
         assert path.read_text() == json_task_text(ds)
+
+
+def test_a_task_file_with_a_valid_split_reads_its_train_and_test(tmp_path):
+    """Files written before the valid split was dropped still hold one; it is
+    ignored and the train and test arrays read as written."""
+    tasks, _ = make_task_family(2, 2, seed=5)
+    path = tmp_path / "task.json"
+    fileio.write_task_json(tasks[0], path)
+    doc = json.loads(path.read_text())
+    doc["splits"]["valid"] = doc["splits"]["train"][:4]
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    back = fileio.read_task_json(path)
+    for name in ("train", "test"):
+        for a, b in zip(getattr(back, name), getattr(tasks[0], name)):
+            assert a.tobytes() == b.tobytes() and a.dtype == b.dtype
 
 
 def test_task_dir_sorted_and_skips_membership(tmp_path):

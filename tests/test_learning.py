@@ -83,7 +83,7 @@ class TestClusterTraining:
                           sample_spread=2.5, separation=2.0)
         for seed in range(10):
             ds = make_target_task(0, 2, fc, seed=seed)
-            copy = TaskDataset("copy", 3, ds.train, ds.valid, ds.test)
+            copy = TaskDataset("copy", 3, ds.train, ds.test)
             cfg = TrainConfig(epochs=60, seed=seed)
             single = train_single_task(ds, cfg)
             pooled = train_cluster_model([ds, copy], "shared_classifier", cfg)
@@ -232,7 +232,7 @@ def stack_clusters(fc):
     """Two stackable triples, a pair, a triple of the first shape again, and
     a triple that holds one task id twice (multihead rejects it)."""
     tasks, _ = make_task_family(9, 3, fc, seed=4)
-    twin = TaskDataset(tasks[0].task_id, 3, tasks[8].train, tasks[8].valid, tasks[8].test)
+    twin = TaskDataset(tasks[0].task_id, 3, tasks[8].train, tasks[8].test)
     return [tasks[0:3], tasks[3:6], tasks[6:8], [tasks[2], tasks[5], tasks[7]],
             [tasks[0], tasks[4], twin]]
 
@@ -348,10 +348,10 @@ def metric_clusters(fc):
     the first shape only in one member's label count."""
     tasks, _ = make_task_family(9, 3, fc, seed=4)
     X, y = tasks[8].train
-    rest = tasks[8].valid, tasks[8].test
-    twin = TaskDataset(tasks[0].task_id, 3, tasks[8].train, *rest)
-    one_label = TaskDataset("one-label", 3, (X[y == 0], y[y == 0]), *rest)
-    two_labels = TaskDataset("two-labels", 3, (X, y % 2), *rest)
+    test = tasks[8].test
+    twin = TaskDataset(tasks[0].task_id, 3, tasks[8].train, test)
+    one_label = TaskDataset("one-label", 3, (X[y == 0], y[y == 0]), test)
+    two_labels = TaskDataset("two-labels", 3, (X, y % 2), test)
     return [tasks[0:3], tasks[3:6], [tasks[6], tasks[7], one_label], tasks[6:8],
             [tasks[1], tasks[4], twin], [tasks[2], tasks[5], two_labels],
             [tasks[3], tasks[7], one_label]]
@@ -415,7 +415,7 @@ class TestMetricStacks:
         clusters, _ = cases[0]
         first = clusters[0][0]
         d = first.dim
-        empty = TaskDataset("empty", 3, (np.zeros((0, d)), np.zeros(0, dtype=int)), first.valid, first.test)
+        empty = TaskDataset("empty", 3, (np.zeros((0, d)), np.zeros(0, dtype=int)), first.test)
         for call in (lambda: train_cluster_models(clusters + [[first, empty]], "metric_encoder"),
                      lambda: train_cluster_model([first, empty], "metric_encoder")):
             with pytest.raises(InputError) as exc:
@@ -632,7 +632,7 @@ def random_label_task(task_id, seed, labels=17, dim=12, per=6):
     means = 3.0 * rng.standard_normal((labels, dim))
     X = np.vstack([m + 0.5 * rng.standard_normal((per, dim)) for m in means])
     y = np.repeat(np.arange(labels), per)
-    return TaskDataset(task_id, labels, (X, y), (X[:labels], y[:labels]), (X, y))
+    return TaskDataset(task_id, labels, (X, y), (X, y))
 
 
 class TestAdaptiveFallback:

@@ -149,14 +149,14 @@ class TestPrototypes:
 
 class TestTaskFamilies:
     def test_family_shapes_and_ids(self):
-        fc = FamilyConfig(dim=4, label_count=2, train_per_class=3, valid_per_class=2, test_per_class=2)
+        fc = FamilyConfig(dim=4, label_count=2, train_per_class=3, test_per_class=2)
         tasks, membership = make_task_family(5, 2, fc, seed=0)
         assert len(tasks) == 5
         assert membership.tolist() == [0, 0, 0, 1, 1]
         for t, ds in enumerate(tasks):
             assert ds.task_id == f"task{t:03d}"
             assert ds.train[0].shape == (6, 4)
-            assert ds.valid[0].shape == (4, 4)
+            assert ds.test[0].shape == (4, 4)
             assert np.bincount(ds.train[1], minlength=2).tolist() == [3, 3]
 
     def test_family_generation_is_deterministic(self):

@@ -26,7 +26,7 @@ from taskclust.transfer import (
 
 
 def make_blobs(seed, n_per=40, dim=2, labels=2, sep=4.0, noise=1.0, task_id="blobs"):
-    """Gaussian blobs on a ring, split 60/20/20 into train/valid/test."""
+    """Gaussian blobs on a ring, split 60/40 into train/test."""
     rng = derive_rng(seed, "blobs", task_id)
     angles = 2 * np.pi * np.arange(labels) / labels
     centers = sep * np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -37,13 +37,11 @@ def make_blobs(seed, n_per=40, dim=2, labels=2, sep=4.0, noise=1.0, task_id="blo
     order = rng.permutation(len(y))
     X, y = X[order], y[order]
     n_tr = int(0.6 * len(y))
-    n_va = int(0.2 * len(y))
     return TaskDataset(
         task_id=task_id,
         label_count=labels,
         train=(X[:n_tr], y[:n_tr]),
-        valid=(X[n_tr:n_tr + n_va], y[n_tr:n_tr + n_va]),
-        test=(X[n_tr + n_va:], y[n_tr + n_va:]),
+        test=(X[n_tr:], y[n_tr:]),
     )
 
 
@@ -112,7 +110,7 @@ class TestSingleTaskTraining:
     def test_single_example_per_class_memorized(self):
         X = np.array([[0.0, 5.0], [5.0, 0.0], [-5.0, -5.0]])
         y = np.array([0, 1, 2])
-        ds = TaskDataset("memorize", 3, (X, y), (X, y), (X, y))
+        ds = TaskDataset("memorize", 3, (X, y), (X, y))
         model = train_single_task(ds, TrainConfig(epochs=400, seed=0))
         assert model.accuracy(X, y) == 1.0
 
@@ -129,17 +127,33 @@ class TestSingleTaskTraining:
 
     def test_empty_train_rejected(self):
         empty = np.zeros((0, 2)), np.zeros(0, dtype=int)
-        ds = TaskDataset("empty", 2, empty, empty, empty)
+        ds = TaskDataset("empty", 2, empty, empty)
         with pytest.raises(InputError) as exc:
             train_single_task(ds)
         assert exc.value.code == "empty-train"
+
+
+class TestTaskDataset:
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_feature_is_rejected(self, split, value):
+        ds = make_blobs(seed=3, n_per=5)
+        splits = {"train": ds.train, "test": ds.test}
+        X, y = splits[split]
+        X = X.copy()
+        X[1, 0] = value
+        splits[split] = (X, y)
+        with pytest.raises(InputError) as exc:
+            TaskDataset("odd", 2, **splits)
+        assert exc.value.code == "non-finite"
+        assert split in exc.value.message
 
 
 class TestTransferScore:
     def test_self_transfer_tracks_own_validation_accuracy(self):
         ds = make_blobs(seed=5, n_per=60)
         model = train_single_task(ds, TrainConfig(seed=0))
-        own = model.accuracy(*ds.valid)
+        own = model.accuracy(*ds.test)
         score = transfer_score(model, ds)
         assert abs(score - own) <= 0.05
 
@@ -149,7 +163,7 @@ class TestTransferScore:
         ds = make_blobs(seed=8, n_per=60, labels=3)
         model = train_single_task(ds, TrainConfig(seed=0))
         perm = np.array([2, 0, 1])
-        relabeled = TaskDataset("relabeled", 3, (ds.train[0], perm[ds.train[1]]), ds.valid, ds.test)
+        relabeled = TaskDataset("relabeled", 3, (ds.train[0], perm[ds.train[1]]), ds.test)
         base = transfer_score(model, ds)
         assert base >= 0.9
         assert transfer_score(model, relabeled) <= 1.0 - base
@@ -160,28 +174,19 @@ class TestTransferScore:
         model = train_single_task(ds, TrainConfig(seed=0))
         assert transfer_score(model, other) == model.accuracy(*other.train)
 
-    def test_the_valid_and_test_splits_are_never_read(self):
+    def test_the_test_split_is_never_read(self):
         ds = make_blobs(seed=11, n_per=50)
         model = train_single_task(ds, TrainConfig(seed=0))
         empty = np.zeros((0, 2)), np.zeros(0, dtype=int)
-        hollow = TaskDataset("hollow", 2, ds.train, empty, empty)
+        hollow = TaskDataset("hollow", 2, ds.train, empty)
         assert transfer_score(model, hollow) == transfer_score(model, ds)
-
-    def test_single_validation_sample_scores_one(self):
-        """A one-row valid split does not bear on the score, which is the
-        source's accuracy on its own separable training blobs."""
-        ds = make_blobs(seed=11, n_per=50)
-        model = train_single_task(ds, TrainConfig(seed=0))
-        center0 = np.array([4.0, 0.0])
-        target = TaskDataset("one-valid", 2, ds.train, (center0[None, :], np.array([0])), ds.test)
-        assert transfer_score(model, target) == 1.0
 
     def test_direct_evaluation_needs_equal_label_counts(self):
         """A 3-label head scored task 1 relabelled to y % 2 at 0.667 whether
         the task declared 2 labels or 5; both are label-mismatch."""
         tasks, _ = make_task_family(4, 2, seed=0)
         model = train_single_task(tasks[0], TrainConfig(epochs=50))
-        splits = [(X, y % 2) for X, y in (tasks[1].train, tasks[1].valid, tasks[1].test)]
+        splits = [(X, y % 2) for X, y in (tasks[1].train, tasks[1].test)]
         for labels in (2, 5):
             relabelled = TaskDataset("relabelled", labels, *splits)
             with pytest.raises(InputError) as exc:
@@ -286,7 +291,7 @@ class TestBuildTransferMatrix:
     def test_identical_tasks_transfer_almost_identically(self):
         base = make_blobs(seed=21, n_per=50, task_id="base")
         tasks = [
-            TaskDataset(f"copy{i}", 2, base.train, base.valid, base.test)
+            TaskDataset(f"copy{i}", 2, base.train, base.test)
             for i in range(4)
         ]
         pairs = set(itertools.combinations(range(4), 2))
@@ -404,7 +409,7 @@ def stack_cases():
     the separate-bias arithmetic round differently.
     """
     cases = []
-    for fc, cfg in ((FamilyConfig(dim=5, label_count=3, train_per_class=13, valid_per_class=6), STACK_CFG),
+    for fc, cfg in ((FamilyConfig(dim=5, label_count=3, train_per_class=13), STACK_CFG),
                     (FamilyConfig(), TrainConfig(seed=5))):
         tasks, _ = make_task_family(6, 2, fc, seed=3)
         cases.append((tasks + [make_blobs(seed=4, n_per=20, dim=3, labels=4, task_id="odd")], cfg))
