@@ -61,6 +61,9 @@ def generate_planted(n: int, k: int, sizes, seed: int = 0) -> PlantedInstance:
 
 
 def equal_sizes(n: int, k: int) -> list[int]:
+    """k cluster sizes summing to n that differ by at most one; k < 1 is bad-sizes."""
+    if k < 1:
+        raise InputError("bad-sizes", f"need at least one cluster, got k={k}")
     base, extra = divmod(n, k)
     return [base + (1 if i < extra else 0) for i in range(k)]
 
@@ -199,12 +202,17 @@ def phase_sweep(
     """Empirical recovery probability over a (m1 fraction, m2 fraction) grid.
 
     m1 = round(frac * n^2), m2 = round(frac * m1). Per-trial seeds derive
-    from (seed, cell, trial).
+    from (seed, cell, trial). Fewer than one trial or a non-finite fraction
+    is bad-config, reported before any solve.
     """
     m1_fracs = list(m1_fracs)
     m2_fracs = list(m2_fracs)
     if not m1_fracs or not m2_fracs:
         raise InputError("empty-grid", "phase sweep needs a nonempty grid")
+    if trials < 1:
+        raise InputError("bad-config", f"need at least one trial per cell, got {trials}")
+    if not np.isfinite(m1_fracs + m2_fracs).all():
+        raise InputError("bad-config", "grid fractions must be finite")
     inst = generate_planted(n, k, equal_sizes(n, k), seed=seed)
 
     cells = []
@@ -302,8 +310,8 @@ def fewshot_trial(seed: int, n_tasks: int = 10, targets: int = 6, shots: int = 1
         target = make_target_task(tag % 2, 2, replace(FEWSHOT_FAMILY, task_noise=0.15),
                                   seed=seed, tag=tag, opposed=True)
         fs = fewshot_from_dataset(target, shots=shots, seed=seed + tag)
-        mixtures = [fsl_combine(models, fs)[1] for models in (cluster_models, flat_models)]
-        predictors = [*mixtures, train_support_only(fs, config)]
-        accs += [p.accuracy(*fs.query) for p in predictors]
+        predictors = [fsl_combine(cluster_models, fs), fsl_combine(flat_models, fs),
+                      train_support_only(fs, config)]
+        accs += [p.accuracy(*fs.test) for p in predictors]
     accs /= targets
     return FewShotResult(adjusted_rand_index(part.assignment, membership), *accs.tolist())

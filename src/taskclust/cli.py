@@ -311,12 +311,12 @@ def cmd_fsl(args) -> int:
             predictor = adaptive_fsl(models, fs, threshold=threshold, fallback_config=config)
             method = "adaptive-fsl"
         else:
-            _, predictor = fsl_combine(models, fs)
+            predictor = fsl_combine(models, fs)
             method = "fsl"
-        alpha = [] if predictor.used_fallback else predictor.weights.alpha
+        alpha = [] if predictor.used_fallback else predictor.alpha
         rows.append(
             {"task_id": ds.task_id, "method": method,
-             "accuracy": predictor.accuracy(*fs.query), "alpha": alpha}
+             "accuracy": predictor.accuracy(*fs.test), "alpha": alpha}
         )
     return _write_report(rows, s["out"], "fsl", "targets")
 

@@ -62,12 +62,12 @@ class SolverConfig:
     max_iter: int | None = None  # None: max(500, 2n)
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise InputError("bad-tol", "tol must be positive")
+        if not 0 < self.tol < np.inf:  # NaN fails the test too
+            raise InputError("bad-tol", "tol must be positive and finite")
         if self.max_iter is not None and self.max_iter < 1:
             raise InputError("bad-max-iter", "max_iter must be >= 1")
-        if self.rho_growth < 1:
-            raise InputError("bad-rho-growth", "rho_growth must be >= 1")
+        if not 1 <= self.rho_growth < np.inf:
+            raise InputError("bad-rho-growth", "rho_growth must be finite and >= 1")
         if self.rho0 is not None and not self.rho0 > 0:  # NaN fails the test too
             raise InputError("bad-rho0", "rho0 must be positive")
 

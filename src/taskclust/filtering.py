@@ -29,8 +29,8 @@ class FilterParams:
     include_diagonal_in_stats: bool = True
 
     def __post_init__(self):
-        if self.p1 < 0 or self.p2 < 0:
-            raise InputError("bad-params", "p1 and p2 must be nonnegative")
+        if not (0 <= self.p1 < np.inf and 0 <= self.p2 < np.inf):  # NaN fails the test too
+            raise InputError("bad-params", "p1 and p2 must be finite and nonnegative")
         if self.mode not in MODES:
             raise InputError("bad-params", f"mode must be one of {MODES}")
 

@@ -4,10 +4,12 @@ Three cluster model kinds are supported: a single encoder+classifier trained
 on pooled data (shared_classifier), a shared encoder with one classifier head
 per member task (shared_encoder_multihead), and a metric encoder trained
 episodically so that examples sit closer to same-label anchors
-(metric_encoder). A new task with a small support set is served either by a
+(metric_encoder). A few-shot task is a TaskDataset whose train split is the
+support set and whose test split is the query set. It is served either by a
 learned convex combination of frozen cluster predictors or, when every
 cluster scores at or below an accuracy threshold on the support set, by a
-fresh model trained on the support set alone.
+fresh model trained on the support set alone. Both answers are a
+MixturePredictor: the fresh model is the mixture of one model.
 
 train_cluster_models trains the models of same-shaped clusters as one
 stack: shared_classifier and shared_encoder_multihead through the SGD kernel
@@ -19,7 +21,7 @@ on the other clusters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +29,6 @@ from .errors import InputError
 from .seeding import derive_rng
 from .transfer import (
     TaskDataset,
-    TaskModel,
     TrainConfig,
     _augment,
     _descend,
@@ -49,33 +50,9 @@ PER_TASK_KINDS = ("shared_encoder_multihead",)
 
 
 @dataclass
-class FewShotTask:
-    support: tuple[np.ndarray, np.ndarray]
-    query: tuple[np.ndarray, np.ndarray]
-    label_count: int
-
-    def __post_init__(self):
-        Xs, ys = self.support
-        Xs = np.asarray(Xs, dtype=float)
-        ys = np.asarray(ys, dtype=int)
-        if len(ys) == 0:
-            raise InputError("no-support", "support set is empty")
-        if set(range(self.label_count)) - set(ys.tolist()):
-            raise InputError("missing-label", "every label must appear in the support set")
-        self.support = (Xs, ys)
-        Xq, yq = self.query
-        self.query = (np.asarray(Xq, dtype=float), np.asarray(yq, dtype=int))
-
-    @property
-    def dim(self) -> int:
-        return self.support[0].shape[1]
-
-
-@dataclass
 class ClusterModel:
     """One trained model covering a task cluster; behavior depends on kind."""
 
-    cluster_id: int
     kind: str
     W_enc: np.ndarray
     b_enc: np.ndarray
@@ -169,17 +146,17 @@ def _stack_key(cluster: list[TaskDataset], kind: str):
 
 def _train_stack(clusters: list[list[TaskDataset]], ids: list[int], kind: str,
                  config: TrainConfig) -> list[ClusterModel]:
-    """Models of one kind for same-shaped clusters; cluster b gets cluster_id ids[b]."""
+    """Models of one kind for same-shaped clusters; cluster b draws from stream ids[b]."""
     rngs = [derive_rng(config.seed, "cluster", k, kind) for k in ids]
     if kind == "metric_encoder":
-        return _train_metric_stack(clusters, ids, rngs, config)
+        return _train_metric_stack(clusters, rngs, config)
     d, h = clusters[0][0].dim, config.hidden
     if kind == "shared_classifier":
         We, Wc = _train_encoders(np.stack([np.vstack([t.train[0] for t in c]) for c in clusters]),
                                  np.stack([np.concatenate([t.train[1] for t in c]) for c in clusters]),
                                  clusters[0][0].label_count, rngs, config)
-        return [ClusterModel(k, kind, We[b, :-1], We[b, -1], Wc[b, :-1], Wc[b, -1])
-                for b, k in enumerate(ids)]
+        return [ClusterModel(kind, We[b, :-1], We[b, -1], Wc[b, :-1], Wc[b, -1])
+                for b in range(len(clusters))]
 
     # shared_encoder_multihead: one encoder per cluster, stepped by every
     # member's batches in turn, and one head per member.
@@ -190,12 +167,12 @@ def _train_stack(clusters: list[list[TaskDataset]], ids: list[int], kind: str,
     for _ in range(config.epochs):
         for Wc, (X, Y) in zip(heads, data):
             _sgd(X, Y, Wc, rngs, 1, config, We)
-    return [ClusterModel(k, kind, We[b, :-1], We[b, -1], heads={
+    return [ClusterModel(kind, We[b, :-1], We[b, -1], heads={
                 t.task_id: (Wc[b, :-1], Wc[b, -1]) for Wc, t in zip(heads, cluster)})
-            for b, (k, cluster) in enumerate(zip(ids, clusters))]
+            for b, cluster in enumerate(clusters)]
 
 
-def _train_metric_stack(clusters: list[list[TaskDataset]], ids: list[int], rngs,
+def _train_metric_stack(clusters: list[list[TaskDataset]], rngs,
                         config: TrainConfig) -> list[ClusterModel]:
     """Episodic metric_encoder training of same-shaped clusters as one stack.
 
@@ -239,7 +216,7 @@ def _train_metric_stack(clusters: list[list[TaskDataset]], ids: list[int], rngs,
         # logit_{ql} = u_l . v_q: u_l's gradient is sum_q g_ql v_q and v_q's is
         # sum_l g_ql u_l, and one product takes both back through the gathered rows.
         _descend(W, Xaq, np.concatenate([G.transpose(0, 2, 1) @ Vq, G @ Ua], axis=1), config.lr)
-    return [ClusterModel(k, "metric_encoder", W[i, :-1], W[i, -1]) for i, k in enumerate(ids)]
+    return [ClusterModel("metric_encoder", W[b, :-1], W[b, -1]) for b in range(B)]
 
 
 def train_cluster_models(
@@ -247,7 +224,7 @@ def train_cluster_models(
     kind: str,
     config: TrainConfig | None = None,
 ) -> list[ClusterModel]:
-    """One model of the requested kind per cluster; cluster k gets cluster_id k.
+    """One model of the requested kind per cluster, in the order of clusters.
 
     Every cluster is checked before any trains. Clusters of the same shape
     train as one stack, at most transfer._STACK_LIMIT of them: for
@@ -273,7 +250,8 @@ def train_cluster_model(
     config: TrainConfig | None = None,
     cluster_id: int = 0,
 ) -> ClusterModel:
-    """Fit one model of the requested kind on all tasks in the cluster."""
+    """Fit one model of the requested kind on all tasks in the cluster, from
+    the random stream that cluster_id names."""
     config = config or TrainConfig()
     _check_cluster(cluster, kind)
     return _train_stack([cluster], [cluster_id], kind, config)[0]
@@ -292,64 +270,55 @@ class CombineConfig:
 
 
 @dataclass
-class CombinationWeights:
+class MixturePredictor:
+    """Convex combination of frozen cluster predictors for one few-shot task.
+
+    The task's train split is its support set. alpha = softmax(logits)
+    weighs models[indices[k]], the participating models. The support-only
+    model of train_support_only is the one-model mixture, with
+    used_fallback set.
+    """
+
+    models: list[ClusterModel]
     logits: np.ndarray
-    indices: list[int]  # positions of the participating models in the input list
+    indices: list[int]  # positions of the participating models in models
+    task: TaskDataset
+    used_fallback: bool = False
 
     @property
     def alpha(self) -> np.ndarray:
-        z = self.logits - self.logits.max()
-        e = np.exp(z)
-        return e / e.sum()
-
-
-class MixturePredictor:
-    """Convex combination of frozen cluster predictors for one few-shot task."""
-
-    def __init__(self, models, weights: CombinationWeights, task: FewShotTask):
-        self.models = models
-        self.weights = weights
-        self.task = task
-        self.used_fallback = False
-
-    def _component_probs(self, X) -> np.ndarray:
-        cols = []
-        for idx in self.weights.indices:
-            cols.append(self.models[idx].predict_proba(X, support=self.task.support))
-        return np.stack(cols, axis=0)  # (K, m, L)
+        return softmax(self.logits)
 
     def predict_proba(self, X) -> np.ndarray:
-        P = self._component_probs(X)
-        return np.tensordot(self.weights.alpha, P, axes=1)
+        P = np.stack([self.models[i].predict_proba(X, support=self.task.train)
+                      for i in self.indices])  # (K, m, L)
+        return np.tensordot(self.alpha, P, axes=1)
 
     def accuracy(self, X, y) -> float:
         return accuracy(self.predict_proba(X), np.asarray(y, dtype=int))
 
 
-def train_support_only(task: FewShotTask, config: TrainConfig | None = None) -> TaskModel:
-    """A model trained on the support set alone: adaptive_fsl's fallback and
-    the few-shot baseline that uses no cluster model."""
-    d = task.dim
-    empty = (np.zeros((0, d)), np.zeros(0, dtype=int))
-    ds = TaskDataset("support-only", task.label_count, task.support, empty)
-    return train_single_task(ds, config)
+def _check_support(task: TaskDataset) -> None:
+    """no-support when the support set (the train split) is empty,
+    missing-label when a label has no example in it."""
+    ys = task.train[1]
+    if len(ys) == 0:
+        raise InputError("no-support", "support set is empty")
+    if set(range(task.label_count)) - set(ys.tolist()):
+        raise InputError("missing-label", "every label must appear in the support set")
 
 
-class SingleTaskPredictor:
-    """A model trained on the support set alone (the fallback path)."""
-
-    def __init__(self, model: TaskModel):
-        self.model = model
-        self.used_fallback = True
-
-    def predict_proba(self, X) -> np.ndarray:
-        return softmax(self.model.logits(X))
-
-    def accuracy(self, X, y) -> float:
-        return accuracy(self.predict_proba(X), np.asarray(y, dtype=int))
+def train_support_only(task: TaskDataset, config: TrainConfig | None = None) -> MixturePredictor:
+    """A model trained on the support set alone, as the one-model mixture:
+    adaptive_fsl's fallback and the few-shot baseline that uses no cluster
+    model."""
+    _check_support(task)
+    m = train_single_task(replace(task, task_id="support-only"), config)
+    model = ClusterModel("shared_classifier", m.W_enc, m.b_enc, m.W_cls, m.b_cls)
+    return MixturePredictor([model], np.zeros(1), [0], task, used_fallback=True)
 
 
-def _compatible(model: ClusterModel, task: FewShotTask) -> bool:
+def _compatible(model: ClusterModel, task: TaskDataset) -> bool:
     if model.dim != task.dim or model.kind in PER_TASK_KINDS:
         return False
     if model.kind == "shared_classifier":
@@ -357,18 +326,19 @@ def _compatible(model: ClusterModel, task: FewShotTask) -> bool:
     return True  # metric_encoder
 
 
-def _support_probs(models: list[ClusterModel], task: FewShotTask):
+def _support_probs(models: list[ClusterModel], task: TaskDataset):
     """Positions of the models that can score the task, and each one's label
-    distribution on its support set."""
+    distribution on its support set, after _check_support's checks."""
+    _check_support(task)
     indices = [i for i, m in enumerate(models) if _compatible(m, task)]
-    return indices, [models[i].predict_proba(task.support[0], support=task.support) for i in indices]
+    return indices, [models[i].predict_proba(task.train[0], support=task.train) for i in indices]
 
 
 def fsl_combine(
     models: list[ClusterModel],
-    task: FewShotTask,
+    task: TaskDataset,
     config: CombineConfig | None = None,
-) -> tuple[CombinationWeights, MixturePredictor]:
+) -> MixturePredictor:
     """Learn mixture weights over cluster predictors on the support set.
 
     Only the K mixture logits are trained; the cluster models stay frozen.
@@ -378,45 +348,41 @@ def fsl_combine(
     return _combine(models, task, *_support_probs(models, task), config)
 
 
-def _combine(models, task, indices, probs, config=None):
+def _combine(models, task, indices, probs, config=None) -> MixturePredictor:
     """fsl_combine over the compatible positions and their support
     distributions from _support_probs."""
     config = config or CombineConfig()
     if not indices:
         raise InputError("no-compatible-cluster", "no cluster model covers the label space")
-    ys = task.support[1]
+    ys = task.train[1]
     # Q[k, i] = model k's probability of the true label of support example i
     Q = np.maximum(np.stack([P[np.arange(len(ys)), ys] for P in probs]), 1e-300)
     logits = np.zeros(len(indices))
     for _ in range(config.steps):
-        z = logits - logits.max()
-        alpha = np.exp(z)
-        alpha /= alpha.sum()
+        alpha = softmax(logits)
         mix = alpha @ Q
         g_alpha = -(Q / mix).mean(axis=1)
         g_logits = alpha * (g_alpha - alpha @ g_alpha)
         logits = logits - config.lr * g_logits
-    weights = CombinationWeights(logits=logits, indices=indices)
-    return weights, MixturePredictor(models, weights, task)
+    return MixturePredictor(models, logits, indices, task)
 
 
 def adaptive_fsl(
     models: list[ClusterModel],
-    task: FewShotTask,
+    task: TaskDataset,
     threshold: float = 0.20,
     fallback_config: TrainConfig | None = None,
-):
+) -> MixturePredictor:
     """Mixture prediction with a fallback to support-set-only training.
 
     When no cluster model beats `threshold` accuracy on the support set the
     clusters evidently do not cover the task, so a fresh model is trained on
-    the support set instead.
+    the support set instead (train_support_only).
     """
     if not 0 <= threshold < 1:
         raise InputError("bad-threshold", "threshold must lie in [0, 1)")
     indices, probs = _support_probs(models, task)
-    best = max((accuracy(P, task.support[1]) for P in probs), default=0.0)
+    best = max((accuracy(P, task.train[1]) for P in probs), default=0.0)
     if best <= threshold:
-        return SingleTaskPredictor(train_support_only(task, fallback_config))
-    _, predictor = _combine(models, task, indices, probs)
-    return predictor
+        return train_support_only(task, fallback_config)
+    return _combine(models, task, indices, probs)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .learning import FewShotTask
 from .seeding import derive_rng
 from .transfer import TaskDataset, TransferMatrix, sample_task_pairs
 
@@ -219,8 +218,10 @@ def make_adversarial_task(
     return _sample_task(f"adversarial-c{cluster_id}-{tag}", means, fc, rng)
 
 
-def fewshot_from_dataset(ds: TaskDataset, shots: int, seed: int = 0) -> FewShotTask:
-    """Support = `shots` training examples per label; query = the test split."""
+def fewshot_from_dataset(ds: TaskDataset, shots: int, seed: int = 0) -> TaskDataset:
+    """ds as a few-shot task: its train split, the support set, is `shots`
+    of ds's training examples per label, and its test split, the query set,
+    is ds's."""
     if shots < 1:
         raise InputError("bad-config", "shots must be positive")
     X, y = ds.train
@@ -232,4 +233,4 @@ def fewshot_from_dataset(ds: TaskDataset, shots: int, seed: int = 0) -> FewShotT
             raise InputError("no-support", f"label {l} has only {pool.size} training examples")
         idx.extend(rng.choice(pool, size=shots, replace=False).tolist())
     idx = np.array(sorted(idx))
-    return FewShotTask(support=(X[idx], y[idx]), query=ds.test, label_count=ds.label_count)
+    return TaskDataset(ds.task_id, ds.label_count, (X[idx], y[idx]), ds.test)

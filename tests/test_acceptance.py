@@ -253,9 +253,9 @@ def test_adaptive_fallback_at_least_matches_plain_mixture(capsys):
             adversarial = make_adversarial_task(tag % 2, 2, fc, seed=seed, tag=tag)
             fs = fewshot_from_dataset(adversarial, shots=2, seed=seed + tag)
             predictor = adaptive_fsl(models, fs, threshold=0.20, fallback_config=cfg)
-            _, plain = fsl_combine(models, fs)
-            adaptive_accs.append(predictor.accuracy(*fs.query))
-            plain_accs.append(plain.accuracy(*fs.query))
+            plain = fsl_combine(models, fs)
+            adaptive_accs.append(predictor.accuracy(*fs.test))
+            plain_accs.append(plain.accuracy(*fs.test))
         wins += np.mean(adaptive_accs) >= np.mean(plain_accs)
     elapsed = time.perf_counter() - t0
     ok = wins >= 15 and elapsed < 300

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from taskclust import cli, fileio
+from taskclust import bench, cli, fileio
 from taskclust.cli import main, stage_seed
 from taskclust.completion import complete_similarity
 from taskclust.filtering import FilterParams, filter_scores
@@ -265,6 +265,39 @@ class TestFilterAndComplete:
         assert stderr_record(err)["error"] == "bad-lambda"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag", [("filter", "--p1"), ("filter", "--p2"),
+                                               ("cluster", "--p1"), ("cluster", "--p2")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_a_non_finite_filter_p_exits_two(self, command, flag, value, scores_csv, tmp_path,
+                                             capsys):
+        out = tmp_path / "out"
+        extra = ("--clusters", 3) if command == "cluster" else ()
+        code, _, err = run(capsys, command, "--scores", scores_csv, "--out", out, *extra,
+                           flag, value, "--seed", 0)
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert stderr_record(err)["error"] == "bad-params"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, config, code_name", [
+        (("--solver-tol", "inf"), {}, "bad-tol"),
+        (("--solver-tol", "nan"), {}, "bad-tol"),
+        ((), {"rho_growth": float("nan")}, "bad-rho-growth"),
+        ((), {"rho_growth": float("inf")}, "bad-rho-growth"),
+    ], ids=["tol-inf", "tol-nan", "rho_growth-nan", "rho_growth-inf"])
+    def test_a_non_finite_solver_setting_exits_two(self, argv, config, code_name, scores_csv,
+                                                   tmp_path, capsys):
+        sim, cfg = tmp_path / "sim.csv", tmp_path / "config.json"
+        run(capsys, "filter", "--scores", scores_csv, "--out", sim, "--seed", 0)
+        fileio.write_json({"complete": config}, cfg)
+        code, _, err = run(capsys, "complete", "--config", cfg, "--similarity", sim,
+                           "--out-x", tmp_path / "X.csv", "--out-e", tmp_path / "E.csv",
+                           *argv, "--seed", 0)
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert stderr_record(err)["error"] == code_name
+        assert not (tmp_path / "X.csv").exists()
+
     def test_garbage_similarity_file_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("#n=3\nnot,a,row,at,all\n")
@@ -486,6 +519,26 @@ class TestSweep:
         cells = fileio.read_sweep_csv(out)
         assert len(cells) == 2
         assert all(c.prob in (0.0, 1.0) for c in cells)
+
+    @pytest.mark.parametrize("argv, code_name", [
+        (("--trials", 0), "bad-config"),
+        (("--clusters", 0), "bad-sizes"),
+        (("--m1-fracs", "nan"), "bad-config"),
+        (("--m1-fracs", "0.5,inf"), "bad-config"),
+        (("--m2-fracs", "nan"), "bad-config"),
+    ], ids=["trials-0", "clusters-0", "m1-nan", "m1-inf", "m2-nan"])
+    def test_a_bad_setting_exits_two_before_any_solve(self, argv, code_name, tmp_path, capsys,
+                                                      monkeypatch):
+        def unsolvable(*args, **kwargs):
+            raise AssertionError("a bad setting must be reported before any solve")
+
+        monkeypatch.setattr(bench, "recovery_trial", unsolvable)
+        out = tmp_path / "s.csv"
+        code, _, err = run(capsys, "sweep", "--out", out, "--n", 12, *argv, "--seed", 0)
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert stderr_record(err)["error"] == code_name
+        assert not out.exists()
 
     def test_malformed_grid_exits_two(self, tmp_path, capsys):
         code, _, err = run(capsys, "sweep", "--out", tmp_path / "s.csv",

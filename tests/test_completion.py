@@ -689,6 +689,11 @@ def test_solver_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(InputError):
         SolverConfig(rho_growth=0.5)
+    for field, code in (("tol", "bad-tol"), ("rho_growth", "bad-rho-growth")):
+        for value in (np.nan, np.inf):
+            with pytest.raises(InputError) as err:
+                SolverConfig(**{field: value})
+            assert err.value.code == code
 
 
 @pytest.mark.parametrize("rho0", [-1.0, 0.0, np.nan])

@@ -255,3 +255,13 @@ def test_bad_mode_rejected():
         FilterParams(mode="huge")
     with pytest.raises(InputError):
         FilterParams(p1=-0.1)
+
+
+@pytest.mark.parametrize("field", ["p1", "p2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_non_finite_p_is_rejected(field, value):
+    """A NaN p passes `p < 0`, and an infinite p times a zero column sigma
+    is a NaN threshold: neither may reach the filter."""
+    with pytest.raises(InputError) as err:
+        FilterParams(**{field: value})
+    assert err.value.code == "bad-params"

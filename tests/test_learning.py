@@ -11,11 +11,8 @@ from taskclust import learning, transfer
 from taskclust.errors import InputError
 from taskclust.learning import (
     ClusterModel,
-    CombinationWeights,
     CombineConfig,
-    FewShotTask,
     MixturePredictor,
-    SingleTaskPredictor,
     adaptive_fsl,
     fsl_combine,
     metric_predict,
@@ -37,8 +34,7 @@ FC = FamilyConfig(dim=10, label_count=3, train_per_class=12, separation=1.8,
 
 
 def identity_metric_model(d):
-    return ClusterModel(cluster_id=0, kind="metric_encoder",
-                        W_enc=np.eye(d), b_enc=np.zeros(d))
+    return ClusterModel(kind="metric_encoder", W_enc=np.eye(d), b_enc=np.zeros(d))
 
 
 def family_models(seed, n_tasks=9, K=3, epochs=60, kind="shared_classifier", fc=FC):
@@ -51,15 +47,16 @@ def family_models(seed, n_tasks=9, K=3, epochs=60, kind="shared_classifier", fc=
     ]
 
 
-def support_cross_entropies(models, weights, task):
-    Xs, ys = task.support
+def support_cross_entropies(predictor):
+    task = predictor.task
+    Xs, ys = task.train
     Q = np.stack([
-        models[i].predict_proba(Xs, support=task.support)[np.arange(len(ys)), ys]
-        for i in weights.indices
+        predictor.models[i].predict_proba(Xs, support=task.train)[np.arange(len(ys)), ys]
+        for i in predictor.indices
     ])
     Q = np.maximum(Q, 1e-300)
-    mixture = -np.log(weights.alpha @ Q).mean()
-    singles = [-np.log(Q[k]).mean() for k in range(len(weights.indices))]
+    mixture = -np.log(predictor.alpha @ Q).mean()
+    singles = [-np.log(Q[k]).mean() for k in range(len(predictor.indices))]
     return mixture, singles
 
 
@@ -98,8 +95,8 @@ class TestClusterTraining:
         ds = make_target_task(0, 2, fc, seed=0)
         model = train_cluster_model([ds], "metric_encoder", TrainConfig(epochs=60, seed=0))
         fs = fewshot_from_dataset(ds, shots=3, seed=0)
-        P = metric_predict(model, fs.support, fs.support[0])
-        assert np.array_equal(P.argmax(axis=1), fs.support[1])
+        P = metric_predict(model, fs.train, fs.train[0])
+        assert np.array_equal(P.argmax(axis=1), fs.train[1])
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(InputError) as exc:
@@ -264,7 +261,6 @@ class TestClusterStacks:
                 clusters = clusters[:4]
             models = train_cluster_models(clusters, kind, cfg)
             for k, (cluster, model) in enumerate(zip(clusters, models)):
-                assert model.cluster_id == k
                 alone = train_cluster_model(cluster, kind, cfg, cluster_id=k)
                 expected = reference_cluster_arrays(cluster, kind, cfg, k)
                 assert len(model_arrays(model)) == len(expected)
@@ -373,19 +369,18 @@ class TestMetricStacks:
     def test_stacked_episodes_are_the_per_episode_loop(self, cases, limit, stacks, monkeypatch):
         monkeypatch.setattr(transfer, "_STACK_LIMIT", limit)
         seen = []
-        stack_trainer = learning._train_metric_stack
+        stack_trainer = learning._train_stack
 
         def recording(stack, ids, *args):
             seen.append(list(ids))
             return stack_trainer(stack, ids, *args)
 
-        monkeypatch.setattr(learning, "_train_metric_stack", recording)
+        monkeypatch.setattr(learning, "_train_stack", recording)
         for clusters, cfg in cases:
             seen.clear()
             models = train_cluster_models(clusters, "metric_encoder", cfg)
             assert seen == stacks
             for k, (cluster, model) in enumerate(zip(clusters, models)):
-                assert model.cluster_id == k
                 W, b = reference_metric_encoder(cluster, cfg, k)
                 assert np.array_equal(model.W_enc, W) and np.array_equal(model.b_enc, b)
                 alone = train_cluster_model(cluster, "metric_encoder", cfg, cluster_id=k)
@@ -471,18 +466,24 @@ class TestMetricPredict:
         assert exc.value.code == "missing-label"
 
 
-class TestFewShotTask:
+class TestSupportChecks:
+    """Every few-shot entry checks the support set (the train split) before
+    it scores or trains anything."""
+
+    def check(self, support, code):
+        models = [identity_metric_model(3)]
+        task = TaskDataset("target", 2, support, (np.zeros((1, 3)), np.zeros(1, dtype=int)))
+        for entry in (lambda: fsl_combine(models, task), lambda: adaptive_fsl(models, task),
+                      lambda: train_support_only(task)):
+            with pytest.raises(InputError) as exc:
+                entry()
+            assert exc.value.code == code
+
     def test_empty_support_rejected(self):
-        with pytest.raises(InputError) as exc:
-            FewShotTask(support=(np.zeros((0, 3)), np.zeros(0, dtype=int)),
-                        query=(np.zeros((1, 3)), np.zeros(1, dtype=int)), label_count=2)
-        assert exc.value.code == "no-support"
+        self.check((np.zeros((0, 3)), np.zeros(0, dtype=int)), "no-support")
 
     def test_missing_label_rejected(self):
-        with pytest.raises(InputError) as exc:
-            FewShotTask(support=(np.zeros((2, 3)), np.array([0, 0])),
-                        query=(np.zeros((1, 3)), np.zeros(1, dtype=int)), label_count=2)
-        assert exc.value.code == "missing-label"
+        self.check((np.zeros((2, 3)), np.array([0, 0])), "missing-label")
 
 
 class TestCombineConfig:
@@ -503,9 +504,9 @@ class TestFslCombine:
         models = family_models(seed=0, n_tasks=3, K=1)
         tgt = make_target_task(0, 1, FC, seed=0, tag=2)
         fs = fewshot_from_dataset(tgt, shots=2, seed=0)
-        weights, predictor = fsl_combine(models, fs)
-        assert weights.alpha.tolist() == [1.0]
-        Xq = fs.query[0]
+        predictor = fsl_combine(models, fs)
+        assert predictor.alpha.tolist() == [1.0]
+        Xq = fs.test[0]
         assert np.allclose(predictor.predict_proba(Xq), models[0].predict_proba(Xq))
 
     def test_identical_components_leave_weights_uniform(self):
@@ -514,10 +515,10 @@ class TestFslCombine:
         models = family_models(seed=1, n_tasks=3, K=1) * 3
         tgt = make_target_task(0, 1, FC, seed=1, tag=2)
         fs = fewshot_from_dataset(tgt, shots=2, seed=1)
-        weights, predictor = fsl_combine(models, fs)
-        assert np.array_equal(weights.logits, np.zeros(3))
-        assert np.allclose(weights.alpha, 1.0 / 3.0)
-        Xq = fs.query[0]
+        predictor = fsl_combine(models, fs)
+        assert np.array_equal(predictor.logits, np.zeros(3))
+        assert np.allclose(predictor.alpha, 1.0 / 3.0)
+        Xq = fs.test[0]
         assert np.allclose(predictor.predict_proba(Xq), models[0].predict_proba(Xq))
 
     def test_opposed_clusters_weight_concentrates_on_the_right_one(self):
@@ -534,12 +535,11 @@ class TestFslCombine:
             ]
             tgt = make_target_task(1, 2, FC, seed=seed, tag=0, opposed=True)
             fs = fewshot_from_dataset(tgt, shots=2, seed=seed)
-            weights, predictor = fsl_combine(models, fs)
-            alpha_own = weights.alpha[weights.indices.index(1)]
+            predictor = fsl_combine(models, fs)
+            alpha_own = predictor.alpha[predictor.indices.index(1)]
             assert alpha_own > 0.9
-            uniform = MixturePredictor(
-                models, CombinationWeights(logits=np.zeros(2), indices=[0, 1]), fs)
-            assert predictor.accuracy(*fs.query) > uniform.accuracy(*fs.query)
+            uniform = MixturePredictor(models, np.zeros(2), [0, 1], fs)
+            assert predictor.accuracy(*fs.test) > uniform.accuracy(*fs.test)
 
     def test_learned_mixture_never_loses_to_the_best_component(self):
         """Support cross-entropy of the trained mixture must come within 1e-6
@@ -550,8 +550,7 @@ class TestFslCombine:
             models = family_models(seed=seed)
             tgt = make_target_task(seed % 3, 3, FC, seed=seed, tag=1)
             fs = fewshot_from_dataset(tgt, shots=2, seed=seed)
-            weights, _ = fsl_combine(models, fs, cfg)
-            mixture_ce, single_ces = support_cross_entropies(models, weights, fs)
+            mixture_ce, single_ces = support_cross_entropies(fsl_combine(models, fs, cfg))
             assert mixture_ce <= min(single_ces) + 1e-6
 
     def test_mixture_strictly_beats_anticorrelated_components(self):
@@ -566,11 +565,10 @@ class TestFslCombine:
         ]
         parts = [fewshot_from_dataset(make_target_task(c, 2, FC, seed=4, tag=c, opposed=True),
                                       shots=2, seed=4) for c in range(2)]
-        support = (np.vstack([p.support[0] for p in parts]),
-                   np.concatenate([p.support[1] for p in parts]))
-        mixed = FewShotTask(support=support, query=parts[0].query, label_count=3)
-        weights, _ = fsl_combine(models, mixed)
-        mixture_ce, single_ces = support_cross_entropies(models, weights, mixed)
+        support = (np.vstack([p.train[0] for p in parts]),
+                   np.concatenate([p.train[1] for p in parts]))
+        mixed = TaskDataset("mixed", 3, support, parts[0].test)
+        mixture_ce, single_ces = support_cross_entropies(fsl_combine(models, mixed))
         assert mixture_ce < min(single_ces)
 
     def test_cluster_models_are_bit_identical_after_combining(self):
@@ -611,11 +609,11 @@ class TestMixtureDistribution:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(min_value=-60.0, max_value=60.0), min_size=2, max_size=2))
     def test_any_logits_give_a_valid_distribution(self, logits):
-        weights = CombinationWeights(logits=np.array(logits), indices=[0, 1])
-        alpha = weights.alpha
+        predictor = MixturePredictor(self.models, np.array(logits), [0, 1], self.task)
+        alpha = predictor.alpha
         assert np.all(alpha >= 0)
         assert abs(alpha.sum() - 1.0) <= 1e-9
-        P = MixturePredictor(self.models, weights, self.task).predict_proba(self.task.query[0])
+        P = predictor.predict_proba(self.task.test[0])
         assert np.all(P >= 0)
         assert np.allclose(P.sum(axis=1), 1.0, atol=1e-9)
 
@@ -646,7 +644,7 @@ class TestAdaptiveFallback:
         ]
         tgt = make_target_task(0, 2, FC, seed=3, tag=5)
         fs = fewshot_from_dataset(tgt, shots=2, seed=3)
-        Xs, ys = fs.support
+        Xs, ys = fs.train
         best = max(float(np.mean(m.predict_proba(Xs).argmax(axis=1) == ys)) for m in models)
         assert best >= 0.9
         predictor = adaptive_fsl(models, fs, threshold=0.20)
@@ -658,7 +656,7 @@ class TestAdaptiveFallback:
         set, and the mixture is fsl_combine's."""
         models = family_models(seed=6, n_tasks=6, K=2, epochs=40)
         fs = fewshot_from_dataset(make_target_task(1, 2, FC, seed=6, tag=0), shots=1, seed=6)
-        expected, _ = fsl_combine(models, fs)
+        expected = fsl_combine(models, fs)
         calls = []
         predict_proba = ClusterModel.predict_proba
 
@@ -669,7 +667,7 @@ class TestAdaptiveFallback:
         monkeypatch.setattr(ClusterModel, "predict_proba", counted)
         predictor = adaptive_fsl(models, fs, threshold=0.0)
         assert [id(m) for m in calls] == [id(m) for m in models]
-        assert np.array_equal(predictor.weights.logits, expected.logits)
+        assert np.array_equal(predictor.logits, expected.logits)
 
     def test_seventeen_label_stranger_task_falls_back(self):
         """A cluster model trained on unrelated 17-label data scores at chance
@@ -679,15 +677,21 @@ class TestAdaptiveFallback:
         model = train_cluster_model([src], "shared_classifier", TrainConfig(epochs=60, seed=0))
         tgt = random_label_task("tgt", seed=99)
         fs = fewshot_from_dataset(tgt, shots=2, seed=0)
-        Xs, ys = fs.support
+        Xs, ys = fs.train
         assert float(np.mean(model.predict_proba(Xs).argmax(axis=1) == ys)) <= 0.2
         predictor = adaptive_fsl([model], fs, threshold=0.20)
-        assert isinstance(predictor, SingleTaskPredictor)
+        assert isinstance(predictor, MixturePredictor)
         assert predictor.used_fallback
-        alone = train_support_only(fs)
-        assert np.array_equal(predictor.model.W_enc, alone.W_enc)
-        assert np.array_equal(predictor.model.W_cls, alone.W_cls)
-        P = predictor.predict_proba(fs.query[0])
+        assert predictor.alpha.tolist() == [1.0] and predictor.indices == [0]
+        alone = train_support_only(fs).models[0]
+        assert np.array_equal(predictor.models[0].W_enc, alone.W_enc)
+        assert np.array_equal(predictor.models[0].W_cls, alone.W_cls)
+        # the support-only model trains on the "support-only" stream
+        single = train_single_task(TaskDataset("support-only", fs.label_count, fs.train, fs.test))
+        assert np.array_equal(alone.W_enc, single.W_enc)
+        assert np.array_equal(alone.W_cls, single.W_cls)
+        P = predictor.predict_proba(fs.test[0])
+        assert np.array_equal(P, softmax(single.logits(fs.test[0])))
         assert np.allclose(P.sum(axis=1), 1.0, atol=1e-9)
 
     def test_zero_threshold_always_combines(self):

@@ -1,6 +1,10 @@
 """Tests for planted-cluster score matrices and synthetic task families."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,20 +222,22 @@ class TestTaskFamilies:
 
 class TestFewShot:
     def test_support_counts_and_query_identity(self):
+        """The few-shot task is ds with `shots` training rows per label as its
+        train split (the support set) and ds's test split as the query set."""
         fc = FamilyConfig(dim=4, label_count=3, train_per_class=10)
         ds = make_target_task(0, 2, fc, seed=0)
         fs = fewshot_from_dataset(ds, shots=2, seed=1)
-        Xs, ys = fs.support
+        Xs, ys = fs.train
         assert np.bincount(ys, minlength=3).tolist() == [2, 2, 2]
-        assert fs.label_count == 3
-        assert np.array_equal(fs.query[0], ds.test[0])
-        assert np.array_equal(fs.query[1], ds.test[1])
+        assert (fs.task_id, fs.label_count) == (ds.task_id, 3)
+        assert np.array_equal(fs.test[0], ds.test[0])
+        assert np.array_equal(fs.test[1], ds.test[1])
 
     def test_support_rows_come_from_the_training_split(self):
         ds = make_target_task(0, 2, FamilyConfig(dim=4), seed=2)
         fs = fewshot_from_dataset(ds, shots=3, seed=5)
         train_rows = {row.tobytes() for row in ds.train[0]}
-        for row in fs.support[0]:
+        for row in fs.train[0]:
             assert row.tobytes() in train_rows
 
     def test_sampling_is_deterministic_and_seed_sensitive(self):
@@ -239,8 +245,8 @@ class TestFewShot:
         a = fewshot_from_dataset(ds, shots=2, seed=9)
         b = fewshot_from_dataset(ds, shots=2, seed=9)
         c = fewshot_from_dataset(ds, shots=2, seed=10)
-        assert np.array_equal(a.support[0], b.support[0])
-        assert not np.array_equal(a.support[0], c.support[0])
+        assert np.array_equal(a.train[0], b.train[0])
+        assert not np.array_equal(a.train[0], c.train[0])
 
     def test_too_many_shots_rejected(self):
         fc = FamilyConfig(dim=4, label_count=2, train_per_class=2)
@@ -254,3 +260,14 @@ class TestFewShot:
         with pytest.raises(InputError) as exc:
             fewshot_from_dataset(ds, shots=0)
         assert exc.value.code == "bad-config"
+
+
+def test_synthdata_does_not_import_learning():
+    """The data generators sit below the learning layer: importing them in a
+    fresh interpreter leaves taskclust.learning unloaded."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, taskclust.synthdata; print('taskclust.learning' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
