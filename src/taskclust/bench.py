@@ -100,6 +100,11 @@ def _take_units(order: np.ndarray, weights: np.ndarray, budget: int) -> np.ndarr
     return np.concatenate([np.delete(taken, drop), rest[:1]])
 
 
+def _check_budget(n: int, m1: int, m2: int) -> None:
+    if not (0 <= m2 <= m1 <= n * n):
+        raise InputError("bad-budget", f"need 0 <= m2 <= m1 <= n^2, got m1={m1}, m2={m2}")
+
+
 def observe_and_corrupt(
     inst: PlantedInstance,
     m1: int,
@@ -113,8 +118,7 @@ def observe_and_corrupt(
     toward m1, and flips hit both mirrored positions.
     """
     n = inst.n
-    if not (0 <= m2 <= m1 <= n * n):
-        raise InputError("bad-budget", f"need 0 <= m2 <= m1 <= n^2, got m1={m1}, m2={m2}")
+    _check_budget(n, m1, m2)
     rng = derive_rng(seed, "observe", n, m1, m2)
     omega = np.zeros((n, n), dtype=bool)
     delta = np.zeros((n, n), dtype=bool)
@@ -203,7 +207,8 @@ def phase_sweep(
 
     m1 = round(frac * n^2), m2 = round(frac * m1). Per-trial seeds derive
     from (seed, cell, trial). Fewer than one trial or a non-finite fraction
-    is bad-config, reported before any solve.
+    is bad-config, and a cell outside 0 <= m2 <= m1 <= n^2 is bad-budget,
+    both reported before any solve.
     """
     m1_fracs = list(m1_fracs)
     m2_fracs = list(m2_fracs)
@@ -214,19 +219,20 @@ def phase_sweep(
     if not np.isfinite(m1_fracs + m2_fracs).all():
         raise InputError("bad-config", "grid fractions must be finite")
     inst = generate_planted(n, k, equal_sizes(n, k), seed=seed)
-
-    cells = []
+    budgets = {}
     for ci, f1 in enumerate(m1_fracs):
         for cj, f2 in enumerate(m2_fracs):
             m1 = int(round(f1 * n * n))
-            m2 = int(round(f2 * m1))
-            recovered = 0
-            for t in range(trials):
-                trial_seed = int(derive_rng(seed, "sweep", ci, cj, t).integers(2**63))
-                recovered += recovery_trial(inst, m1, m2, lam=lam, seed=trial_seed).recovered
-            cells.append(
-                SweepCell(n=n, k=k, m1=m1, m2=m2, trials=trials, recovered_count=recovered)
-            )
+            budgets[ci, cj] = m1, int(round(f2 * m1))
+            _check_budget(n, *budgets[ci, cj])
+
+    cells = []
+    for (ci, cj), (m1, m2) in budgets.items():
+        recovered = 0
+        for t in range(trials):
+            trial_seed = int(derive_rng(seed, "sweep", ci, cj, t).integers(2**63))
+            recovered += recovery_trial(inst, m1, m2, lam=lam, seed=trial_seed).recovered
+        cells.append(SweepCell(n=n, k=k, m1=m1, m2=m2, trials=trials, recovered_count=recovered))
     return cells
 
 

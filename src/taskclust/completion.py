@@ -25,11 +25,18 @@ primal residual are exactly 0, so complete() keeps those three as vectors
 over Omega. X, the shrink input and the shrink itself stay dense: the
 eigendecomposition needs the whole matrix, and at the benchmark's sizes
 (Omega covers 12-18% of an n = 240-360 matrix) dense BLAS beats a product
-gathered over Omega. Between steps the solve holds four dense n x n
-float64 arrays: X, the previous X, the residual R and one work buffer
-that takes the shrink input M, is symmetrized in place by the shrink, and
-then takes X_prev - X for the dual residual. The eigendecomposition adds
-its own copy, workspace and eigenvectors on top of those.
+gathered over Omega. Between steps the solve holds two dense n x n float64
+arrays, which swap roles each step: the shrink input M is built over the
+previous X, the shrink writes the new X into the other array, and M then
+takes M - X for the dual residual. The eigendecomposition adds its own
+copy, workspace and eigenvectors on top of those.
+
+No step symmetrizes M. M is symmetric up to rounding by construction: off
+Omega it is the previous shrink V diag(s) V^T, and on Omega it is built
+from the symmetric P_Omega(Y) and that X. np.linalg.eigh reads only one
+triangle, of M on a full step and of the Ritz matrix on a partial one, so
+a symmetrized copy would only cost an n x n transposed pass each step. The
+reported X is symmetrized once, at the end.
 """
 
 from __future__ import annotations
@@ -143,11 +150,13 @@ def svt(M: np.ndarray, tau: float) -> np.ndarray:
     by tau. M must be exactly symmetric (``asymmetric-input`` otherwise).
 
     svt always decomposes M in full; complete() shrinks a warm partial
-    eigendecomposition instead on most steps.
+    eigendecomposition instead on most steps. M is only read, so it is not
+    copied (a read-only M is fine). An eigenvalue that overflows float64
+    raises NumericalError("diverged").
     """
     if tau <= 0:
         raise InputError("bad-tau", "tau must be positive")
-    M = np.array(M, dtype=float)  # a copy: _shrink_step overwrites it
+    M = np.asarray(M, dtype=float)
     if not np.array_equal(M, M.T, equal_nan=True):  # a NaN is reported as non-finite
         raise InputError("asymmetric-input", "svt needs a symmetric matrix")
     if not np.isfinite(M).all():
@@ -155,60 +164,63 @@ def svt(M: np.ndarray, tau: float) -> np.ndarray:
     return _shrink_step(M, tau, None)[0]
 
 
-def _shrink_step(M, tau, basis):
+def _shrink_step(M, tau, basis, out=None):
     """One prox step of complete(): (X, kept rank, next warm basis, full).
 
     M is a float64 array that is finite (the callers check) and symmetric
-    up to rounding. It is overwritten with S = (M + M^T)/2, the matrix that
-    is shrunk: numpy buffers the overlapping operand of ``S += S.T``, so S
-    has the bits of the out-of-place (M + M^T)/2. M + M^T can still
-    overflow, so a decomposition that fails raises
-    NumericalError("diverged"). Without a basis, S is decomposed in full
-    (the exact svt). With an orthonormal basis B, S is multiplied by B
-    once, the product orthonormalized, and only the Ritz pairs of S in that
-    subspace are shrunk. When every Ritz value clears tau, the kept rank
-    may have outgrown the basis, so S is decomposed in full after all
-    (full=True).
+    up to rounding. It is only read, and it is not symmetrized: the
+    decompositions read one triangle (see the module docstring). Without a
+    basis, M is decomposed in full (the exact svt). With an orthonormal
+    basis B, M is multiplied by B once, the product orthonormalized, and
+    only the Ritz pairs of M in that subspace are shrunk. When every Ritz
+    value clears tau, the kept rank may have outgrown the basis, so M is
+    decomposed in full after all (full=True). A decomposition that fails or
+    gives a non-finite eigenvalue (M near the float64 limit) raises
+    NumericalError("diverged").
 
-    The next basis holds the eigenvectors of the kept rank plus _BUFFER
-    more, by |eigenvalue|; it is None (next step full) when that is wider
-    than _WARM_WIDTH_FRACTION * n.
+    X is written into out, an n x n float64 array that does not overlap M,
+    or into a new array when out is None. The next basis holds the
+    eigenvectors of the kept rank plus _BUFFER more, by |eigenvalue|; it is
+    None (next step full) when that is wider than _WARM_WIDTH_FRACTION * n.
     """
-    S = M
-    S += S.T
-    S /= 2.0
     full = basis is None
     try:
         if not full:
-            Q = np.linalg.qr(S @ basis)[0]
-            w, Z = np.linalg.eigh(Q.T @ S @ Q)
+            Q = np.linalg.qr(M @ basis)[0]
+            w, Z = np.linalg.eigh(Q.T @ M @ Q)
             V = Q @ Z
             full = bool((np.abs(w) > tau).all())
         if full:
-            w, V = np.linalg.eigh(S)
+            w, V = np.linalg.eigh(M)
     except np.linalg.LinAlgError as err:
         raise NumericalError("diverged", f"eigendecomposition failed: {err}") from err
-    X, rank = _threshold(V, w, tau)
+    if not np.isfinite(w).all():
+        raise NumericalError("diverged", "eigendecomposition gave a non-finite eigenvalue")
+    X, rank = _threshold(V, w, tau, out)
     width = rank + _BUFFER
-    if width > _WARM_WIDTH_FRACTION * len(S):
+    if width > _WARM_WIDTH_FRACTION * len(M):
         return X, rank, None, full
     order = np.argsort(-np.abs(w), kind="stable")[:width]
     return X, rank, V[:, order], full
 
 
-def _threshold(V, w, tau):
+def _threshold(V, w, tau, out=None):
     """Shrink the eigenvalues w of V diag(w) V^T by tau in magnitude:
     (V diag(sign(w) (|w| - tau)_+) V^T, kept rank).
 
     Only the kept columns of V are scaled, so a step keeping r of n
-    eigenpairs forms an n x r product, not an n x n one.
+    eigenpairs forms an n x r product, not an n x n one. The product is
+    written into out when it is given.
     """
+    n = V.shape[0]
+    X = np.empty((n, n)) if out is None else out
     s = np.maximum(np.abs(w) - tau, 0.0)
     keep = s > 0
     rank = int(keep.sum())
     if not rank:
-        return np.zeros((V.shape[0], V.shape[0])), 0
-    return (V[:, keep] * np.sign(w[keep]) * s[keep]) @ V.T[keep], rank
+        X.fill(0.0)
+        return X, 0
+    return np.matmul(V[:, keep] * np.sign(w[keep]) * s[keep], V.T[keep], out=X), rank
 
 
 def soft_threshold(M: np.ndarray, tau: float) -> np.ndarray:
@@ -265,16 +277,17 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
     max(500, 2n): solves take about 0.75-0.9 n iterations from n = 720 to
     n = 2000.
 
-    E, the multiplier and the primal residual R are vectors over Omega's
+    E, the multiplier and the primal residual are vectors over Omega's
     flat indices, because off Omega they are known exactly: E = 0 - X,
-    Lambda = 0 and R = 0. X and the shrink input M stay dense n x n, and M
-    off Omega is the previous X plus 0.0 (the +0.0 turns a -0.0 into the
-    0.0 that 0 - (0 - X) gives). The two residual norms are still taken
-    over n x n buffers (R scattered into zeros; X_prev - X with e - e_prev
-    on Omega), so that they sum the same squares in the same order as the
-    all-dense iteration, and every result is bit for bit the same as with
-    E, Lambda and R dense. M and X_prev - X share one work buffer, written
-    in place each step, and P_Omega(Y) is dropped once its norms and its
+    Lambda = 0 and R = 0. The primal residual's norm is taken over Omega
+    alone. X and the shrink input M stay dense n x n in two buffers that
+    swap roles each step. M is built over the previous X: off Omega it is
+    that X plus 0.0 (the +0.0 turns a -0.0 into the 0.0 that 0 - (0 - X)
+    gives), on Omega it is Y - E + Lambda / rho. The shrink writes the new X
+    into the other buffer, and M then takes M - X with e - e_prev on Omega,
+    which is E - E_prev up to the sign of zeros, so the dual residual sums
+    the same squares in the same order as with E dense. No copy of the
+    previous X is kept, and P_Omega(Y) is dropped once its norms and its
     values on Omega are taken.
 
     The input is symmetric, so each step shrinks an eigendecomposition. It
@@ -310,10 +323,9 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
     y = Yp.ravel()[idx]
     del Yp
     X = np.zeros((n, n))
-    W = np.empty((n, n))  # the work buffer: M, then X_prev - X
+    spare = np.empty((n, n))  # takes the next X
     e = np.zeros(y.size)  # E on Omega
     mult = np.zeros(y.size)  # the multiplier Lambda on Omega
-    R = np.zeros(n * n)  # the primal residual, zero off Omega
 
     converged = False
     residual = np.inf
@@ -325,10 +337,9 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
         m = y - e + mult_rho
         if not np.isfinite(m).all():  # off Omega M is X_prev, checked last step
             raise NumericalError("non-finite", "svt input contains NaN or inf")
-        np.add(X, 0.0, out=W)
-        W.ravel()[idx] = m
-        X_prev = X
-        X, rank, basis, full = _shrink_step(W, 1.0 / rho, basis)
+        M = np.add(X, 0.0, out=X)  # the shrink input, over the previous X
+        M.ravel()[idx] = m
+        X, rank, basis, full = _shrink_step(M, 1.0 / rho, basis, spare)
         full_steps += full
         yx = y - X.ravel()[idx]
         e_prev = e
@@ -337,11 +348,11 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
         mult = mult + rho * r
         if not (np.isfinite(X).all() and np.isfinite(e).all()):
             raise NumericalError("diverged", f"non-finite iterate at iteration {it}")
-        R[idx] = r
-        residual = np.linalg.norm(R) / denom
-        dE = np.subtract(X_prev, X, out=W)  # E - E_prev off Omega, up to the sign of zeros
+        residual = np.linalg.norm(r) / denom
+        dE = np.subtract(M, X, out=M)  # E - E_prev off Omega, up to the sign of zeros
         dE.ravel()[idx] = e - e_prev
         dual = rho * np.linalg.norm(dE) / denom
+        spare = dE
         if residual < config.tol and dual < config.tol:
             if full:
                 converged = True
@@ -352,8 +363,7 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
         elif dual > 10.0 * residual:
             rho = max(rho / config.rho_growth, rho_floor)
 
-    del W, R, X_prev
-    X += X.T  # X is the last shrink's own array; the overlap is buffered
+    X = np.add(X, X.T, out=spare)  # symmetrized once, into the spare buffer
     X /= 2.0
     E = np.zeros((n, n))
     E.ravel()[idx] = e

@@ -540,6 +540,25 @@ class TestSweep:
         assert stderr_record(err)["error"] == code_name
         assert not out.exists()
 
+    def test_a_budget_outside_the_grid_exits_two_before_any_solve(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # The 0.2 cells are valid; the 1.5 cells ask for more than n^2 entries.
+        solves = []
+        solve = bench.complete
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "complete", counted)
+        out = tmp_path / "s.csv"
+        code, _, err = run(capsys, "sweep", "--out", out, "--n", 30, "--trials", 5,
+                           "--m1-fracs", "0.2,1.5", "--m2-fracs", "0.0,0.05")
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert stderr_record(err)["error"] == "bad-budget"
+        assert not solves and not out.exists()
+
     def test_malformed_grid_exits_two(self, tmp_path, capsys):
         code, _, err = run(capsys, "sweep", "--out", tmp_path / "s.csv",
                            "--m1-fracs", "0.5,banana")

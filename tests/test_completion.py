@@ -118,9 +118,8 @@ def test_svt_non_expansive(A, B):
 
 
 def test_svt_leaves_its_input_untouched():
-    # _shrink_step symmetrizes its argument in place, so svt hands it a copy:
-    # a read-only M is accepted, and an M whose M + M^T overflows keeps its
-    # values when the decomposition fails.
+    # _shrink_step only reads its argument: a read-only M is accepted, and an
+    # M whose eigenvalues overflow keeps its values when the step fails.
     A = np.random.default_rng(2).standard_normal((7, 7))
     M = A + A.T
     M.flags.writeable = False
@@ -270,10 +269,10 @@ def record_steps(monkeypatch):
     steps = []
     shrink_step = completion._shrink_step
 
-    def recording(M, tau, basis):
-        out = shrink_step(M, tau, basis)
-        steps.append((basis is not None, out[3]))
-        return out
+    def recording(M, tau, basis, out=None):
+        result = shrink_step(M, tau, basis, out)
+        steps.append((basis is not None, result[3]))
+        return result
 
     monkeypatch.setattr(completion, "_shrink_step", recording)
     return steps
@@ -357,6 +356,36 @@ def test_converged_result_comes_from_a_full_step(seed, monkeypatch):
     assert res.full_steps == sum(full for _, full in steps)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_one_triangle_matches_the_symmetrized_shrink(seed, monkeypatch):
+    # No step symmetrizes its input: the decompositions read one triangle. A
+    # test-only step that shrinks (M + M^T)/2, as every step once did, gives
+    # the same solve up to rounding, and the input stays symmetric to
+    # rounding level all along.
+    _, _, problem = planted_problem(48, 3, 0.7, 0.02, seed)
+    shrink_step = completion._shrink_step
+    asymmetry = []
+
+    def one_triangle(M, tau, basis, out=None):
+        asymmetry.append(np.abs(M - M.T).max() / np.abs(M).max())
+        return shrink_step(M, tau, basis, out)
+
+    def symmetrized(M, tau, basis, out=None):
+        return shrink_step(symmetrize(M), tau, basis, out)
+
+    monkeypatch.setattr(completion, "_shrink_step", one_triangle)
+    res = complete(problem)
+    monkeypatch.setattr(completion, "_shrink_step", symmetrized)
+    ref = complete(problem)
+    assert res.converged and ref.converged
+    assert len(asymmetry) == res.iterations and max(asymmetry) <= 1e-12
+    for name in ("iterations", "full_steps", "x_rank", "e_support"):
+        assert getattr(res, name) == getattr(ref, name), name
+    assert np.abs(res.X - ref.X).max() < 1e-10
+    parts = [spectral_cluster(clip_to_unit(r.X)[0], 3, seed=0).assignment for r in (res, ref)]
+    assert np.array_equal(parts[0], parts[1])
+
+
 # ---------------------------------------------------------------------------
 # the Omega-restricted loop against the n x n loop it replaced
 
@@ -365,8 +394,9 @@ def dense_reference(problem, config=None):
     """complete() as it was when E, the multiplier and R were n x n arrays.
 
     The reference the Omega-vector loop must match bit for bit. The finite
-    check on the whole M is the one _shrink_step made then. Its default rho0
-    and max_iter follow complete()'s.
+    check on the whole M is the one _shrink_step made then. Its primal
+    residual is the norm of R over Omega in row-major order, the squares
+    complete() sums. Its default rho0 and max_iter follow complete()'s.
     """
     config = config or SolverConfig()
     omega = problem.omega
@@ -408,7 +438,7 @@ def dense_reference(problem, config=None):
         Lam = Lam + rho * R
         if not (np.isfinite(X).all() and np.isfinite(E).all()):
             raise NumericalError("diverged", f"non-finite iterate at iteration {it}")
-        residual = np.linalg.norm(np.where(omega, R, 0.0)) / denom
+        residual = np.linalg.norm(R[omega]) / denom
         dual = rho * np.linalg.norm(E - E_prev) / denom
         if residual < config.tol and dual < config.tol:
             if full:
@@ -448,9 +478,9 @@ def record_shrink_inputs(monkeypatch):
     inputs = []
     shrink_step = completion._shrink_step
 
-    def recording(M, tau, basis):
+    def recording(M, tau, basis, out=None):
         inputs.append((M.tobytes(), tau, None if basis is None else basis.tobytes()))
-        return shrink_step(M, tau, basis)
+        return shrink_step(M, tau, basis, out)
 
     monkeypatch.setattr(completion, "_shrink_step", recording)
     return inputs
@@ -536,9 +566,9 @@ def test_omega_loop_matches_the_dense_loop_with_rho0_set(monkeypatch):
         (6e307, None, "non-finite", 0),
         # rho0 = inf: the first step passes, then Lambda/rho = inf * 0 / inf
         (1.0, np.inf, "non-finite", 1),
-        # M is finite but its eigenvalues overflow, so X comes back NaN
+        # M is finite but its eigenvalues overflow, so the shrink step raises
         (6e307, 1.0, "diverged", 1),
-        # M is finite but M + M^T overflows, so eigh raises LinAlgError
+        # M is finite and near the float64 limit: its eigenvalues overflow too
         (1e308, 1.0, "diverged", 1),
     ],
 )
@@ -571,11 +601,13 @@ def test_an_int8_y_solves_bit_for_bit_like_float64():
 
 
 def test_peak_memory_is_a_few_n_by_n_arrays():
-    """At a full step the solve holds five n x n float64 arrays that
-    tracemalloc sees: the previous X, the work buffer, the residual R, the
-    eigenvectors and the new X. Vectors over Omega (15% of n x n here) add
-    about 1.5 more; LAPACK's own workspace is not traced. The int8 Y is
-    never copied to float64."""
+    """Between steps the solve holds two n x n float64 arrays that
+    tracemalloc sees: the previous X, which takes the shrink input, and the
+    buffer the new X is written into. A full step adds the eigenvectors, and
+    an early step that keeps many eigenpairs adds its scaled kept columns
+    and kept rows of V^T (about one more here). Vectors over Omega (15% of
+    n x n here) add about 1.4 more; LAPACK's own workspace is not traced.
+    The int8 Y is never copied to float64."""
     n = 200
     _, plan, _ = planted_problem(n, 3, 0.15, 0.02, 0)
     problem = CompletionProblem(plan.Y.astype(np.int8), plan.omega, observation_lambda(plan.omega))
@@ -588,7 +620,7 @@ def test_peak_memory_is_a_few_n_by_n_arrays():
     finally:
         tracemalloc.stop()
     assert res.converged
-    assert peak < 8 * n * n * 8
+    assert peak < 6 * n * n * 8
 
 
 def test_default_rho0_is_the_lambda_scaled_spectral_rule():
