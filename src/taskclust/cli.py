@@ -26,18 +26,12 @@ from .bench import phase_sweep
 from .completion import SolverConfig, complete_similarity
 from .errors import InputError, NumericalError, TaskClustError
 from .filtering import MODES, FilterParams, filter_scores
-from .learning import (
-    KINDS,
-    PER_TASK_KINDS,
-    TrainConfig,
-    adaptive_fsl,
-    fsl_combine,
-    train_cluster_models,
-)
+from .learning import adaptive_fsl, fsl_combine, train_cluster_models
 from .seeding import derive_rng
 from .spectral import spectral_cluster
 from .synthdata import FamilyConfig, fewshot_from_dataset, make_task_family
-from .transfer import accuracy, build_transfer_matrix, sample_task_pairs
+from .transfer import (KINDS, PER_TASK_KINDS, TrainConfig, accuracy, build_transfer_matrix,
+                       sample_task_pairs)
 
 STAGES = ("synth", "estimate", "filter", "complete", "cluster", "mtl", "fsl", "sweep")
 # cluster warns on stderr when the Laplacian's eigengap at K is this small.

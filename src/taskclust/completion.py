@@ -36,7 +36,7 @@ Omega it is the previous shrink V diag(s) V^T, and on Omega it is built
 from the symmetric P_Omega(Y) and that X. np.linalg.eigh reads only one
 triangle, of M on a full step and of the Ritz matrix on a partial one, so
 a symmetrized copy would only cost an n x n transposed pass each step. The
-reported X is symmetrized once, at the end.
+reported X and E are symmetrized once, at the end.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ class CompletionResult:
     rho_initial: float = field(repr=False, default=0.0)
     rho_final: float = field(repr=False, default=0.0)
     x_rank: int = field(repr=False, default=0)  # kept rank of the last shrink
-    e_support: int = field(repr=False, default=0)  # nonzero entries of E on Omega
+    e_support: int = field(repr=False, default=0)  # nonzero entries of the reported E
     full_steps: int = field(repr=False, default=0)  # steps with a full decomposition
 
     def objective(self) -> float:
@@ -262,8 +262,8 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
     rho_growth when the primal residual dominates, shrink when the dual one
     does. A monotone rho schedule drives the primal residual to zero while
     the iterate is still far from optimal, so both residuals must be small
-    before we stop. The reported X is symmetrized (the iterate is symmetric
-    only up to rounding) and E restricted to Omega.
+    before we stop. The reported X and E are symmetrized (the iterates are
+    symmetric only up to rounding), and E is 0 off Omega.
 
     Unless config.rho0 is set, rho starts at 1.25 * lambda * sqrt(n) /
     ||P_Omega(Y)||_2. At lambda = 1/sqrt(n), default_lambda, that is the
@@ -367,6 +367,8 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
     X /= 2.0
     E = np.zeros((n, n))
     E.ravel()[idx] = e
+    E += E.T  # symmetrized once too, as X is
+    E /= 2.0
     return CompletionResult(
         X=X,
         E=E,
@@ -377,7 +379,7 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
         rho_initial=rho_initial,
         rho_final=rho,
         x_rank=rank,
-        e_support=int(np.count_nonzero(e)),
+        e_support=int(np.count_nonzero(E)),
         full_steps=full_steps,
     )
 

@@ -1,7 +1,8 @@
 """Cluster-level models and few-shot prediction on new tasks.
 
-Three cluster model kinds are supported: a single encoder+classifier trained
-on pooled data (shared_classifier), a shared encoder with one classifier head
+Each cluster gets a transfer.ClusterModel, the type every per-task model
+has too, of one of three kinds: a single encoder+classifier trained on
+pooled data (shared_classifier), a shared encoder with one classifier head
 per member task (shared_encoder_multihead), and a metric encoder trained
 episodically so that examples sit closer to same-label anchors
 (metric_encoder). A few-shot task is a TaskDataset whose train split is the
@@ -21,18 +22,20 @@ on the other clusters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InputError
 from .seeding import derive_rng
 from .transfer import (
+    KINDS,
+    PER_TASK_KINDS,
+    ClusterModel,
     TaskDataset,
     TrainConfig,
     _augment,
     _descend,
-    _encode,
     _init_stacks,
     _onehot,
     _sgd,
@@ -42,71 +45,6 @@ from .transfer import (
     softmax,
     train_single_task,
 )
-
-KINDS = ("shared_classifier", "shared_encoder_multihead", "metric_encoder")
-# Kinds whose models predict through per-task heads, so no model of them can
-# score a task outside its cluster.
-PER_TASK_KINDS = ("shared_encoder_multihead",)
-
-
-@dataclass
-class ClusterModel:
-    """One trained model covering a task cluster; behavior depends on kind."""
-
-    kind: str
-    W_enc: np.ndarray
-    b_enc: np.ndarray
-    W_cls: np.ndarray | None = None            # shared_classifier
-    b_cls: np.ndarray | None = None
-    heads: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InputError("bad-kind", f"kind must be one of {KINDS}")
-
-    @property
-    def dim(self) -> int:
-        return self.W_enc.shape[0]
-
-    def encode(self, X: np.ndarray) -> np.ndarray:
-        return _encode(self.W_enc, self.b_enc, X)
-
-    def predict_proba(self, X, task_id: str | None = None, support=None) -> np.ndarray:
-        """Distribution over labels for each row of X; row sums are 1."""
-        if self.kind == "shared_classifier":
-            return softmax(self.encode(X) @ self.W_cls + self.b_cls)
-        if self.kind == "shared_encoder_multihead":
-            if task_id is None or task_id not in self.heads:
-                raise InputError("no-head", f"no classifier head for task {task_id!r}")
-            W, b = self.heads[task_id]
-            return softmax(self.encode(X) @ W + b)
-        if support is None:
-            raise InputError("no-support", "metric_encoder prediction needs a support set")
-        return metric_predict(self, support, X)
-
-
-def metric_predict(model: ClusterModel, support: tuple[np.ndarray, np.ndarray], x) -> np.ndarray:
-    """Label distribution from inner products with per-label anchor encodings.
-
-    The anchor for a label is the mean encoding of that label's support
-    examples; probabilities are the softmax of anchor-query inner products.
-    """
-    Xs, ys = support
-    Xs = np.asarray(Xs, dtype=float)
-    ys = np.asarray(ys, dtype=int)
-    if len(ys) == 0:
-        raise InputError("no-support", "support set is empty")
-    L = int(ys.max()) + 1
-    Zs = model.encode(Xs)
-    anchors = np.empty((L, Zs.shape[1]))
-    for l in range(L):
-        members = ys == l
-        if not members.any():
-            raise InputError("missing-label", f"label {l} has no support example")
-        anchors[l] = Zs[members].mean(axis=0)
-    Zq = model.encode(x)
-    return softmax(Zq @ anchors.T)
-
 
 def _check_cluster(cluster: list[TaskDataset], kind: str) -> None:
     if kind not in KINDS:
@@ -274,14 +212,13 @@ class MixturePredictor:
     """Convex combination of frozen cluster predictors for one few-shot task.
 
     The task's train split is its support set. alpha = softmax(logits)
-    weighs models[indices[k]], the participating models. The support-only
-    model of train_support_only is the one-model mixture, with
+    weighs models, the models that can score the task, in order. The
+    support-only model of train_support_only is the one-model mixture, with
     used_fallback set.
     """
 
     models: list[ClusterModel]
     logits: np.ndarray
-    indices: list[int]  # positions of the participating models in models
     task: TaskDataset
     used_fallback: bool = False
 
@@ -290,8 +227,7 @@ class MixturePredictor:
         return softmax(self.logits)
 
     def predict_proba(self, X) -> np.ndarray:
-        P = np.stack([self.models[i].predict_proba(X, support=self.task.train)
-                      for i in self.indices])  # (K, m, L)
+        P = np.stack([m.predict_proba(X, support=self.task.train) for m in self.models])  # (K, m, L)
         return np.tensordot(self.alpha, P, axes=1)
 
     def accuracy(self, X, y) -> float:
@@ -313,9 +249,8 @@ def train_support_only(task: TaskDataset, config: TrainConfig | None = None) -> 
     adaptive_fsl's fallback and the few-shot baseline that uses no cluster
     model."""
     _check_support(task)
-    m = train_single_task(replace(task, task_id="support-only"), config)
-    model = ClusterModel("shared_classifier", m.W_enc, m.b_enc, m.W_cls, m.b_cls)
-    return MixturePredictor([model], np.zeros(1), [0], task, used_fallback=True)
+    model = train_single_task(replace(task, task_id="support-only"), config)
+    return MixturePredictor([model], np.zeros(1), task, used_fallback=True)
 
 
 def _compatible(model: ClusterModel, task: TaskDataset) -> bool:
@@ -327,11 +262,11 @@ def _compatible(model: ClusterModel, task: TaskDataset) -> bool:
 
 
 def _support_probs(models: list[ClusterModel], task: TaskDataset):
-    """Positions of the models that can score the task, and each one's label
+    """The models that can score the task, in order, and each one's label
     distribution on its support set, after _check_support's checks."""
     _check_support(task)
-    indices = [i for i, m in enumerate(models) if _compatible(m, task)]
-    return indices, [models[i].predict_proba(task.train[0], support=task.train) for i in indices]
+    compatible = [m for m in models if _compatible(m, task)]
+    return compatible, [m.predict_proba(task.train[0], support=task.train) for m in compatible]
 
 
 def fsl_combine(
@@ -345,26 +280,26 @@ def fsl_combine(
     Models that cannot emit a distribution over the task's label space are
     left out of the mixture.
     """
-    return _combine(models, task, *_support_probs(models, task), config)
+    return _combine(*_support_probs(models, task), task, config)
 
 
-def _combine(models, task, indices, probs, config=None) -> MixturePredictor:
-    """fsl_combine over the compatible positions and their support
+def _combine(models, probs, task, config=None) -> MixturePredictor:
+    """fsl_combine over the compatible models and their support
     distributions from _support_probs."""
     config = config or CombineConfig()
-    if not indices:
+    if not models:
         raise InputError("no-compatible-cluster", "no cluster model covers the label space")
     ys = task.train[1]
     # Q[k, i] = model k's probability of the true label of support example i
     Q = np.maximum(np.stack([P[np.arange(len(ys)), ys] for P in probs]), 1e-300)
-    logits = np.zeros(len(indices))
+    logits = np.zeros(len(models))
     for _ in range(config.steps):
         alpha = softmax(logits)
         mix = alpha @ Q
         g_alpha = -(Q / mix).mean(axis=1)
         g_logits = alpha * (g_alpha - alpha @ g_alpha)
         logits = logits - config.lr * g_logits
-    return MixturePredictor(models, logits, indices, task)
+    return MixturePredictor(models, logits, task)
 
 
 def adaptive_fsl(
@@ -381,8 +316,8 @@ def adaptive_fsl(
     """
     if not 0 <= threshold < 1:
         raise InputError("bad-threshold", "threshold must lie in [0, 1)")
-    indices, probs = _support_probs(models, task)
+    compatible, probs = _support_probs(models, task)
     best = max((accuracy(P, task.train[1]) for P in probs), default=0.0)
     if best <= threshold:
         return train_support_only(task, fallback_config)
-    return _combine(models, task, indices, probs)
+    return _combine(compatible, probs, task)

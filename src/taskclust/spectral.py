@@ -2,8 +2,11 @@
 
 Implements the symmetric-normalized-Laplacian variant: embed each task by
 the K bottom eigenvectors of L_sym = I - D^{-1/2} A D^{-1/2}, row-normalize,
-then cluster the embedding with restarted k-means. A tiny self-loop keeps
-D invertible on isolated rows.
+then cluster the embedding with restarted k-means. A is (X + X^T)/2 plus
+tau/n on every entry, tau its mean degree (Qin & Rohe, arXiv:1309.4111), so
+every degree is at least tau, and a task whose row of X is 0 joins the graph
+weakly instead of adding a zero eigenvalue of its own. An all-zero X has no
+degree; any constant A gives the same L, so it takes A = 1.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import numpy as np
 from .errors import InputError
 from .seeding import derive_rng
 
-SELF_LOOP = 1e-8
 KMEANS_RESTARTS = 20
 KMEANS_MAX_ITER = 300
 KMEANS_TOL = 1e-9
@@ -116,17 +118,16 @@ def spectral_cluster(X: np.ndarray, K: int, seed: int = 0) -> TaskPartition:
         return TaskPartition(n=n, K=1, assignment=np.zeros(n, dtype=int), seed=seed)
 
     # A and then L are built in one n x n buffer, each step rounding as the
-    # out-of-place formula (X + X^T)/2 + SELF_LOOP*I and I - D^-1/2 A D^-1/2
-    # does. 0.0 - a, unlike -a, keeps a zero off the diagonal +0.0.
-    diag = np.diag_indices(n)
+    # out-of-place formula (X + X^T)/2 + tau/n and I - D^-1/2 A D^-1/2 does.
     A = X + X.T
     A /= 2.0
-    A[diag] += SELF_LOOP
+    tau = A.sum() / n  # the mean degree
+    A += tau / n if tau > 0 else 1.0
     inv_sqrt = 1.0 / np.sqrt(A.sum(axis=1))
     A *= inv_sqrt[:, None]
     A *= inv_sqrt[None, :]
     L = np.subtract(0.0, A, out=A)
-    L[diag] += 1.0
+    L[np.diag_indices(n)] += 1.0
     w, vecs = np.linalg.eigh(L)
     U = vecs[:, :K]
     norms = np.linalg.norm(U, axis=1, keepdims=True)

@@ -1,11 +1,12 @@
-"""Per-task models and cross-task transfer scores.
+"""The one model type, per-task training and cross-task transfer scores.
 
-Each task gets a small linear encoder plus softmax classifier trained by
-mini-batch gradient descent. Transfer from task i to task j is measured by
-direct evaluation: i's model, unchanged, is scored on j's training split,
-so the two tasks must have the same label count. Scores for a sampled set
-of task pairs are assembled into an asymmetric, partially observed matrix
-with unit diagonal.
+A ClusterModel is a small linear encoder plus the label scores it feeds.
+Each task gets a shared_classifier one, trained on its training split by
+mini-batch gradient descent; ``learning`` trains the same type per cluster.
+Transfer from task i to task j is measured by direct evaluation: i's model,
+unchanged, is scored on j's training split, so the two tasks must have the
+same label count. Scores for a sampled set of task pairs are assembled into
+an asymmetric, partially observed matrix with unit diagonal.
 
 All training runs through one kernel that steps a stack of same-shaped
 problems at once: tasks of one shape train together, each drawing from a
@@ -108,21 +109,81 @@ class TrainConfig:
             raise InputError("bad-config", "learning rate must be positive and finite")
 
 
+KINDS = ("shared_classifier", "shared_encoder_multihead", "metric_encoder")
+# Kinds whose models predict through per-task heads, so no model of them can
+# score a task outside its cluster.
+PER_TASK_KINDS = ("shared_encoder_multihead",)
+
+
 @dataclass
-class TaskModel:
-    W_enc: np.ndarray  # (d, h)
-    b_enc: np.ndarray  # (h,)
-    W_cls: np.ndarray  # (h, L)
-    b_cls: np.ndarray  # (L,)
+class ClusterModel:
+    """A trained encoder and its label scores: one softmax head
+    (shared_classifier; every per-task model), a head per member task
+    (shared_encoder_multihead) or support-set anchors (metric_encoder)."""
+
+    kind: str
+    W_enc: np.ndarray                          # (d, h)
+    b_enc: np.ndarray                          # (h,)
+    W_cls: np.ndarray | None = None            # shared_classifier: (h, L)
+    b_cls: np.ndarray | None = None            # (L,)
+    heads: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise InputError("bad-kind", f"kind must be one of {KINDS}")
+
+    @property
+    def dim(self) -> int:
+        return self.W_enc.shape[0]
 
     def encode(self, X: np.ndarray) -> np.ndarray:
         return _encode(self.W_enc, self.b_enc, X)
 
-    def logits(self, X: np.ndarray) -> np.ndarray:
-        return self.encode(X) @ self.W_cls + self.b_cls
+    def logits(self, X, task_id: str | None = None, support=None) -> np.ndarray:
+        """Label scores for each row of X before the softmax: the head's, the
+        head of task_id's, or the inner products with support's anchors."""
+        if self.kind == "metric_encoder":
+            if support is None:
+                raise InputError("no-support", "metric_encoder prediction needs a support set")
+            return _anchor_logits(self, support, X)
+        if self.kind == "shared_classifier":
+            W, b = self.W_cls, self.b_cls
+        elif task_id is None or task_id not in self.heads:
+            raise InputError("no-head", f"no classifier head for task {task_id!r}")
+        else:
+            W, b = self.heads[task_id]
+        return self.encode(X) @ W + b
 
-    def accuracy(self, X: np.ndarray, y: np.ndarray) -> float:
-        return accuracy(self.logits(X), y)
+    def predict_proba(self, X, task_id: str | None = None, support=None) -> np.ndarray:
+        """Distribution over labels for each row of X; row sums are 1."""
+        return softmax(self.logits(X, task_id, support))
+
+
+def metric_predict(model: ClusterModel, support: tuple[np.ndarray, np.ndarray], x) -> np.ndarray:
+    """Label distribution from inner products with per-label anchor encodings.
+
+    The anchor for a label is the mean encoding of that label's support
+    examples; probabilities are the softmax of anchor-query inner products.
+    """
+    return softmax(_anchor_logits(model, support, x))
+
+
+def _anchor_logits(model: ClusterModel, support, x) -> np.ndarray:
+    """metric_predict's anchor-query inner products, before the softmax."""
+    Xs, ys = support
+    Xs = np.asarray(Xs, dtype=float)
+    ys = np.asarray(ys, dtype=int)
+    if len(ys) == 0:
+        raise InputError("no-support", "support set is empty")
+    L = int(ys.max()) + 1
+    Zs = model.encode(Xs)
+    anchors = np.empty((L, Zs.shape[1]))
+    for l in range(L):
+        members = ys == l
+        if not members.any():
+            raise InputError("missing-label", f"label {l} has no support example")
+        anchors[l] = Zs[members].mean(axis=0)
+    return model.encode(x) @ anchors.T
 
 
 def _encode(W_enc: np.ndarray, b_enc: np.ndarray, X) -> np.ndarray:
@@ -253,8 +314,9 @@ def _train_encoders(X, y, L, rngs, config):
     return We, Wc
 
 
-def train_tasks(datasets: list[TaskDataset], config: TrainConfig | None = None) -> list[TaskModel]:
-    """Jointly train encoder and classifier on each task's training split.
+def train_tasks(datasets: list[TaskDataset], config: TrainConfig | None = None) -> list[ClusterModel]:
+    """Jointly train encoder and classifier on each task's training split,
+    one shared_classifier model per task.
 
     Tasks with the same training shape are stepped together as one stack.
     Each task draws from its own stream, so its model is the same whatever
@@ -272,25 +334,23 @@ def train_tasks(datasets: list[TaskDataset], config: TrainConfig | None = None) 
                                  np.stack([ds.train[1] for ds in stack]),
                                  stack[0].label_count, rngs, config)
         for b, pos in enumerate(members):
-            models[pos] = TaskModel(We[b, :-1], We[b, -1], Wc[b, :-1], Wc[b, -1])
+            models[pos] = ClusterModel("shared_classifier", We[b, :-1], We[b, -1], Wc[b, :-1], Wc[b, -1])
     return models
 
 
-def train_single_task(dataset: TaskDataset, config: TrainConfig | None = None) -> TaskModel:
+def train_single_task(dataset: TaskDataset, config: TrainConfig | None = None) -> ClusterModel:
     """Jointly train encoder and classifier on the task's training split."""
     return train_tasks([dataset], config)[0]
 
 
-def transfer_score(source: TaskModel, target: TaskDataset) -> float:
+def transfer_score(source: ClusterModel, target: TaskDataset) -> float:
     """Direct evaluation: the accuracy of the unchanged source model on
-    target.train. Source and target must agree on the feature dim
+    target.train, by the argmax of its logits (predict_proba's rounding can
+    tie distinct logits). Source and target must agree on the feature dim
     (dim-mismatch) and the label count (label-mismatch), and the target
     needs training rows (empty-train)."""
-    if target.dim != source.W_enc.shape[0]:
-        raise InputError(
-            "dim-mismatch",
-            f"source encoder dim {source.W_enc.shape[0]} vs target dim {target.dim}",
-        )
+    if target.dim != source.dim:
+        raise InputError("dim-mismatch", f"source encoder dim {source.dim} vs target dim {target.dim}")
     if len(target.train[1]) == 0:
         raise InputError("empty-train", f"task {target.task_id} has no training data")
     if target.label_count != source.W_cls.shape[1]:
@@ -299,7 +359,7 @@ def transfer_score(source: TaskModel, target: TaskDataset) -> float:
             f"source head has {source.W_cls.shape[1]} labels but task {target.task_id} "
             f"has {target.label_count}, so it cannot be scored directly",
         )
-    return source.accuracy(*target.train)
+    return accuracy(source.logits(target.train[0]), target.train[1])
 
 
 def _pair_offset(i: int, n: int) -> int:

@@ -35,7 +35,7 @@ from taskclust.synthdata import (
     make_task_family,
     synthetic_transfer_matrix,
 )
-from taskclust.transfer import TrainConfig, TransferMatrix
+from taskclust.transfer import TrainConfig, TransferMatrix, build_transfer_matrix, sample_task_pairs
 
 
 def report(capsys, label: str, passed: bool, detail: str) -> None:
@@ -212,6 +212,32 @@ def test_pipeline_clusters_planted_scores_perfectly(capsys):
            f"ARI 1.0 in {perfect}/20 seeds at {budget} sampled pairs "
            f"({elapsed:.1f}s of 120s)")
     assert perfect >= 18
+    assert elapsed < 120
+
+
+def test_regularized_embedding_clusters_the_sampled_48_task_path(capsys):
+    """Direct-evaluation scores of 300 sampled pairs on 48 tasks, the default
+    filter, completion and K = 3: every one of 2 families x 12 pair seeds
+    reaches ARI >= 0.9. No convergence is required, because family 0 with
+    pair seed 2 stops at the 500-iteration cap; its X is clustered as is."""
+    t0 = time.perf_counter()
+    aris, gaps = [], []
+    for family_seed in (0, 1):
+        tasks, membership = make_task_family(48, 3, seed=family_seed)
+        for pair_seed in range(12):
+            tm = build_transfer_matrix(tasks, sample_task_pairs(48, 300, seed=pair_seed),
+                                       TrainConfig(seed=pair_seed))
+            ps = filter_scores(tm, FilterParams())
+            part = spectral_cluster(complete_similarity(ps.values, ps.observed)[0], 3, seed=2)
+            aris.append(adjusted_rand_index(part.assignment, membership))
+            gaps.append(part.laplacian_gap)
+    elapsed = time.perf_counter() - t0
+    good = sum(ari >= 0.9 for ari in aris)
+    ok = good == 24 and elapsed < 120
+    report(capsys, "regularized-embedding", ok,
+           f"ARI >= 0.9 in {good}/24 runs (min {min(aris):.3f}), Laplacian gaps "
+           f"{min(gaps):.2f}-{max(gaps):.2f} ({elapsed:.1f}s of 120s)")
+    assert good == 24
     assert elapsed < 120
 
 

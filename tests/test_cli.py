@@ -13,7 +13,7 @@ from taskclust.filtering import FilterParams, filter_scores
 from taskclust.learning import train_cluster_model
 from taskclust.spectral import adjusted_rand_index, spectral_cluster
 from taskclust.synthdata import balanced_membership, synthetic_transfer_matrix
-from taskclust.transfer import TrainConfig
+from taskclust.transfer import TrainConfig, TransferMatrix
 
 
 def run(capsys, *argv):
@@ -204,6 +204,21 @@ class TestFilterAndComplete:
         assert X.shape == (12, 12)
         assert X.min() >= 0.0 and X.max() <= 1.0
 
+    def test_the_quick_start_e_is_symmetric(self, tmp_path, capsys):
+        """The README quick start's 12-task E.csv equals its transpose
+        exactly (2 of its entries did not before E was symmetrized)."""
+        steps = [("synth", "--out", tmp_path / "tasks", "--n-tasks", 12, "--clusters", 3, "--seed", 0),
+                 ("estimate", "--tasks", tmp_path / "tasks", "--out", tmp_path / "scores.csv",
+                  "--pairs", 40, "--seed", 1),
+                 ("filter", "--scores", tmp_path / "scores.csv", "--out", tmp_path / "partial.csv"),
+                 ("complete", "--similarity", tmp_path / "partial.csv", "--out-x", tmp_path / "X.csv",
+                  "--out-e", tmp_path / "E.csv", "--diagnostics", tmp_path / "diag.json")]
+        for argv in steps:
+            assert run(capsys, *argv)[0] == 0
+        E = fileio.read_dense_csv(tmp_path / "E.csv")
+        assert E.shape == (12, 12) and np.array_equal(E, E.T)
+        assert fileio.read_json(tmp_path / "diag.json")["e_support"] == np.count_nonzero(E)
+
     def test_xl_mode_flag_routes_to_the_disjunction_rule(self, scores_csv, tmp_path, capsys):
         out = tmp_path / "xl.csv"
         code, _, _ = run(capsys, "filter", "--scores", scores_csv, "--out", out,
@@ -341,26 +356,35 @@ class TestCluster:
         assert iterations[1e-3] < iterations[1e-7]
 
     def test_degenerate_laplacian_warns_without_changing_the_partition(self, tmp_path, capsys):
-        # Four planted clusters asked for three: the Laplacian has four zero
-        # eigenvalues, so eigenvalues 3 and 4 coincide and stderr warns.
-        tm, _ = synthetic_transfer_matrix(16, 4, 40, seed=0, sampling="anchored")
-        scores = tmp_path / "scores.csv"
-        fileio.write_transfer_csv(tm, scores)
+        # Scores where no pair transfers: xl mode decides every pair 0, the
+        # completed X is 0, and every eigenvalue of L but the first is 1, so
+        # eigenvalues 3 and 4 coincide and stderr warns. Four planted
+        # clusters asked for four keep a gap near 1 - tau/(4 + tau) = 0.5
+        # (mean degree tau = 4) and no warning.
+        rng = np.random.default_rng(0)
+        S = rng.uniform(0.05, 0.15, (12, 12))
+        np.fill_diagonal(S, 1.0)
+        silent = TransferMatrix(S, np.ones((12, 12), dtype=bool))
+        planted, _ = synthetic_transfer_matrix(16, 4, 40, seed=0, sampling="anchored")
         diag = tmp_path / "diag.json"
-        for K, degenerate in ((3, True), (4, False)):
-            out = tmp_path / f"partition-{K}.json"
+        for tm, K, flags, params, degenerate in (
+                (silent, 3, ("--mode", "xl"), FilterParams(mode="xl"), True),
+                (planted, 4, ("--exclude-diagonal",), FilterParams(include_diagonal_in_stats=False),
+                 False)):
+            scores, out = tmp_path / f"scores-{K}.csv", tmp_path / f"partition-{K}.json"
+            fileio.write_transfer_csv(tm, scores)
             code, _, err = run(capsys, "cluster", "--scores", scores, "--out", out,
-                               "--clusters", K, "--exclude-diagonal", "--diagnostics", diag,
-                               "--seed", 0)
+                               "--clusters", K, *flags, "--diagnostics", diag, "--seed", 0)
             assert code == 0
             gap = fileio.read_json(diag)["laplacian_gap"]
+            ps = filter_scores(tm, params)
+            X = complete_similarity(ps.values, ps.observed)[0]
             if degenerate:
+                assert not X.any()
                 assert gap <= cli.LAPLACIAN_GAP_WARNING
                 assert stderr_record(err)["warning"] == "degenerate-embedding"
             else:
-                assert gap > 0.5 and err == ""
-            ps = filter_scores(tm, FilterParams(include_diagonal_in_stats=False))
-            X = complete_similarity(ps.values, ps.observed)[0]
+                assert gap > 0.4 and err == ""
             part = spectral_cluster(X, K, seed=0)
             assert fileio.read_partition_json(out).assignment.tolist() == part.assignment.tolist()
             assert part.laplacian_gap == gap

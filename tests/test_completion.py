@@ -291,6 +291,19 @@ def planted_problem(n, k, m1_frac, m2_frac, seed):
     return inst, plan, problem
 
 
+def test_the_reported_e_is_symmetric():
+    """E, like X, is symmetrized once at the end. The last iterate's Omega
+    entries differ from their transposes by rounding (48 entries of this
+    instance did before E was symmetrized); the reported E has no such pair,
+    and e_support counts its nonzeros."""
+    _, plan, problem = planted_problem(60, 3, 0.3, 0.05, 0)
+    res = complete(problem)
+    assert res.converged
+    assert np.array_equal(res.E, res.E.T) and np.array_equal(res.X, res.X.T)
+    assert res.e_support == np.count_nonzero(res.E)
+    assert not res.E[~plan.omega].any()
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_warm_steps_match_the_all_full_path(seed, monkeypatch):
     inst, plan, problem = planted_problem(48, 3, 0.7, 0.02, seed)
@@ -452,6 +465,7 @@ def dense_reference(problem, config=None):
 
     X = (X + X.T) / 2.0
     E = np.where(omega, E, 0.0)
+    E = (E + E.T) / 2.0
     return completion.CompletionResult(
         X=X,
         E=E,

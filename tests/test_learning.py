@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from taskclust import learning, transfer
 from taskclust.errors import InputError
 from taskclust.learning import (
-    ClusterModel,
     CombineConfig,
     MixturePredictor,
     adaptive_fsl,
     fsl_combine,
-    metric_predict,
     train_cluster_model,
     train_cluster_models,
     train_support_only,
@@ -27,7 +25,15 @@ from taskclust.synthdata import (
     make_target_task,
     make_task_family,
 )
-from taskclust.transfer import TaskDataset, TrainConfig, softmax, train_single_task
+from taskclust.transfer import (
+    ClusterModel,
+    TaskDataset,
+    TrainConfig,
+    accuracy,
+    metric_predict,
+    softmax,
+    train_single_task,
+)
 
 FC = FamilyConfig(dim=10, label_count=3, train_per_class=12, separation=1.8,
                   task_noise=0.3, sample_spread=1.0)
@@ -51,12 +57,12 @@ def support_cross_entropies(predictor):
     task = predictor.task
     Xs, ys = task.train
     Q = np.stack([
-        predictor.models[i].predict_proba(Xs, support=task.train)[np.arange(len(ys)), ys]
-        for i in predictor.indices
+        model.predict_proba(Xs, support=task.train)[np.arange(len(ys)), ys]
+        for model in predictor.models
     ])
     Q = np.maximum(Q, 1e-300)
     mixture = -np.log(predictor.alpha @ Q).mean()
-    singles = [-np.log(Q[k]).mean() for k in range(len(predictor.indices))]
+    singles = [-np.log(Q[k]).mean() for k in range(len(predictor.models))]
     return mixture, singles
 
 
@@ -70,7 +76,7 @@ class TestClusterTraining:
             single = train_single_task(ds, cfg)
             multi = train_cluster_model([ds], "shared_encoder_multihead", cfg)
             X, y = ds.train
-            acc_single = single.accuracy(X, y)
+            acc_single = accuracy(single.logits(X), y)
             acc_multi = float(np.mean(
                 multi.predict_proba(X, task_id=ds.task_id).argmax(axis=1) == y))
             assert abs(acc_single - acc_multi) <= 0.02
@@ -85,7 +91,7 @@ class TestClusterTraining:
             single = train_single_task(ds, cfg)
             pooled = train_cluster_model([ds, copy], "shared_classifier", cfg)
             X, y = ds.train
-            acc_single = single.accuracy(X, y)
+            acc_single = accuracy(single.logits(X), y)
             acc_pooled = float(np.mean(pooled.predict_proba(X).argmax(axis=1) == y))
             assert acc_pooled >= acc_single
 
@@ -536,9 +542,9 @@ class TestFslCombine:
             tgt = make_target_task(1, 2, FC, seed=seed, tag=0, opposed=True)
             fs = fewshot_from_dataset(tgt, shots=2, seed=seed)
             predictor = fsl_combine(models, fs)
-            alpha_own = predictor.alpha[predictor.indices.index(1)]
+            alpha_own = predictor.alpha[[id(m) for m in predictor.models].index(id(models[1]))]
             assert alpha_own > 0.9
-            uniform = MixturePredictor(models, np.zeros(2), [0, 1], fs)
+            uniform = MixturePredictor(models, np.zeros(2), fs)
             assert predictor.accuracy(*fs.test) > uniform.accuracy(*fs.test)
 
     def test_learned_mixture_never_loses_to_the_best_component(self):
@@ -609,7 +615,7 @@ class TestMixtureDistribution:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(min_value=-60.0, max_value=60.0), min_size=2, max_size=2))
     def test_any_logits_give_a_valid_distribution(self, logits):
-        predictor = MixturePredictor(self.models, np.array(logits), [0, 1], self.task)
+        predictor = MixturePredictor(self.models, np.array(logits), self.task)
         alpha = predictor.alpha
         assert np.all(alpha >= 0)
         assert abs(alpha.sum() - 1.0) <= 1e-9
@@ -669,6 +675,22 @@ class TestAdaptiveFallback:
         assert [id(m) for m in calls] == [id(m) for m in models]
         assert np.array_equal(predictor.logits, expected.logits)
 
+    def test_a_per_task_model_between_two_compatible_ones_is_left_out(self):
+        """Over [compatible, shared_encoder_multihead, compatible] the mixture
+        holds exactly the two compatible models, in input order, and its
+        weights are those of the mixture over those two alone."""
+        first, second = family_models(seed=6, n_tasks=6, K=2, epochs=40)
+        tasks, membership = make_task_family(6, 2, FC, seed=6)
+        multihead = train_cluster_model([t for t, c in zip(tasks, membership) if c == 0],
+                                        "shared_encoder_multihead", TrainConfig(epochs=40, seed=0))
+        fs = fewshot_from_dataset(make_target_task(1, 2, FC, seed=6, tag=0), shots=1, seed=6)
+        for pair in ((first, second), (second, first)):
+            predictor = adaptive_fsl([pair[0], multihead, pair[1]], fs, threshold=0.0)
+            assert not predictor.used_fallback
+            assert [id(m) for m in predictor.models] == [id(m) for m in pair]
+            assert predictor.alpha.shape == (2,)
+            assert np.array_equal(predictor.logits, fsl_combine(list(pair), fs).logits)
+
     def test_seventeen_label_stranger_task_falls_back(self):
         """A cluster model trained on unrelated 17-label data scores at chance
         on a fresh 17-label task, far below the 20% bar, so a support-only
@@ -682,7 +704,7 @@ class TestAdaptiveFallback:
         predictor = adaptive_fsl([model], fs, threshold=0.20)
         assert isinstance(predictor, MixturePredictor)
         assert predictor.used_fallback
-        assert predictor.alpha.tolist() == [1.0] and predictor.indices == [0]
+        assert predictor.alpha.tolist() == [1.0] and len(predictor.models) == 1
         alone = train_support_only(fs).models[0]
         assert np.array_equal(predictor.models[0].W_enc, alone.W_enc)
         assert np.array_equal(predictor.models[0].W_cls, alone.W_cls)

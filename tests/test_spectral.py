@@ -6,7 +6,6 @@ import pytest
 
 from taskclust.errors import InputError
 from taskclust.spectral import (
-    SELF_LOOP,
     TaskPartition,
     adjusted_rand_index,
     kmeans,
@@ -23,6 +22,13 @@ def planted_affinity(member, noise=0.0, seed=0):
         bump = (bump + bump.T) / 2
         X = np.clip(X + bump, 0.0, None)
     return X
+
+
+def regularized(X):
+    """The affinity spectral_cluster cuts: (X + X^T)/2 plus tau/n on every
+    entry, with tau its mean degree."""
+    A = (X + X.T) / 2.0
+    return A + A.sum() / len(A) / len(A)
 
 
 def normalized_cut(X, assignment, K):
@@ -53,13 +59,14 @@ def test_single_cluster_shortcut():
 
 def test_brute_force_normalized_cut_oracle():
     """n=8, K=2, noisy planted blocks: the returned bipartition must match the
-    exhaustive minimum-normalized-cut bipartition over all 2^7 candidates."""
+    exhaustive minimum-normalized-cut bipartition of the regularized
+    affinity over all 2^7 candidates."""
     for seed in range(8):
         member = np.array([0, 0, 0, 0, 1, 1, 1, 1])
         X = planted_affinity(member, noise=0.05, seed=seed)
         part = spectral_cluster(X, 2, seed=seed)
 
-        Xl = X + SELF_LOOP * np.eye(8)
+        Xl = regularized(X)
         best_cut, best_assign = np.inf, None
         for bits in itertools.product([0, 1], repeat=7):
             cand = np.array((0,) + bits)
@@ -95,7 +102,7 @@ def test_eigen_residual_bound():
     normalized Laplacian eigenproblem."""
     X = planted_affinity([0] * 5 + [1] * 5 + [2] * 5, noise=0.05, seed=9)
     n, K = 15, 3
-    Xl = X + SELF_LOOP * np.eye(n)
+    Xl = regularized(X)
     d = Xl.sum(axis=1)
     Dm = np.diag(1.0 / np.sqrt(d))
     L = np.eye(n) - Dm @ Xl @ Dm
@@ -131,7 +138,7 @@ def test_input_validation():
 
 def test_laplacian_gap_is_the_eigengap_at_k():
     X = planted_affinity([0, 0, 0, 1, 1, 2, 2, 2], noise=0.1, seed=3)
-    A = X + SELF_LOOP * np.eye(8)
+    A = regularized(X)
     d = A.sum(axis=1)
     w = np.linalg.eigvalsh(np.eye(8) - A / np.sqrt(np.outer(d, d)))
     for K in (2, 3, 4):
@@ -140,19 +147,43 @@ def test_laplacian_gap_is_the_eigengap_at_k():
     assert spectral_cluster(X, 8, seed=0).laplacian_gap is None
 
 
-def test_laplacian_gap_vanishes_when_a_row_is_zero():
-    # A task with no affinity to any other is its own component: with three
-    # blocks besides it, L has four zero eigenvalues and K = 3 has no gap.
+def test_a_zero_row_joins_a_cluster_and_keeps_the_gap():
+    # A task with no affinity to any other joins the graph through the
+    # regularizer, so the three blocks beside it keep an eigengap of 9/19 at
+    # K = 3. Unregularized, the task was a component of its own: L had four
+    # zero eigenvalues and K = 3 had no gap.
     X = planted_affinity([0, 0, 0, 1, 1, 1, 2, 2, 2, 3])
     X[9, 9] = 0.0
-    assert spectral_cluster(X, 3, seed=0).laplacian_gap < 1e-9
-    assert spectral_cluster(X, 4, seed=0).laplacian_gap > 0.5
+    part = spectral_cluster(X, 3, seed=0)
+    assert part.laplacian_gap == pytest.approx(9 / 19)
+    assert adjusted_rand_index(part.assignment[:9], [0, 0, 0, 1, 1, 1, 2, 2, 2]) == 1.0
+    assert spectral_cluster(X, 4, seed=0).assignment.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3]
+
+
+def test_equal_blocks_asked_for_fewer_clusters_have_no_gap():
+    # Three equal blocks: the two eigenvalues above 0 coincide, so K = 2
+    # cuts an arbitrary basis of their eigenspace. At K = 3 the gap is
+    # 1 - tau/(4 + tau) = 0.5, with mean degree tau = 4.
+    X = planted_affinity([0] * 4 + [1] * 4 + [2] * 4)
+    assert spectral_cluster(X, 2, seed=0).laplacian_gap < 1e-9
+    assert spectral_cluster(X, 3, seed=0).laplacian_gap == pytest.approx(0.5)
+
+
+def test_an_all_zero_affinity_is_taken_as_constant(monkeypatch):
+    """An all-zero X has no degree. Any constant A gives L = I - 11^T/n, so
+    its eigenvalues are 0 and then 1 (n - 1 times): no K has a gap."""
+    decomposed, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda L: decomposed.append(L.copy()) or eigh(L))
+    n = 12
+    part = spectral_cluster(np.zeros((n, n)), 3, seed=0)
+    assert np.abs(decomposed[0] - (np.eye(n) - 1.0 / n)).max() < 1e-15
+    assert part.laplacian_gap < 1e-9
 
 
 def test_in_place_laplacian_matches_the_out_of_place_formula(monkeypatch):
     """L is built in place; it must hold the bits of I - D^-1/2 A D^-1/2 with
-    A = (X + X^T)/2 + SELF_LOOP * I, signed zeros included, where X holds
-    +0.0 and -0.0 off the diagonal and -0.0 on it."""
+    A = (X + X^T)/2 + tau/n, signed zeros included, where X holds +0.0 and
+    -0.0 off the diagonal and -0.0 on it."""
     member = [0] * 7 + [1] * 6 + [2] * 5
     X = planted_affinity(member, noise=0.2, seed=5)
     X[0, 0] = X[4, 4] = X[5, 5] = 0.0
@@ -161,7 +192,8 @@ def test_in_place_laplacian_matches_the_out_of_place_formula(monkeypatch):
     zeros = X == 0.0
     assert 20 < np.signbit(X[zeros]).sum() < zeros.sum() - 20
     n, K = X.shape[0], 3
-    A = (X + X.T) / 2.0 + SELF_LOOP * np.eye(n)
+    A = (X + X.T) / 2.0
+    A = A + A.sum() / n / n
     inv_sqrt = 1.0 / np.sqrt(A.sum(axis=1))
     L_ref = np.eye(n) - inv_sqrt[:, None] * A * inv_sqrt[None, :]
     w_ref, vecs = np.linalg.eigh(L_ref)

@@ -11,8 +11,8 @@ from taskclust.errors import InputError
 from taskclust.seeding import derive_rng
 from taskclust.synthdata import FamilyConfig, make_task_family
 from taskclust.transfer import (
+    ClusterModel,
     TaskDataset,
-    TaskModel,
     TrainConfig,
     _unrank_pair,
     accuracy,
@@ -105,14 +105,14 @@ class TestSingleTaskTraining:
         oracle = best_linear_accuracy(Xtr, ytr)
         assert oracle >= 0.95, "blob construction should be linearly separable"
         model = train_single_task(ds, TrainConfig(seed=1))
-        assert model.accuracy(Xtr, ytr) >= 0.95
+        assert accuracy(model.logits(Xtr), ytr) >= 0.95
 
     def test_single_example_per_class_memorized(self):
         X = np.array([[0.0, 5.0], [5.0, 0.0], [-5.0, -5.0]])
         y = np.array([0, 1, 2])
         ds = TaskDataset("memorize", 3, (X, y), (X, y))
         model = train_single_task(ds, TrainConfig(epochs=400, seed=0))
-        assert model.accuracy(X, y) == 1.0
+        assert accuracy(model.logits(X), y) == 1.0
 
     def test_training_is_bitwise_deterministic(self):
         ds = make_blobs(seed=3)
@@ -153,7 +153,7 @@ class TestTransferScore:
     def test_self_transfer_tracks_own_validation_accuracy(self):
         ds = make_blobs(seed=5, n_per=60)
         model = train_single_task(ds, TrainConfig(seed=0))
-        own = model.accuracy(*ds.test)
+        own = accuracy(model.logits(ds.test[0]), ds.test[1])
         score = transfer_score(model, ds)
         assert abs(score - own) <= 0.05
 
@@ -172,7 +172,26 @@ class TestTransferScore:
         ds = make_blobs(seed=13, n_per=50)
         other = make_blobs(seed=14, n_per=50, task_id="other")
         model = train_single_task(ds, TrainConfig(seed=0))
-        assert transfer_score(model, other) == model.accuracy(*other.train)
+        assert transfer_score(model, other) == accuracy(model.logits(other.train[0]), other.train[1])
+
+    def test_a_task_model_is_a_shared_classifier_scored_by_its_logits(self):
+        ds = make_blobs(seed=13, n_per=50, labels=3)
+        model = train_single_task(ds)
+        assert isinstance(model, ClusterModel) and model.kind == "shared_classifier"
+        for seed in (14, 15, 16):
+            t = make_blobs(seed=seed, n_per=30, labels=3, sep=2.0, task_id=f"t{seed}")
+            assert transfer_score(model, t) == accuracy(model.logits(t.train[0]), t.train[1])
+            assert np.array_equal(model.predict_proba(t.train[0]), softmax(model.logits(t.train[0])))
+
+    def test_logits_that_the_softmax_rounds_to_a_tie_keep_their_order(self):
+        """exp(0) and exp(1e-17) round to the same probability, so the argmax
+        of predict_proba takes label 0; the score takes the logits' label 1."""
+        model = ClusterModel("shared_classifier", np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)),
+                             np.array([0.0, 1e-17]))
+        X = np.zeros((4, 2))
+        ones = TaskDataset("ones", 2, (X, np.ones(4, dtype=int)), (X, np.ones(4, dtype=int)))
+        assert accuracy(model.predict_proba(X), ones.train[1]) == 0.0
+        assert transfer_score(model, ones) == 1.0
 
     def test_the_test_split_is_never_read(self):
         ds = make_blobs(seed=11, n_per=50)
@@ -359,7 +378,7 @@ def reference_train(ds, cfg):
         for start in range(0, len(y), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             reference_sgd_step(X[idx], y[idx], L, W_c, cfg.lr, W_e)
-    return TaskModel(W_enc=W_e[:-1], b_enc=W_e[-1], W_cls=W_c[:-1], b_cls=W_c[-1])
+    return ClusterModel("shared_classifier", W_enc=W_e[:-1], b_enc=W_e[-1], W_cls=W_c[:-1], b_cls=W_c[-1])
 
 
 # The loops before the augmented form: each bias added and its gradient
@@ -387,7 +406,7 @@ def separate_bias_train(ds, cfg):
         for start in range(0, len(y), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             separate_bias_step(X[idx], y[idx], L, W_c, b_c, cfg.lr, W_e, b_e)
-    return TaskModel(W_enc=W_e, b_enc=b_e, W_cls=W_c, b_cls=b_c)
+    return ClusterModel("shared_classifier", W_enc=W_e, b_enc=b_e, W_cls=W_c, b_cls=b_c)
 
 
 def assert_same_model(a, b):
@@ -449,7 +468,8 @@ class TestBatchInvariance:
                 for s, t in ((i, j), (j, i)):
                     source = train_single_task(tasks[s], cfg)
                     expected[s, t] = transfer_score(source, tasks[t])
-                    assert expected[s, t] == reference_train(tasks[s], cfg).accuracy(*tasks[t].train)
+                    reference = reference_train(tasks[s], cfg)
+                    assert expected[s, t] == accuracy(reference.logits(tasks[t].train[0]), tasks[t].train[1])
             tm = build_transfer_matrix(tasks, pairs, cfg)
             for (s, t), score in expected.items():
                 assert tm.scores[s, t] == score
