@@ -1,6 +1,7 @@
 """Walk one synthetic problem through the full clustering pipeline.
 
-Fabricates planted two-level transfer scores, thresholds them into a partial
+Fabricates planted two-level transfer scores, then spells out
+spectral.cluster_scores step by step: thresholds the scores into a partial
 binary similarity matrix, recovers the full matrix by robust completion and
 partitions it spectrally, printing what happened at every stage and the
 final agreement with the plant.
@@ -43,11 +44,11 @@ def main():
     print(f"filter: {off_diagonal} off-diagonal entries decided "
           f"({ones} similar, {off_diagonal - ones} dissimilar)")
 
-    X, clipped, result = complete_similarity(ps.values, ps.observed)
+    X, diag, _ = complete_similarity(ps.values, ps.observed)
     singular_values = np.linalg.svd(X, compute_uv=False)
     top = ", ".join(f"{v:.2f}" for v in singular_values[: args.clusters + 2])
-    print(f"complete: lambda={result.lam:.3f}, {result.iterations} iterations, "
-          f"residual {result.final_residual:.2e}, clipped {clipped:.1%}")
+    print(f"complete: lambda={diag['lambda']:.3f}, {diag['iterations']} iterations, "
+          f"residual {diag['final_residual']:.2e}, clipped {diag['clipped_fraction']:.1%}")
     print(f"complete: leading singular values [{top}, ...]")
 
     part = spectral_cluster(X, args.clusters, seed=args.seed)

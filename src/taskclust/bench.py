@@ -16,12 +16,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .completion import CompletionProblem, complete, complete_similarity, default_lambda
+from .completion import CompletionProblem, complete, default_lambda
 from .errors import InputError, NumericalError
-from .filtering import FilterParams, filter_scores
+from .filtering import FilterParams
 from .learning import fsl_combine, train_cluster_models, train_support_only
 from .seeding import derive_rng
-from .spectral import adjusted_rand_index, spectral_cluster
+from .spectral import adjusted_rand_index, cluster_scores
 from .synthdata import FamilyConfig, fewshot_from_dataset, make_target_task, make_task_family
 from .transfer import TrainConfig, build_transfer_matrix
 
@@ -296,8 +296,8 @@ def fewshot_trial(seed: int, n_tasks: int = 10, targets: int = 6, shots: int = 1
                   epochs: int = 100) -> FewShotResult:
     """One seed of the few-shot comparison on an opposed two-cluster family.
 
-    The family is clustered from direct-evaluation scores on every pair
-    (filter without the diagonal, complete_similarity, spectral_cluster).
+    The family is clustered from direct-evaluation scores on every pair by
+    cluster_scores, filtering without the diagonal.
     Each target, alternating between the clusters, is then served from
     ``shots`` support examples per label in the three ways FewShotResult
     lists. Every model trains for ``epochs``.
@@ -305,9 +305,8 @@ def fewshot_trial(seed: int, n_tasks: int = 10, targets: int = 6, shots: int = 1
     tasks, membership = make_task_family(n_tasks, 2, FEWSHOT_FAMILY, seed=seed, opposed=True)
     pairs = set(itertools.combinations(range(n_tasks), 2))
     config = TrainConfig(epochs=epochs, seed=0)
-    ps = filter_scores(build_transfer_matrix(tasks, pairs, config),
-                       FilterParams(include_diagonal_in_stats=False))
-    part = spectral_cluster(complete_similarity(ps.values, ps.observed)[0], 2, seed=seed)
+    part = cluster_scores(build_transfer_matrix(tasks, pairs, config), 2,
+                          FilterParams(include_diagonal_in_stats=False), seed=seed)[0]
     cluster_models = train_cluster_models(
         [[tasks[i] for i in part.members(k)] for k in range(2)], "shared_classifier", config)
     flat_models = train_cluster_models([[t] for t in tasks], "shared_classifier", config)

@@ -28,7 +28,7 @@ from .errors import InputError, NumericalError, TaskClustError
 from .filtering import MODES, FilterParams, filter_scores
 from .learning import adaptive_fsl, fsl_combine, train_cluster_models
 from .seeding import derive_rng
-from .spectral import spectral_cluster
+from .spectral import cluster_scores
 from .synthdata import FamilyConfig, fewshot_from_dataset, make_task_family
 from .transfer import (KINDS, PER_TASK_KINDS, TrainConfig, accuracy, build_transfer_matrix,
                        sample_task_pairs)
@@ -190,28 +190,24 @@ def cmd_filter(args) -> int:
     return 0
 
 
-def _solve(ps, s: dict):
-    solver = _pick(s, SolverConfig, **ALIASES)
-    lam = _get(s, "lam", float | None)
-    X, clipped, result = complete_similarity(ps.values, ps.observed, lam, solver)
-    if not result.converged:
+def _check_converged(diagnostics: dict) -> None:
+    """no-convergence unless the solve that gave ``diagnostics`` converged."""
+    if not diagnostics["converged"]:
         raise NumericalError(
             "no-convergence",
-            f"solver stopped after {result.iterations} iterations "
-            f"with residual {result.final_residual:.3e}",
+            f"solver stopped after {diagnostics['iterations']} iterations "
+            f"with residual {diagnostics['final_residual']:.3e}",
         )
-    # every scalar the solver reports, lam under the name "lambda"
-    diagnostics = {f.name: getattr(result, f.name) for f in fields(result) if f.name not in ("X", "E")}
-    diagnostics["lambda"] = diagnostics.pop("lam")
-    diagnostics["clipped_fraction"] = clipped
-    return X, result, diagnostics
 
 
 def cmd_complete(args) -> int:
     s = _settings(args, "complete", "similarity", "out_x", "out_e")
     diagnostics_path = _get(s, "diagnostics", str)
     ps = fileio.read_partial_csv(s["similarity"])
-    X, result, diagnostics = _solve(ps, s)
+    solver = _pick(s, SolverConfig, **ALIASES)
+    lam = _get(s, "lam", float | None)
+    X, diagnostics, result = complete_similarity(ps.values, ps.observed, lam, solver)
+    _check_converged(diagnostics)
     fileio.write_dense_csv(X, s["out_x"])
     fileio.write_dense_csv(result.E, s["out_e"])
     if diagnostics_path is not None:
@@ -229,11 +225,10 @@ def cmd_cluster(args) -> int:
     if K < 1:
         raise InputError("bad-K", "clusters must be >= 1")
     params, diagnostics_path = _filter_params(s), _get(s, "diagnostics", str)
-    ps = filter_scores(fileio.read_transfer_csv(s["scores"]), params)
-    X, result, diagnostics = _solve(ps, s)
-    del result  # its X and E are not needed for the partition
-    part = spectral_cluster(X, K, seed=s["seed"])
-    diagnostics["laplacian_gap"] = part.laplacian_gap
+    tm = fileio.read_transfer_csv(s["scores"])
+    solver = _pick(s, SolverConfig, **ALIASES)
+    part, diagnostics = cluster_scores(tm, K, params, _get(s, "lam", float | None), solver, s["seed"])
+    _check_converged(diagnostics)
     if part.laplacian_gap is not None and part.laplacian_gap <= LAPLACIAN_GAP_WARNING:
         _report(
             "warning", "degenerate-embedding",
@@ -243,7 +238,7 @@ def cmd_cluster(args) -> int:
     fileio.write_partition_json(part, s["out"])
     if diagnostics_path is not None:
         fileio.write_json(diagnostics, diagnostics_path)
-    print(f"partitioned {ps.n} tasks into {K} clusters -> {s['out']}")
+    print(f"partitioned {part.n} tasks into {K} clusters -> {s['out']}")
     return 0
 
 

@@ -41,7 +41,7 @@ reported X and E are symmetrized once, at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -397,14 +397,18 @@ def complete_similarity(
     observed: np.ndarray,
     lam: float | None = None,
     config: SolverConfig | None = None,
-) -> tuple[np.ndarray, float, CompletionResult]:
-    """The pipeline's completion step: (X clipped to [0, 1], clipped fraction, result).
+) -> tuple[np.ndarray, dict, CompletionResult]:
+    """The pipeline's completion step: (X clipped to [0, 1], diagnostics, result).
 
     lam defaults to observation_lambda(observed). The clip lets
-    spectral_cluster accept X: a recovered 0 can come out as -6e-10.
+    spectral_cluster accept X: a recovered 0 can come out as -6e-10. The
+    diagnostics are result's scalars (lam as "lambda") and clipped_fraction.
     result.X is unclipped, and result.converged is left to the caller.
     """
     lam = observation_lambda(observed) if lam is None else float(lam)
     result = complete(CompletionProblem(values, observed, lam), config)
     X, clipped = clip_to_unit(result.X)
-    return X, clipped, result
+    diagnostics = {f.name: getattr(result, f.name) for f in fields(result) if f.name not in ("X", "E")}
+    diagnostics["lambda"] = diagnostics.pop("lam")
+    diagnostics["clipped_fraction"] = clipped
+    return X, diagnostics, result

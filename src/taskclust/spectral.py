@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .completion import complete_similarity
 from .errors import InputError
+from .filtering import filter_scores
 from .seeding import derive_rng
 
 KMEANS_RESTARTS = 20
@@ -135,6 +137,19 @@ def spectral_cluster(X: np.ndarray, K: int, seed: int = 0) -> TaskPartition:
     labels = kmeans(Z, K, seed=seed)
     gap = float(w[K] - w[K - 1]) if K < n else None
     return TaskPartition(n=n, K=K, assignment=labels, seed=seed, laplacian_gap=gap)
+
+
+def cluster_scores(tm, K: int, params=None, lam=None, solver=None, seed: int = 0):
+    """filter_scores, complete_similarity, then spectral_cluster: the partition
+    and complete_similarity's diagnostics plus the partition's laplacian_gap.
+    An unconverged X is clustered as is; diagnostics["converged"] says so.
+    """
+    ps = filter_scores(tm, params)
+    # [:2] frees the solver's own X and E before the Laplacian is built
+    X, diagnostics = complete_similarity(ps.values, ps.observed, lam, solver)[:2]
+    part = spectral_cluster(X, K, seed=seed)
+    diagnostics["laplacian_gap"] = part.laplacian_gap
+    return part, diagnostics
 
 
 def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:

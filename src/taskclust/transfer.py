@@ -159,17 +159,9 @@ class ClusterModel:
         return softmax(self.logits(X, task_id, support))
 
 
-def metric_predict(model: ClusterModel, support: tuple[np.ndarray, np.ndarray], x) -> np.ndarray:
-    """Label distribution from inner products with per-label anchor encodings.
-
-    The anchor for a label is the mean encoding of that label's support
-    examples; probabilities are the softmax of anchor-query inner products.
-    """
-    return softmax(_anchor_logits(model, support, x))
-
-
 def _anchor_logits(model: ClusterModel, support, x) -> np.ndarray:
-    """metric_predict's anchor-query inner products, before the softmax."""
+    """Inner products of each encoded row of x with the per-label anchors:
+    a label's anchor is the mean encoding of its support examples."""
     Xs, ys = support
     Xs = np.asarray(Xs, dtype=float)
     ys = np.asarray(ys, dtype=int)

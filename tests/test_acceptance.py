@@ -22,12 +22,11 @@ from taskclust.cli import main as cli_main
 from taskclust.completion import (
     CompletionProblem,
     complete,
-    complete_similarity,
     default_lambda,
 )
 from taskclust.filtering import FilterParams, filter_scores
 from taskclust.learning import adaptive_fsl, fsl_combine, train_cluster_model
-from taskclust.spectral import adjusted_rand_index, spectral_cluster
+from taskclust.spectral import adjusted_rand_index, cluster_scores
 from taskclust.synthdata import (
     FamilyConfig,
     fewshot_from_dataset,
@@ -42,13 +41,6 @@ def report(capsys, label: str, passed: bool, detail: str) -> None:
     """Print one verdict line that survives pytest's output capture."""
     with capsys.disabled():
         print(f"[{label}] {'PASS' if passed else 'FAIL'}: {detail}")
-
-
-def pipeline_partition(tm, K, seed):
-    """Filter, complete and spectrally partition one transfer matrix."""
-    ps = filter_scores(tm, FilterParams(include_diagonal_in_stats=False))
-    X, _, _ = complete_similarity(ps.values, ps.observed)
-    return spectral_cluster(X, K, seed=seed)
 
 
 def test_exact_recovery_under_heavy_corruption(capsys):
@@ -193,8 +185,8 @@ def test_solver_objective_matches_the_planted_certificate(capsys):
 
 
 def test_pipeline_clusters_planted_scores_perfectly(capsys):
-    """Thirty percent of pairs, noisy two-level scores: the filter-complete-
-    cluster chain still reproduces the planted partition."""
+    """Thirty percent of pairs, noisy two-level scores: cluster_scores, the
+    filter-complete-cluster chain, still reproduces the planted partition."""
     t0 = time.perf_counter()
     n, K = 12, 3
     budget = int(0.30 * (n * (n - 1) // 2))
@@ -204,7 +196,7 @@ def test_pipeline_clusters_planted_scores_perfectly(capsys):
             n, K, budget, seed=seed, sampling="anchored",
             within=(0.9, 0.05), cross=(0.1, 0.05),
         )
-        part = pipeline_partition(tm, K, seed)
+        part, _ = cluster_scores(tm, K, FilterParams(include_diagonal_in_stats=False), seed=seed)
         perfect += adjusted_rand_index(part.assignment, membership) == 1.0
     elapsed = time.perf_counter() - t0
     ok = perfect >= 18 and elapsed < 120
@@ -216,10 +208,11 @@ def test_pipeline_clusters_planted_scores_perfectly(capsys):
 
 
 def test_regularized_embedding_clusters_the_sampled_48_task_path(capsys):
-    """Direct-evaluation scores of 300 sampled pairs on 48 tasks, the default
-    filter, completion and K = 3: every one of 2 families x 12 pair seeds
-    reaches ARI >= 0.9. No convergence is required, because family 0 with
-    pair seed 2 stops at the 500-iteration cap; its X is clustered as is."""
+    """Direct-evaluation scores of 300 sampled pairs on 48 tasks, clustered by
+    cluster_scores at its defaults and K = 3: every one of 2 families x 12
+    pair seeds reaches ARI >= 0.9. No convergence is required, because family
+    0 with pair seed 2 stops at the 500-iteration cap; its X is clustered as
+    is."""
     t0 = time.perf_counter()
     aris, gaps = [], []
     for family_seed in (0, 1):
@@ -227,8 +220,7 @@ def test_regularized_embedding_clusters_the_sampled_48_task_path(capsys):
         for pair_seed in range(12):
             tm = build_transfer_matrix(tasks, sample_task_pairs(48, 300, seed=pair_seed),
                                        TrainConfig(seed=pair_seed))
-            ps = filter_scores(tm, FilterParams())
-            part = spectral_cluster(complete_similarity(ps.values, ps.observed)[0], 3, seed=2)
+            part, _ = cluster_scores(tm, 3, seed=2)
             aris.append(adjusted_rand_index(part.assignment, membership))
             gaps.append(part.laplacian_gap)
     elapsed = time.perf_counter() - t0

@@ -341,12 +341,13 @@ class TestCluster:
         fileio.write_transfer_csv(tm, scores)
         out = tmp_path / "partition.json"
         args = ("cluster", "--scores", scores, "--out", out, "--clusters", 3, "--seed", 0)
-        code, _, err = run(capsys, *args, "--solver-max-iter", 1)
+        unconverged = tmp_path / "diag-unconverged.json"
+        code, _, err = run(capsys, *args, "--solver-max-iter", 1, "--diagnostics", unconverged)
         assert code == 3
         record = stderr_record(err)
         assert record["error"] == "no-convergence"
         assert record["message"].startswith("solver stopped after 1 iterations")
-        assert not out.exists()
+        assert not out.exists() and not unconverged.exists()
         iterations = {}  # the default tolerance takes 44 iterations, 1e-3 takes 21
         for tol in (1e-7, 1e-3):
             diag = tmp_path / f"diag-{tol}.json"
@@ -400,6 +401,19 @@ class TestCluster:
             assert code == 0, err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["E.csv", "X.csv", "p.json",
                                                               "partial.csv", "scores.csv"]
+
+    @pytest.mark.parametrize("extra", [(), ("--solver-max-iter", 1)])
+    def test_more_clusters_than_tasks_exit_two_and_write_nothing(self, extra, tmp_path, capsys):
+        """K = n + 1 is too-many-clusters whether or not the solve converges:
+        the partition is tried before the convergence check."""
+        tm, _ = synthetic_transfer_matrix(12, 3, 19, seed=0, sampling="anchored")
+        scores, out, diag = tmp_path / "scores.csv", tmp_path / "p.json", tmp_path / "diag.json"
+        fileio.write_transfer_csv(tm, scores)
+        code, _, err = run(capsys, "cluster", "--scores", scores, "--out", out, "--clusters", 13,
+                           "--diagnostics", diag, *extra, "--seed", 0)
+        assert code == 2
+        assert stderr_record(err)["error"] == "too-many-clusters"
+        assert not out.exists() and not diag.exists()
 
     def test_zero_clusters_rejected(self, tmp_path, capsys):
         tm, _ = synthetic_transfer_matrix(6, 2, 9, seed=0)

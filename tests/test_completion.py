@@ -750,15 +750,22 @@ def test_solver_config_rejects_a_nonpositive_rho0(rho0):
 
 
 def test_complete_similarity_is_the_hand_written_chain():
-    """lambda default, complete() and clip_to_unit, in one call."""
+    """lambda default, complete() and clip_to_unit, in one call, with the
+    solver's scalars and the clipped fraction as its diagnostics."""
     tm, _ = synthetic_transfer_matrix(12, 3, 19, seed=0, sampling="anchored")
     ps = filter_scores(tm, FilterParams(include_diagonal_in_stats=False))
-    X, clipped, result = complete_similarity(ps.values, ps.observed)
+    X, diagnostics, result = complete_similarity(ps.values, ps.observed)
     lam = observation_lambda(ps.observed)
     ref = complete(CompletionProblem(ps.values.astype(float), ps.observed.copy(), lam))
     ref_X, ref_clipped = clip_to_unit(ref.X)
-    assert X.tobytes() == ref_X.tobytes() and clipped == ref_clipped
+    assert X.tobytes() == ref_X.tobytes()
     assert result.X.tobytes() == ref.X.tobytes() and result.lam == lam
+    assert diagnostics == {
+        "iterations": ref.iterations, "final_residual": ref.final_residual,
+        "converged": ref.converged, "rho_initial": ref.rho_initial, "rho_final": ref.rho_final,
+        "x_rank": ref.x_rank, "e_support": ref.e_support, "full_steps": ref.full_steps,
+        "lambda": lam, "clipped_fraction": ref_clipped,
+    }
     config = SolverConfig(max_iter=3)
     _, _, result = complete_similarity(ps.values, ps.observed, 0.25, config)
     assert result.lam == 0.25 and result.iterations == 3 and not result.converged

@@ -30,7 +30,6 @@ from taskclust.transfer import (
     TaskDataset,
     TrainConfig,
     accuracy,
-    metric_predict,
     softmax,
     train_single_task,
 )
@@ -101,7 +100,7 @@ class TestClusterTraining:
         ds = make_target_task(0, 2, fc, seed=0)
         model = train_cluster_model([ds], "metric_encoder", TrainConfig(epochs=60, seed=0))
         fs = fewshot_from_dataset(ds, shots=3, seed=0)
-        P = metric_predict(model, fs.train, fs.train[0])
+        P = model.predict_proba(fs.train[0], support=fs.train)
         assert np.array_equal(P.argmax(axis=1), fs.train[1])
 
     def test_empty_cluster_rejected(self):
@@ -425,13 +424,16 @@ class TestMetricStacks:
 
 
 class TestMetricPredict:
+    """predict_proba of a metric_encoder model: the softmax of the inner
+    products with the per-label support anchors."""
+
     def test_orthonormal_anchor_hit_probability(self):
         """Querying with one of L orthonormal anchors puts weight e/(e+L-1)
         on that anchor's label: softmax over one unit logit and L-1 zeros."""
         for L in (2, 3, 5):
             model = identity_metric_model(L)
             support = (np.eye(L), np.arange(L))
-            P = metric_predict(model, support, np.eye(L)[0][None, :])
+            P = model.predict_proba(np.eye(L)[0][None, :], support=support)
             assert P.shape == (1, L)
             assert abs(P[0, 0] - np.e / (np.e + L - 1)) < 1e-12
 
@@ -439,13 +441,13 @@ class TestMetricPredict:
         model = identity_metric_model(3)
         point = np.array([0.3, -1.2, 0.5])
         support = (np.tile(point, (4, 1)), np.array([0, 1, 2, 0]))
-        P = metric_predict(model, support, np.array([[1.0, 1.0, 1.0]]))
+        P = model.predict_proba(np.array([[1.0, 1.0, 1.0]]), support=support)
         assert np.allclose(P, 1.0 / 3.0)
 
     def test_single_label_always_certain(self):
         model = identity_metric_model(2)
         support = (np.array([[1.0, 0.0], [0.5, 0.5]]), np.array([0, 0]))
-        P = metric_predict(model, support, np.array([[9.0, -9.0]]))
+        P = model.predict_proba(np.array([[9.0, -9.0]]), support=support)
         assert P.shape == (1, 1)
         assert P[0, 0] == 1.0
 
@@ -453,22 +455,23 @@ class TestMetricPredict:
         model = identity_metric_model(2)
         support = (np.array([[2.0, 0.0], [4.0, 0.0], [0.0, 3.0]]), np.array([0, 0, 1]))
         x = np.array([[1.0, 0.0]])
-        P = metric_predict(model, support, x)
+        P = model.predict_proba(x, support=support)
         expected = np.exp([3.0, 0.0])
         expected /= expected.sum()
         assert np.allclose(P[0], expected)
 
     def test_empty_support_rejected(self):
         model = identity_metric_model(2)
+        empty = (np.zeros((0, 2)), np.zeros(0, dtype=int))
         with pytest.raises(InputError) as exc:
-            metric_predict(model, (np.zeros((0, 2)), np.zeros(0, dtype=int)), np.zeros((1, 2)))
+            model.predict_proba(np.zeros((1, 2)), support=empty)
         assert exc.value.code == "no-support"
 
     def test_gap_in_support_labels_rejected(self):
         model = identity_metric_model(2)
         support = (np.eye(2), np.array([0, 2]))
         with pytest.raises(InputError) as exc:
-            metric_predict(model, support, np.zeros((1, 2)))
+            model.predict_proba(np.zeros((1, 2)), support=support)
         assert exc.value.code == "missing-label"
 
 

@@ -1,16 +1,22 @@
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from taskclust import spectral
+from taskclust.completion import SolverConfig, complete_similarity
 from taskclust.errors import InputError
+from taskclust.filtering import FilterParams, filter_scores
 from taskclust.spectral import (
     TaskPartition,
     adjusted_rand_index,
+    cluster_scores,
     kmeans,
     spectral_cluster,
 )
+from taskclust.synthdata import synthetic_transfer_matrix
 
 
 def planted_affinity(member, noise=0.0, seed=0):
@@ -231,6 +237,51 @@ def test_peak_memory_is_two_n_by_n_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 3 * n * n * 8
+
+
+@pytest.mark.parametrize("params, lam, solver", [
+    (None, None, None),
+    # each of the three settings alone changes the iterations or the partition here
+    (FilterParams(p1=1.0, p2=0.2, include_diagonal_in_stats=False), 0.4,
+     SolverConfig(tol=1e-5, rho_growth=1.5, max_iter=300)),
+])
+def test_cluster_scores_is_the_hand_written_chain(params, lam, solver):
+    tm, _ = synthetic_transfer_matrix(24, 3, 80, seed=3, sampling="anchored")
+    part, diagnostics = cluster_scores(tm, 3, params, lam, solver, seed=5)
+    ps = filter_scores(tm, params)
+    X, ref_diagnostics, _ = complete_similarity(ps.values, ps.observed, lam, solver)
+    ref = spectral_cluster(X, 3, seed=5)
+    assert part.assignment.tolist() == ref.assignment.tolist()
+    assert (part.n, part.K, part.seed) == (24, 3, 5)
+    assert diagnostics == {**ref_diagnostics, "laplacian_gap": ref.laplacian_gap}
+    assert list(diagnostics) == [*ref_diagnostics, "laplacian_gap"]
+
+
+def test_cluster_scores_clusters_an_unconverged_solve():
+    tm, _ = synthetic_transfer_matrix(24, 3, 80, seed=3, sampling="anchored")
+    part, diagnostics = cluster_scores(tm, 3, solver=SolverConfig(max_iter=1))
+    assert diagnostics["converged"] is False and diagnostics["iterations"] == 1
+    assert part.n == 24 and part.K == 3
+
+
+def test_cluster_scores_frees_the_solve_before_the_laplacian(monkeypatch):
+    """The solver's result, with its unclipped X and E, is gone by the time
+    spectral_cluster builds the Laplacian."""
+    results = []
+
+    def completing(*args):
+        out = complete_similarity(*args)
+        results.append(weakref.ref(out[2]))
+        return out
+
+    def clustering(X, K, seed):
+        assert results and results[0]() is None
+        return spectral_cluster(X, K, seed)
+
+    monkeypatch.setattr(spectral, "complete_similarity", completing)
+    monkeypatch.setattr(spectral, "spectral_cluster", clustering)
+    tm, _ = synthetic_transfer_matrix(24, 3, 80, seed=3, sampling="anchored")
+    assert cluster_scores(tm, 3)[0].n == 24
 
 
 def test_partition_validation():
