@@ -11,7 +11,6 @@ compares few-shot predictors built with and without its clusters.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,7 +21,8 @@ from .filtering import FilterParams
 from .learning import fsl_combine, train_cluster_models, train_support_only
 from .seeding import derive_rng
 from .spectral import adjusted_rand_index, cluster_scores
-from .synthdata import FamilyConfig, fewshot_from_dataset, make_target_task, make_task_family
+from .synthdata import (FamilyConfig, equal_sizes, fewshot_from_dataset, make_target_task,
+                        make_task_family)
 from .transfer import TrainConfig, build_transfer_matrix
 
 # recovery_trial's test: recovered iff every entry of X is this close to X*.
@@ -32,17 +32,13 @@ RECOVERY_TOL = 1e-3
 @dataclass
 class PlantedInstance:
     n: int
-    k: int
-    sizes: list[int]
     membership: np.ndarray  # cluster id per task
     X_star: np.ndarray      # {0,1}, X*_ij = 1 iff i and j share a cluster
 
 
 @dataclass
 class ObservationPlan:
-    m1: int
-    m2: int
-    omega: np.ndarray  # bool mask of observed positions, |omega| = m1
+    omega: np.ndarray  # bool mask of observed positions, m1 of them
     delta: np.ndarray  # bool mask of corrupted positions, subset of omega
     Y: np.ndarray      # X* with delta positions bit-flipped
 
@@ -57,15 +53,7 @@ def generate_planted(n: int, k: int, sizes, seed: int = 0) -> PlantedInstance:
     rng = derive_rng(seed, "planted", n, k)
     membership = labels[rng.permutation(n)]
     X_star = (membership[:, None] == membership[None, :]).astype(float)
-    return PlantedInstance(n=n, k=k, sizes=sizes, membership=membership, X_star=X_star)
-
-
-def equal_sizes(n: int, k: int) -> list[int]:
-    """k cluster sizes summing to n that differ by at most one; k < 1 is bad-sizes."""
-    if k < 1:
-        raise InputError("bad-sizes", f"need at least one cluster, got k={k}")
-    base, extra = divmod(n, k)
-    return [base + (1 if i < extra else 0) for i in range(k)]
+    return PlantedInstance(n=n, membership=membership, X_star=X_star)
 
 
 def _weighted_unit_order(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -145,7 +133,7 @@ def observe_and_corrupt(
 
     Y = inst.X_star.copy()
     Y[delta] = 1.0 - Y[delta]
-    return ObservationPlan(m1=m1, m2=m2, omega=omega, delta=delta, Y=np.where(omega, Y, 0.0))
+    return ObservationPlan(omega=omega, delta=delta, Y=np.where(omega, Y, 0.0))
 
 
 @dataclass
@@ -303,9 +291,9 @@ def fewshot_trial(seed: int, n_tasks: int = 10, targets: int = 6, shots: int = 1
     lists. Every model trains for ``epochs``.
     """
     tasks, membership = make_task_family(n_tasks, 2, FEWSHOT_FAMILY, seed=seed, opposed=True)
-    pairs = set(itertools.combinations(range(n_tasks), 2))
+    every_pair = np.triu(np.ones((n_tasks, n_tasks), dtype=bool), 1)
     config = TrainConfig(epochs=epochs, seed=0)
-    part = cluster_scores(build_transfer_matrix(tasks, pairs, config), 2,
+    part = cluster_scores(build_transfer_matrix(tasks, every_pair, config), 2,
                           FilterParams(include_diagonal_in_stats=False), seed=seed)[0]
     cluster_models = train_cluster_models(
         [[tasks[i] for i in part.members(k)] for k in range(2)], "shared_classifier", config)

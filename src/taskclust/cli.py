@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 bad input or configuration, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import typing
@@ -160,7 +159,7 @@ def cmd_estimate(args) -> int:
     tasks = fileio.read_task_dir(s["tasks"])
     n = len(tasks)
     if budget in (None, "all"):
-        pairs = set(itertools.combinations(range(n), 2))
+        pairs = np.triu(np.ones((n, n), dtype=bool), 1)
     else:
         try:
             budget = int(budget)
@@ -170,7 +169,7 @@ def cmd_estimate(args) -> int:
         pairs = sample_task_pairs(n, budget, seed=s["seed"])
     tm = build_transfer_matrix(tasks, pairs, config)
     fileio.write_transfer_csv(tm, s["out"])
-    print(f"estimated {len(pairs)} pairs over {n} tasks -> {s['out']}")
+    print(f"estimated {int(pairs.sum())} pairs over {n} tasks -> {s['out']}")
     return 0
 
 

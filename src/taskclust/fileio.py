@@ -41,25 +41,15 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _pyify(obj):
-    """Recursively convert numpy scalars/arrays so json can serialize them."""
-    if isinstance(obj, np.ndarray):
-        return [_pyify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _pyify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_pyify(v) for v in obj]
-    return obj
+def _tolist(obj):
+    """json's fallback for numpy arrays and scalars (np.float64, a float, never reaches it)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_json(obj, path) -> None:
-    text = json.dumps(_pyify(obj), indent=2, sort_keys=True)
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_tolist)
     Path(path).write_text(text + "\n")
 
 

@@ -19,22 +19,29 @@ from .seeding import derive_rng
 from .transfer import TaskDataset, TransferMatrix, sample_task_pairs
 
 
+def equal_sizes(n: int, k: int) -> list[int]:
+    """k cluster sizes summing to n that differ by at most one; k < 1 is bad-sizes."""
+    if k < 1:
+        raise InputError("bad-sizes", f"need at least one cluster, got k={k}")
+    base, extra = divmod(n, k)
+    return [base + (1 if i < extra else 0) for i in range(k)]
+
+
 def balanced_membership(n: int, K: int) -> np.ndarray:
     """Contiguous cluster blocks whose sizes differ by at most one."""
     if K < 1 or K > n:
         raise InputError("bad-K", f"need 1 <= K <= n, got K={K}, n={n}")
-    base, extra = divmod(n, K)
-    sizes = [base + (1 if c < extra else 0) for c in range(K)]
-    return np.repeat(np.arange(K), sizes)
+    return np.repeat(np.arange(K), equal_sizes(n, K))
 
 
-def _anchored_pairs(membership: np.ndarray, budget: int, rng) -> set[tuple[int, int]]:
-    """Pair sample that keeps the planted clustering identifiable.
+def _anchored_pairs(membership: np.ndarray, budget: int, rng) -> np.ndarray:
+    """Pair mask, as sample_task_pairs returns, that keeps the planted
+    clustering identifiable.
 
     A uniform sample this small routinely leaves tasks with no within-cluster
     pair, and no method can then place them. Spend the budget on a random
     spanning tree inside each cluster, then one cross-cluster pair per task,
-    then uniform draws from the remaining pairs.
+    then uniform draws from the remaining pairs, taken in row-major order.
     """
     n = membership.size
     K = membership.max() + 1
@@ -45,15 +52,10 @@ def _anchored_pairs(membership: np.ndarray, budget: int, rng) -> set[tuple[int, 
             "infeasible-budget",
             f"anchored sampling needs at least {need} pairs for this plant, got {budget}",
         )
-    pairs: set[tuple[int, int]] = set()
-
-    def add(i, j):
-        pairs.add((min(i, j), max(i, j)))
-
+    pairs = np.zeros((n, n), dtype=bool)
     for members in clusters:
         path = rng.permutation(members)
-        for a, b in zip(path, path[1:]):
-            add(a, b)
+        pairs[np.minimum(path[:-1], path[1:]), np.maximum(path[:-1], path[1:])] = True
     covered = np.zeros(n, dtype=bool)
     for i in rng.permutation(n):
         if covered[i]:
@@ -61,13 +63,12 @@ def _anchored_pairs(membership: np.ndarray, budget: int, rng) -> set[tuple[int, 
         others = np.flatnonzero(membership != membership[i])
         uncovered = others[~covered[others]]
         j = rng.choice(uncovered) if uncovered.size else rng.choice(others)
-        add(i, j)
+        pairs[min(i, j), max(i, j)] = True
         covered[i] = covered[j] = True
-    rest = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in pairs]
-    extra = budget - len(pairs)
+    free = np.flatnonzero(np.triu(~pairs, 1))
+    extra = budget - int(pairs.sum())
     if extra > 0:
-        for idx in rng.choice(len(rest), size=min(extra, len(rest)), replace=False):
-            add(*rest[idx])
+        pairs.flat[free[rng.choice(free.size, size=min(extra, free.size), replace=False)]] = True
     return pairs
 
 
@@ -83,10 +84,12 @@ def synthetic_transfer_matrix(
     """Sampled pairwise transfer scores around planted cluster levels.
 
     Both directions of a sampled pair are drawn independently, so the matrix
-    is asymmetric the way a real transfer evaluation would be. Scores are
-    clipped to [0, 1]. sampling="uniform" draws pairs uniformly at random;
-    "anchored" guarantees every task at least one within-cluster and one
-    cross-cluster pair so the plant remains identifiable at small budgets.
+    is asymmetric the way a real transfer evaluation would be: S_ij then S_ji
+    for each pair of the mask in row-major order, clipped to [0, 1].
+    sampling="uniform" draws the mask with sample_task_pairs; "anchored" with
+    _anchored_pairs, which guarantees every task at least one within-cluster
+    and one cross-cluster pair so the plant remains identifiable at small
+    budgets.
     """
     if sampling not in ("uniform", "anchored"):
         raise InputError("bad-config", "sampling must be 'uniform' or 'anchored'")
@@ -95,17 +98,14 @@ def synthetic_transfer_matrix(
         pairs = _anchored_pairs(membership, pair_budget, derive_rng(seed, "anchored", n, K))
     else:
         pairs = sample_task_pairs(n, pair_budget, seed=seed)
-    rng = derive_rng(seed, "synthscores", n, K)
-    scores = np.zeros((n, n))
-    observed = np.zeros((n, n), dtype=bool)
-    for i, j in sorted(pairs):
-        mean, sd = within if membership[i] == membership[j] else cross
-        scores[i, j] = np.clip(mean + sd * rng.standard_normal(), 0.0, 1.0)
-        scores[j, i] = np.clip(mean + sd * rng.standard_normal(), 0.0, 1.0)
-        observed[i, j] = observed[j, i] = True
-    d = np.arange(n)
-    scores[d, d] = 1.0
-    observed[d, d] = True
+    i, j = np.nonzero(pairs)
+    same = membership[i] == membership[j]
+    mean = np.where(same, within[0], cross[0])[:, None]
+    sd = np.where(same, within[1], cross[1])[:, None]
+    z = derive_rng(seed, "synthscores", n, K).standard_normal((i.size, 2))
+    scores = np.eye(n)
+    scores[i, j], scores[j, i] = np.clip(mean + sd * z, 0.0, 1.0).T
+    observed = pairs | pairs.T | np.eye(n, dtype=bool)
     return TransferMatrix(scores=scores, observed=observed), membership
 
 
@@ -129,8 +129,11 @@ class FamilyConfig:
                 raise InputError("bad-config", f"{name} must be finite and non-negative")
 
 
-def _sample_task(task_id: str, means: np.ndarray, fc: FamilyConfig, rng) -> TaskDataset:
-    """Train then test: per class, ``*_per_class`` rows around its mean, shuffled."""
+def _sample_task(task_id: str, proto: np.ndarray, fc: FamilyConfig, rng, shift: int = 0) -> TaskDataset:
+    """A task around prototype proto, drawn from rng: its class means are
+    proto + task_noise·N(0, 1), rolled by ``shift`` labels; then train then
+    test, per class ``*_per_class`` rows around its mean, shuffled."""
+    means = np.roll(proto + fc.task_noise * rng.standard_normal(proto.shape), shift, axis=0)
     L, d = means.shape
     splits = []
     for per in (fc.train_per_class, fc.test_per_class):
@@ -169,11 +172,8 @@ def make_task_family(
     fc = fc or FamilyConfig()
     membership = balanced_membership(n_tasks, K)
     protos = cluster_prototypes(K, fc, seed, opposed=opposed)
-    tasks = []
-    for t in range(n_tasks):
-        rng = derive_rng(seed, "task", t)
-        means = protos[membership[t]] + fc.task_noise * rng.standard_normal(protos[membership[t]].shape)
-        tasks.append(_sample_task(f"task{t:03d}", means, fc, rng))
+    tasks = [_sample_task(f"task{t:03d}", protos[membership[t]], fc, derive_rng(seed, "task", t))
+             for t in range(n_tasks)]
     return tasks, membership
 
 
@@ -186,13 +186,7 @@ def make_target_task(
     opposed: bool = False,
 ) -> TaskDataset:
     """A fresh task drawn from an existing cluster's prototype."""
-    fc = fc or FamilyConfig()
-    protos = cluster_prototypes(K, fc, seed, opposed=opposed)
-    if not 0 <= cluster_id < K:
-        raise InputError("bad-K", f"cluster_id {cluster_id} outside [0, {K})")
-    rng = derive_rng(seed, "target", cluster_id, tag)
-    means = protos[cluster_id] + fc.task_noise * rng.standard_normal(protos[cluster_id].shape)
-    return _sample_task(f"target-c{cluster_id}-{tag}", means, fc, rng)
+    return _cluster_task("target", cluster_id, K, fc, seed, tag, opposed)
 
 
 def make_adversarial_task(
@@ -208,14 +202,19 @@ def make_adversarial_task(
     its support accuracy lands below chance. This is the regime where a
     fallback to support-only training should win.
     """
+    return _cluster_task("adversarial", cluster_id, K, fc, seed, tag, shift=1)
+
+
+def _cluster_task(kind: str, cluster_id: int, K: int, fc: FamilyConfig | None, seed: int, tag: int,
+                  opposed: bool = False, shift: int = 0) -> TaskDataset:
+    """Task ``{kind}-c{cluster_id}-{tag}`` around cluster_id's prototype,
+    drawn from the stream (seed, kind, cluster_id, tag), labels rolled by shift."""
     fc = fc or FamilyConfig()
-    protos = cluster_prototypes(K, fc, seed)
+    protos = cluster_prototypes(K, fc, seed, opposed=opposed)
     if not 0 <= cluster_id < K:
         raise InputError("bad-K", f"cluster_id {cluster_id} outside [0, {K})")
-    rng = derive_rng(seed, "adversarial", cluster_id, tag)
-    means = protos[cluster_id] + fc.task_noise * rng.standard_normal(protos[cluster_id].shape)
-    means = np.roll(means, 1, axis=0)
-    return _sample_task(f"adversarial-c{cluster_id}-{tag}", means, fc, rng)
+    return _sample_task(f"{kind}-c{cluster_id}-{tag}", protos[cluster_id], fc,
+                        derive_rng(seed, kind, cluster_id, tag), shift)
 
 
 def fewshot_from_dataset(ds: TaskDataset, shots: int, seed: int = 0) -> TaskDataset:

@@ -5,8 +5,9 @@ Each task gets a shared_classifier one, trained on its training split by
 mini-batch gradient descent; ``learning`` trains the same type per cluster.
 Transfer from task i to task j is measured by direct evaluation: i's model,
 unchanged, is scored on j's training split, so the two tasks must have the
-same label count. Scores for a sampled set of task pairs are assembled into
-an asymmetric, partially observed matrix with unit diagonal.
+same label count. Scores for a sampled set of task pairs, held as an n x n
+bool mask true only above the diagonal, are assembled into an asymmetric,
+partially observed matrix with unit diagonal.
 
 All training runs through one kernel that steps a stack of same-shaped
 problems at once: tasks of one shape train together, each drawing from a
@@ -354,23 +355,10 @@ def transfer_score(source: ClusterModel, target: TaskDataset) -> float:
     return accuracy(source.logits(target.train[0]), target.train[1])
 
 
-def _pair_offset(i: int, n: int) -> int:
-    """Rank of pair (i, i+1) in the lexicographic list of all i<j pairs."""
-    return i * (2 * n - i - 1) // 2
-
-
-def _unrank_pair(t: int, n: int) -> tuple[int, int]:
-    i = (2 * n - 1 - math.isqrt((2 * n - 1) ** 2 - 8 * t)) // 2
-    while _pair_offset(i + 1, n) <= t:
-        i += 1
-    while _pair_offset(i, n) > t:
-        i -= 1
-    j = t - _pair_offset(i, n) + i + 1
-    return i, j
-
-
-def sample_task_pairs(n: int, budget: int, seed: int = 0) -> set[tuple[int, int]]:
-    """Uniformly sample `budget` distinct unordered task pairs."""
+def sample_task_pairs(n: int, budget: int, seed: int = 0) -> np.ndarray:
+    """Uniformly sample `budget` distinct unordered task pairs: an n x n bool
+    mask, true at (i, j), i < j, for each. Ranks are drawn in the order of
+    np.triu_indices(n, 1), the lexicographic list of all i < j pairs."""
     total = n * (n - 1) // 2
     if budget <= 0:
         raise InputError("bad-budget", "budget must be positive")
@@ -378,37 +366,39 @@ def sample_task_pairs(n: int, budget: int, seed: int = 0) -> set[tuple[int, int]
         raise InputError(
             "budget-too-large", f"asked for {budget} pairs but only {total} exist"
         )
-    rng = derive_rng(seed, "pairs")
-    ranks = rng.choice(total, size=budget, replace=False)
-    return {_unrank_pair(int(t), n) for t in ranks}
+    ranks = derive_rng(seed, "pairs").choice(total, size=budget, replace=False)
+    iu, ju = np.triu_indices(n, 1)
+    pairs = np.zeros((n, n), dtype=bool)
+    pairs[iu[ranks], ju[ranks]] = True
+    return pairs
 
 
 def build_transfer_matrix(
     tasks: list[TaskDataset],
-    pairs: set[tuple[int, int]],
+    pairs: np.ndarray,
     config: TrainConfig | None = None,
 ) -> TransferMatrix:
     """Train a model on every task in a sampled pair (train_tasks under
-    config) and score both directions of each pair with transfer_score. An
-    error of either direction names the pair, as ``pair (i,j): ...``."""
+    config) and score both directions of each pair, in row-major order, with
+    transfer_score. pairs is a mask as sample_task_pairs returns it: another
+    shape is bad-shape, and an entry on or below the diagonal is bad-pair.
+    An error of either direction names the pair, as ``pair (i,j): ...``."""
     n = len(tasks)
-    for i, j in pairs:
-        if not (0 <= i < n and 0 <= j < n and i != j):
-            raise InputError("bad-pair", f"pair ({i},{j}) out of range for {n} tasks")
-    scores = np.zeros((n, n))
-    observed = np.zeros((n, n), dtype=bool)
-    needed = sorted({i for p in pairs for i in p})
+    pairs = np.asarray(pairs, dtype=bool)
+    if pairs.shape != (n, n):
+        raise InputError("bad-shape", f"pair mask of shape {pairs.shape} for {n} tasks")
+    below = np.argwhere(np.tril(pairs))
+    if below.size:
+        i, j = below[0]
+        raise InputError("bad-pair", f"pair ({i},{j}) is not above the diagonal")
+    rows, cols = np.nonzero(pairs)
+    needed = np.union1d(rows, cols).tolist()
     models = dict(zip(needed, train_tasks([tasks[i] for i in needed], config)))
-    for i, j in sorted(set((min(p), max(p)) for p in pairs)):
+    scores = np.eye(n)
+    for i, j in zip(rows.tolist(), cols.tolist()):
         try:
             scores[i, j] = transfer_score(models[i], tasks[j])
             scores[j, i] = transfer_score(models[j], tasks[i])
         except InputError as exc:
             raise InputError(exc.code, f"pair ({i},{j}): {exc.message}") from exc
-        observed[i, j] = observed[j, i] = True
-    d = np.arange(n)
-    scores[d, d] = 1.0
-    observed[d, d] = True
-    return TransferMatrix(scores=scores, observed=observed)
-
-
+    return TransferMatrix(scores=scores, observed=pairs | pairs.T | np.eye(n, dtype=bool))

@@ -1,5 +1,6 @@
 """Tests for planted-cluster score matrices and synthetic task families."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -42,14 +43,20 @@ class TestMembership:
 
 
 class TestAnchoredPairs:
+    def test_sample_is_an_upper_triangle_mask_within_budget(self):
+        membership = balanced_membership(12, 3)
+        pairs = _anchored_pairs(membership, 25, derive_rng(0, "t"))
+        assert pairs.dtype == bool and pairs.shape == (12, 12)
+        assert pairs.sum() == 25 and not np.tril(pairs).any()
+
     def test_every_task_gets_within_and_cross_pairs(self):
         membership = balanced_membership(12, 3)
         for seed in range(5):
             pairs = _anchored_pairs(membership, 25, derive_rng(seed, "t"))
-            assert len(pairs) <= 25
+            assert pairs.sum() <= 25
+            linked = pairs | pairs.T
             for t in range(12):
-                mine = [p for p in pairs if t in p]
-                partners = [p[0] + p[1] - t for p in mine]
+                partners = np.flatnonzero(linked[t])
                 assert any(membership[q] == membership[t] for q in partners)
                 assert any(membership[q] != membership[t] for q in partners)
 
@@ -63,7 +70,7 @@ class TestAnchoredPairs:
             frontier = True
             while frontier:
                 frontier = False
-                for i, j in pairs:
+                for i, j in zip(*(idx.tolist() for idx in np.nonzero(pairs))):
                     if i in members and j in members and (i in reached) != (j in reached):
                         reached |= {i, j}
                         frontier = True
@@ -77,6 +84,18 @@ class TestAnchoredPairs:
 
 
 class TestSyntheticTransferMatrix:
+    @pytest.mark.parametrize("sampling, scores_sha, observed_sha", [
+        ("anchored", "33c9935b6958127a3f51c94861a79af40d8d422fd26b0c1ad69fc55d2c94f504",
+         "deea38577d535391debbfb2c7d0d6d0d94fc8b0d81e09538ff062cf2a1c35261"),
+        ("uniform", "345b200f0f8bc3e6307accdd35cdf368b3db05590221e650cf0647bb6e4c53a4",
+         "11eb94141a726c18254d957487c0346dcad032aa4b0412425dd3c3d5a1d3773b"),
+    ])
+    def test_matrix_matches_recorded_draws(self, sampling, scores_sha, observed_sha):
+        """Pinned bytes: a rewrite of the pair samplers or the score draw must reproduce them."""
+        tm, _ = synthetic_transfer_matrix(24, 3, 60, seed=7, sampling=sampling)
+        assert hashlib.sha256(tm.scores.tobytes()).hexdigest() == scores_sha
+        assert hashlib.sha256(tm.observed.tobytes()).hexdigest() == observed_sha
+
     def test_observation_count_matches_budget(self):
         tm, membership = synthetic_transfer_matrix(12, 3, 20, seed=0)
         assert tm.observed.sum() == 2 * 20 + 12

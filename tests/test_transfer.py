@@ -1,5 +1,6 @@
 """Tests for per-task training, transfer scoring and pair sampling."""
 
+import hashlib
 import itertools
 import math
 
@@ -14,7 +15,6 @@ from taskclust.transfer import (
     ClusterModel,
     TaskDataset,
     TrainConfig,
-    _unrank_pair,
     accuracy,
     build_transfer_matrix,
     sample_task_pairs,
@@ -43,6 +43,19 @@ def make_blobs(seed, n_per=40, dim=2, labels=2, sep=4.0, noise=1.0, task_id="blo
         train=(X[:n_tr], y[:n_tr]),
         test=(X[n_tr:], y[n_tr:]),
     )
+
+
+def pair_mask(n, *pairs):
+    """The n x n bool pair mask, true at each given (i, j) and nowhere else."""
+    mask = np.zeros((n, n), dtype=bool)
+    for i, j in pairs:
+        mask[i, j] = True
+    return mask
+
+
+def pair_list(mask):
+    """The pairs of a mask as sorted (i, j) tuples of ints."""
+    return sorted(zip(*(idx.tolist() for idx in np.nonzero(mask))))
 
 
 def best_linear_accuracy(X, y, directions=720):
@@ -212,7 +225,7 @@ class TestTransferScore:
                 transfer_score(model, relabelled)
             assert exc.value.code == "label-mismatch"
             with pytest.raises(InputError) as exc:
-                build_transfer_matrix([tasks[0], relabelled], {(0, 1)}, TrainConfig(epochs=50))
+                build_transfer_matrix([tasks[0], relabelled], pair_mask(2, (0, 1)), TrainConfig(epochs=50))
             assert exc.value.code == "label-mismatch"
 
     def test_dimension_mismatch_rejected(self):
@@ -250,14 +263,31 @@ class TestAccuracy:
 
 class TestPairSampling:
     def test_tiny_budget_covers_all_pairs(self):
-        assert sample_task_pairs(3, 3, seed=0) == {(0, 1), (0, 2), (1, 2)}
+        assert pair_list(sample_task_pairs(3, 3, seed=0)) == [(0, 1), (0, 2), (1, 2)]
+
+    def test_sample_is_an_upper_triangle_mask_of_budget_pairs(self):
+        got = sample_task_pairs(9, 12, seed=42)
+        assert got.dtype == bool and got.shape == (9, 9)
+        assert got.sum() == 12 and not np.tril(got).any()
 
     def test_sampling_is_deterministic(self):
-        assert sample_task_pairs(9, 12, seed=42) == sample_task_pairs(9, 12, seed=42)
+        assert np.array_equal(sample_task_pairs(9, 12, seed=42), sample_task_pairs(9, 12, seed=42))
+
+    def test_samples_match_recorded_draws(self):
+        """Pinned pairs: rank t of the draw is the t-th pair in lexicographic
+        order, and a rewrite of the sampler must reproduce them."""
+        assert pair_list(sample_task_pairs(9, 12, seed=42)) == [
+            (0, 4), (0, 5), (0, 6), (0, 7), (1, 4), (2, 5),
+            (2, 6), (3, 4), (3, 6), (4, 7), (5, 8), (7, 8)]
+        got = pair_list(sample_task_pairs(48, 300, seed=1))
+        assert got[:5] == [(0, 3), (0, 5), (0, 7), (0, 11), (0, 12)]
+        assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+            "d5db6ba38231bed2c343937bb7ec490893e1de7d5d6ed57aa00560b33d5f5e98")
 
     def test_full_budget_enumerates_every_pair(self):
         got = sample_task_pairs(7, 21, seed=5)
-        assert got == set(itertools.combinations(range(7), 2))
+        assert pair_list(got) == list(itertools.combinations(range(7), 2))
+        assert np.array_equal(got, np.triu(np.ones((7, 7), dtype=bool), 1))
 
     def test_budget_too_large_rejected(self):
         with pytest.raises(InputError) as exc:
@@ -268,12 +298,6 @@ class TestPairSampling:
         with pytest.raises(InputError) as exc:
             sample_task_pairs(4, 0)
         assert exc.value.code == "bad-budget"
-
-    def test_unranking_matches_lexicographic_enumeration(self):
-        for n in (2, 3, 5, 10, 17):
-            total = n * (n - 1) // 2
-            got = [_unrank_pair(t, n) for t in range(total)]
-            assert got == list(itertools.combinations(range(n), 2))
 
     def test_single_pair_draws_are_uniform(self):
         """Over many seeds each of the 45 pairs appears at its expected rate.
@@ -286,7 +310,7 @@ class TestPairSampling:
         total = n * (n - 1) // 2
         counts = {p: 0 for p in itertools.combinations(range(n), 2)}
         for s in range(trials):
-            (pair,) = sample_task_pairs(n, 1, seed=s)
+            (pair,) = pair_list(sample_task_pairs(n, 1, seed=s))
             counts[pair] += 1
         p = 1.0 / total
         sigma = math.sqrt(p * (1 - p) / trials)
@@ -297,14 +321,14 @@ class TestPairSampling:
 class TestBuildTransferMatrix:
     def test_one_pair_observes_both_directions_plus_diagonal(self):
         tasks = [make_blobs(seed=s, n_per=20, task_id=f"t{s}") for s in range(2)]
-        tm = build_transfer_matrix(tasks, {(0, 1)}, TrainConfig(epochs=20, seed=0))
+        tm = build_transfer_matrix(tasks, pair_mask(2, (0, 1)), TrainConfig(epochs=20, seed=0))
         assert tm.observed.sum() == 4
         assert tm.observed[0, 1] and tm.observed[1, 0]
         assert tm.scores[0, 0] == 1.0 and tm.scores[1, 1] == 1.0
 
     def test_no_pairs_observes_only_the_diagonal(self):
         tasks = [make_blobs(seed=s, n_per=20, task_id=f"t{s}") for s in range(3)]
-        tm = build_transfer_matrix(tasks, set(), TrainConfig(epochs=5, seed=0))
+        tm = build_transfer_matrix(tasks, pair_mask(3), TrainConfig(epochs=5, seed=0))
         assert np.array_equal(tm.observed, np.eye(3, dtype=bool))
 
     def test_identical_tasks_transfer_almost_identically(self):
@@ -313,7 +337,7 @@ class TestBuildTransferMatrix:
             TaskDataset(f"copy{i}", 2, base.train, base.test)
             for i in range(4)
         ]
-        pairs = set(itertools.combinations(range(4), 2))
+        pairs = np.triu(np.ones((4, 4), dtype=bool), 1)
         tm = build_transfer_matrix(tasks, pairs, TrainConfig(seed=0))
         off = tm.scores[~np.eye(4, dtype=bool)]
         assert off.max() - off.min() <= 0.1
@@ -323,18 +347,29 @@ class TestBuildTransferMatrix:
         tasks = [make_blobs(seed=s, n_per=30, task_id=f"t{s}") for s in range(3)]
         cfg = TrainConfig(epochs=30, seed=0)
         reference = {i: train_single_task(tasks[i], cfg) for i in range(3)}
-        tm = build_transfer_matrix(tasks, {(0, 1), (1, 2)}, cfg)
+        tm = build_transfer_matrix(tasks, pair_mask(3, (0, 1), (1, 2)), cfg)
         for i, model in reference.items():
             fresh = train_single_task(tasks[i], cfg)
             assert model.W_enc.tobytes() == fresh.W_enc.tobytes()
             assert model.b_enc.tobytes() == fresh.b_enc.tobytes()
         assert tm.observed.sum() == 4 + 3
 
-    def test_bad_pair_rejected(self):
+    def test_wrong_shape_mask_rejected(self):
         tasks = [make_blobs(seed=s, n_per=20, task_id=f"t{s}") for s in range(2)]
-        with pytest.raises(InputError) as exc:
-            build_transfer_matrix(tasks, {(0, 5)}, TrainConfig(epochs=5))
-        assert exc.value.code == "bad-pair"
+        for shape in ((3, 3), (2, 3), (2,)):
+            with pytest.raises(InputError) as exc:
+                build_transfer_matrix(tasks, np.zeros(shape, dtype=bool), TrainConfig(epochs=5))
+            assert exc.value.code == "bad-shape"
+
+    def test_bad_pair_rejected(self):
+        """An entry on or below the diagonal is bad-pair, named in row-major order."""
+        tasks = [make_blobs(seed=s, n_per=20, task_id=f"t{s}") for s in range(3)]
+        for entries, named in (([(1, 1)], "(1,1)"), ([(2, 0)], "(2,0)"),
+                               ([(0, 2), (2, 1), (1, 0)], "(1,0)")):
+            with pytest.raises(InputError) as exc:
+                build_transfer_matrix(tasks, pair_mask(3, *entries), TrainConfig(epochs=5))
+            assert exc.value.code == "bad-pair"
+            assert named in exc.value.message
 
     def test_error_inside_a_pair_names_the_pair(self):
         tasks = [
@@ -342,7 +377,7 @@ class TestBuildTransferMatrix:
             make_blobs(seed=1, n_per=20, dim=6, task_id="b"),
         ]
         with pytest.raises(InputError) as exc:
-            build_transfer_matrix(tasks, {(0, 1)}, TrainConfig(epochs=5))
+            build_transfer_matrix(tasks, pair_mask(2, (0, 1)), TrainConfig(epochs=5))
         assert exc.value.code == "dim-mismatch"
         assert "(0,1)" in exc.value.message
 
@@ -470,6 +505,6 @@ class TestBatchInvariance:
                     expected[s, t] = transfer_score(source, tasks[t])
                     reference = reference_train(tasks[s], cfg)
                     assert expected[s, t] == accuracy(reference.logits(tasks[t].train[0]), tasks[t].train[1])
-            tm = build_transfer_matrix(tasks, pairs, cfg)
+            tm = build_transfer_matrix(tasks, pair_mask(len(tasks), *pairs), cfg)
             for (s, t), score in expected.items():
                 assert tm.scores[s, t] == score
