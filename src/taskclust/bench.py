@@ -18,12 +18,12 @@ import numpy as np
 from .completion import CompletionProblem, complete, default_lambda
 from .errors import InputError, NumericalError
 from .filtering import FilterParams
-from .learning import fsl_combine, train_cluster_models, train_support_only
+from .learning import fsl_combine, train_support_only
 from .seeding import derive_rng
 from .spectral import adjusted_rand_index, cluster_scores
 from .synthdata import (FamilyConfig, equal_sizes, fewshot_from_dataset, make_target_task,
                         make_task_family)
-from .transfer import TrainConfig, build_transfer_matrix
+from .transfer import TrainConfig, build_transfer_matrix, train_cluster_models
 
 # recovery_trial's test: recovered iff every entry of X is this close to X*.
 RECOVERY_TOL = 1e-3
@@ -140,9 +140,6 @@ def observe_and_corrupt(
 class TrialResult:
     recovered: bool
     max_abs_err: float
-    iterations: int = 0
-    converged: bool = False
-    failure: str | None = None
 
 
 def recovery_trial(
@@ -157,15 +154,10 @@ def recovery_trial(
     lam = default_lambda(inst.n) if lam is None else lam
     try:
         result = complete(CompletionProblem(plan.Y, plan.omega, lam))
-    except NumericalError as err:
-        return TrialResult(recovered=False, max_abs_err=np.inf, failure=err.code)
+    except NumericalError:
+        return TrialResult(recovered=False, max_abs_err=np.inf)
     err = float(np.abs(result.X - inst.X_star).max())
-    return TrialResult(
-        recovered=err < RECOVERY_TOL,
-        max_abs_err=err,
-        iterations=result.iterations,
-        converged=result.converged,
-    )
+    return TrialResult(recovered=err < RECOVERY_TOL, max_abs_err=err)
 
 
 @dataclass

@@ -25,12 +25,12 @@ from .bench import phase_sweep
 from .completion import SolverConfig, complete_similarity
 from .errors import InputError, NumericalError, TaskClustError
 from .filtering import MODES, FilterParams, filter_scores
-from .learning import adaptive_fsl, fsl_combine, train_cluster_models
+from .learning import adaptive_fsl, fsl_combine
 from .seeding import derive_rng
 from .spectral import cluster_scores
 from .synthdata import FamilyConfig, fewshot_from_dataset, make_task_family
 from .transfer import (KINDS, PER_TASK_KINDS, TrainConfig, accuracy, build_transfer_matrix,
-                       sample_task_pairs)
+                       sample_task_pairs, train_cluster_models)
 
 STAGES = ("synth", "estimate", "filter", "complete", "cluster", "mtl", "fsl", "sweep")
 # cluster warns on stderr when the Laplacian's eigengap at K is this small.

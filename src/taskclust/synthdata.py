@@ -42,6 +42,7 @@ def _anchored_pairs(membership: np.ndarray, budget: int, rng) -> np.ndarray:
     pair, and no method can then place them. Spend the budget on a random
     spanning tree inside each cluster, then one cross-cluster pair per task,
     then uniform draws from the remaining pairs, taken in row-major order.
+    A budget above the n(n-1)/2 pairs that exist is budget-too-large.
     """
     n = membership.size
     K = membership.max() + 1
@@ -52,6 +53,9 @@ def _anchored_pairs(membership: np.ndarray, budget: int, rng) -> np.ndarray:
             "infeasible-budget",
             f"anchored sampling needs at least {need} pairs for this plant, got {budget}",
         )
+    total = n * (n - 1) // 2
+    if budget > total:
+        raise InputError("budget-too-large", f"asked for {budget} pairs but only {total} exist")
     pairs = np.zeros((n, n), dtype=bool)
     for members in clusters:
         path = rng.permutation(members)
@@ -68,7 +72,7 @@ def _anchored_pairs(membership: np.ndarray, budget: int, rng) -> np.ndarray:
     free = np.flatnonzero(np.triu(~pairs, 1))
     extra = budget - int(pairs.sum())
     if extra > 0:
-        pairs.flat[free[rng.choice(free.size, size=min(extra, free.size), replace=False)]] = True
+        pairs.flat[free[rng.choice(free.size, size=extra, replace=False)]] = True
     return pairs
 
 

@@ -1,21 +1,26 @@
-"""The one model type, per-task training and cross-task transfer scores.
+"""The one model type, all model training and cross-task transfer scores.
 
 A ClusterModel is a small linear encoder plus the label scores it feeds.
-Each task gets a shared_classifier one, trained on its training split by
-mini-batch gradient descent; ``learning`` trains the same type per cluster.
-Transfer from task i to task j is measured by direct evaluation: i's model,
-unchanged, is scored on j's training split, so the two tasks must have the
-same label count. Scores for a sampled set of task pairs, held as an n x n
-bool mask true only above the diagonal, are assembled into an asymmetric,
-partially observed matrix with unit diagonal.
+Each task gets a shared_classifier one, trained on its training split as a
+one-task cluster (train_tasks); each cluster gets one of the three KINDS,
+trained on its members' splits (train_cluster_models). Transfer from task i
+to task j is measured by direct evaluation: i's model, unchanged, is scored
+on j's training split, so the two tasks must have the same label count.
+Scores for a sampled set of task pairs, held as an n x n bool mask true only
+above the diagonal, are assembled into an asymmetric, partially observed
+matrix with unit diagonal.
 
-All training runs through one kernel that steps a stack of same-shaped
-problems at once: tasks of one shape train together, each drawing from a
-random stream of its own. Every step works on each problem alone, so a
-result is bit for bit the same whatever else is in the stack. The kernel
-works in augmented form (inputs end in a ones column and each weight matrix
-in its bias row, so a layer is one matmul forward and one backward), takes
-its one-hot targets built once per call and gathers each epoch's rows once.
+Tasks and clusters of one shape train as one stack, each drawing from a
+random stream of its own, and every step works on each problem alone, so a
+result is bit for bit the same whatever else is in the stack. Encoder and
+softmax heads train through one SGD kernel call per stack: a problem is one
+or more parts, each rows and a head that step the one encoder in turn (a
+task or shared_classifier cluster pools its rows into one part, a
+shared_encoder_multihead cluster has a part per member). metric_encoder
+clusters step one episode of each at once. The kernel works in augmented
+form (inputs end in a ones column and each weight matrix in its bias row,
+so a layer is one matmul forward and one backward), takes its one-hot
+targets built once per call and gathers each epoch's rows once per part.
 softmax reduces a narrow label axis plane by plane (elementwise maximum and
 sum in index order, the same bits as numpy's reductions) rather than
 through a reduction call whose inner loop is a few elements long.
@@ -240,35 +245,39 @@ def _descend(W, A, G, lr) -> None:
     W -= T
 
 
-def _sgd(Xa, Y, Wc, rngs, epochs, config, We):
-    """Mini-batch softmax SGD on a stack of B same-shaped problems, in place.
+def _sgd(data, heads, rngs, config, We):
+    """config.epochs epochs of mini-batch softmax SGD on a stack of B
+    same-shaped problems, in place.
 
-    Xa (B, m, k + 1) is augmented, Y (B, m, L) holds the one-hot targets
-    (``_onehot(y, L)``), We (B, k + 1, h) the augmented encoders and Wc
-    (B, h + 1, L) the augmented heads, which train jointly. Each epoch
-    draws one permutation from each generator in ``rngs`` (problem b from
-    rngs[b]) and gathers the permuted rows once; every batch is a view of
-    them. Every step is stacked matmuls and elementwise operations that
-    work on each problem alone, so a problem's result does not depend on
-    what else is in the stack.
+    We (B, k + 1, h) holds the augmented encoders. Each problem has one or
+    more parts: part p is data[p] = (Xa, Y), augmented rows Xa (B, m, k + 1)
+    and their one-hot targets Y (B, m, L) (``_onehot(y, L)``), with its own
+    augmented head heads[p] (B, h + 1, L) that trains jointly with the
+    encoder. Each epoch steps the parts in order: a part draws one
+    permutation from each generator in ``rngs`` (problem b from rngs[b]),
+    gathers the permuted rows once and steps a batch at a time, each batch
+    a view of them. Every step is stacked matmuls and elementwise
+    operations that work on each problem alone, so a problem's result does
+    not depend on what else is in the stack.
     """
-    B, m = Xa.shape[:2]
     bs = config.batch_size
-    rows = np.arange(B)[:, None]
-    Za = np.ones((B, min(m, bs), We.shape[2] + 1))
-    for _ in range(epochs):
-        order = np.stack([rng.permutation(m) for rng in rngs])
-        Xe, Ye = Xa[rows, order], Y[rows, order]
-        for start in range(0, m, bs):
-            Xb = Xe[:, start:start + bs]
-            Zb = Za[:, :Xb.shape[1]]
-            np.matmul(Xb, We, out=Zb[..., :-1])
-            G = softmax(Zb @ Wc)
-            G -= Ye[:, start:start + bs]
-            G /= Xb.shape[1]
-            _descend(We, Xb, G @ Wc[:, :-1].transpose(0, 2, 1), config.lr)
-            _descend(Wc, Zb, G, config.lr)
-        del Xe, Ye, Xb, Zb  # so that two epochs' rows are never held at once
+    rows = np.arange(len(rngs))[:, None]
+    Zas = [np.ones((len(rngs), min(Xa.shape[1], bs), We.shape[2] + 1)) for Xa, _ in data]
+    for _ in range(config.epochs):
+        for (Xa, Y), Wc, Za in zip(data, heads, Zas):
+            m = Xa.shape[1]
+            order = np.stack([rng.permutation(m) for rng in rngs])
+            Xe, Ye = Xa[rows, order], Y[rows, order]
+            for start in range(0, m, bs):
+                Xb = Xe[:, start:start + bs]
+                Zb = Za[:, :Xb.shape[1]]
+                np.matmul(Xb, We, out=Zb[..., :-1])
+                G = softmax(Zb @ Wc)
+                G -= Ye[:, start:start + bs]
+                G /= Xb.shape[1]
+                _descend(We, Xb, G @ Wc[:, :-1].transpose(0, 2, 1), config.lr)
+                _descend(Wc, Zb, G, config.lr)
+            del Xe, Ye, Xb, Zb  # so that two parts' rows are never held at once
 
 
 def _init_stacks(rngs, *shapes) -> list[np.ndarray]:
@@ -298,42 +307,186 @@ def _stacks(keys) -> list[list[int]]:
     return stacks
 
 
-def _train_encoders(X, y, L, rngs, config):
-    """Augmented encoders (B, k + 1, h) and heads (B, h + 1, L) trained jointly
-    on a stack of B problems: rows X (B, m, k), labels y (B, m), problem b
-    drawing its initialization and batch orders from rngs[b]."""
-    We, Wc = _init_stacks(rngs, (X.shape[2], config.hidden), (config.hidden, L))
-    _sgd(_augment(X), _onehot(y, L), Wc, rngs, config.epochs, config, We)
-    return We, Wc
+def _check_cluster(cluster: list[TaskDataset], kind: str) -> None:
+    if kind not in KINDS:
+        raise InputError("bad-kind", f"kind must be one of {KINDS}")
+    if not cluster:
+        raise InputError("empty-cluster", "cannot train on an empty cluster")
+    if len({t.dim for t in cluster}) != 1:
+        raise InputError("dim-mismatch", "cluster tasks disagree on feature dimension")
+    if kind in PER_TASK_KINDS:
+        ids = [t.task_id for t in cluster]
+        for tid in ids:
+            if ids.count(tid) > 1:
+                raise InputError("duplicate-task", f"task {tid} appears twice in one {kind} cluster")
+    if kind == "shared_classifier":
+        if len({t.label_count for t in cluster}) != 1:
+            raise InputError(
+                "label-space-mismatch",
+                "shared_classifier needs identical label spaces across the cluster",
+            )
+        if sum(t.train[0].shape[0] for t in cluster) == 0:
+            raise InputError("empty-train", "cluster has no training data")
+    else:
+        for t in cluster:
+            if t.train[0].shape[0] == 0:
+                raise InputError("empty-train", f"task {t.task_id} has no training data")
+
+
+def _stack_key(cluster: list[TaskDataset], kind: str):
+    """Clusters with equal keys train as one stack."""
+    if kind == "shared_classifier":
+        return sum(t.train[0].shape[0] for t in cluster), cluster[0].dim, cluster[0].label_count
+    if kind == "metric_encoder":
+        return (cluster[0].dim,
+                tuple((t.train[0].shape[0], np.unique(t.train[1]).size) for t in cluster))
+    return cluster[0].dim, tuple((t.train[0].shape[0], t.label_count) for t in cluster)
+
+
+def _train_stack(clusters: list[list[TaskDataset]], rngs, kind: str,
+                 config: TrainConfig) -> list[ClusterModel]:
+    """Models of one kind for same-shaped clusters; cluster b draws from rngs[b].
+
+    A shared_classifier cluster is one part, its members' rows pooled under
+    one head; a shared_encoder_multihead cluster has a part and a head per
+    member, which step its one encoder in turn.
+    """
+    if kind == "metric_encoder":
+        return _train_metric_stack(clusters, rngs, config)
+    if kind == "shared_classifier":
+        parts = [[(np.vstack([t.train[0] for t in c]), np.concatenate([t.train[1] for t in c]))
+                  for c in clusters]]
+        labels = [clusters[0][0].label_count]
+    else:
+        parts = [[c[p].train for c in clusters] for p in range(len(clusters[0]))]
+        labels = [t.label_count for t in clusters[0]]
+    h = config.hidden
+    We, *heads = _init_stacks(rngs, (clusters[0][0].dim, h), *[(h, L) for L in labels])
+    data = [(_augment(np.stack([X for X, _ in part])), _onehot(np.stack([y for _, y in part]), L))
+            for part, L in zip(parts, labels)]
+    _sgd(data, heads, rngs, config, We)
+    if kind == "shared_classifier":
+        (Wc,) = heads
+        return [ClusterModel(kind, We[b, :-1], We[b, -1], Wc[b, :-1], Wc[b, -1])
+                for b in range(len(clusters))]
+    return [ClusterModel(kind, We[b, :-1], We[b, -1], heads={
+                t.task_id: (Wc[b, :-1], Wc[b, -1]) for Wc, t in zip(heads, cluster)})
+            for b, cluster in enumerate(clusters)]
+
+
+def _train_metric_stack(clusters: list[list[TaskDataset]], rngs,
+                        config: TrainConfig) -> list[ClusterModel]:
+    """Episodic metric_encoder training of same-shaped clusters as one stack.
+
+    Episode e trains on member e mod n of every cluster. Each cluster draws
+    one anchor per label and a query batch of that member from its own
+    stream, then one stacked step moves every encoder on the softmax loss
+    over its anchor-query inner products. A member with fewer than two
+    labels makes no draws and no step.
+    """
+    B, d, h = len(clusters), clusters[0][0].dim, config.hidden
+    W = _init_stacks(rngs, (d, h))[0]
+    rows = np.arange(B)[:, None]
+    members = []  # per position: stacked augmented rows, one-hot label positions, per-label row pools
+    for tasks in zip(*clusters):
+        labels = [np.unique(t.train[1]) for t in tasks]
+        if labels[0].size < 2:
+            members.append(None)
+            continue
+        X = _augment(np.stack([t.train[0] for t in tasks]))
+        Y = np.stack([_onehot(np.searchsorted(lab, t.train[1]), lab.size)
+                      for lab, t in zip(labels, tasks)])
+        pools = [[np.flatnonzero(t.train[1] == l) for l in lab] for lab, t in zip(labels, tasks)]
+        members.append((X, Y, pools))
+    for ep in range(config.epochs * len(members)):
+        member = members[ep % len(members)]
+        if member is None:
+            continue
+        X, Y, pools = member
+        m, La = X.shape[1], Y.shape[2]
+        q = min(config.batch_size, m)
+        idx = np.empty((B, La + q), dtype=np.intp)  # anchors, then queries
+        for k, (rng, pool) in enumerate(zip(rngs, pools)):
+            idx[k, :La] = [p[rng.integers(p.size)] for p in pool]
+            idx[k, La:] = rng.choice(m, size=q, replace=False)
+        Xaq = X[rows, idx]
+        U = Xaq @ W
+        Ua, Vq = U[:, :La], U[:, La:]
+        G = softmax(Vq @ Ua.transpose(0, 2, 1))
+        G -= Y[rows, idx[:, La:]]
+        G /= q
+        # logit_{ql} = u_l . v_q: u_l's gradient is sum_q g_ql v_q and v_q's is
+        # sum_l g_ql u_l, and one product takes both back through the gathered rows.
+        _descend(W, Xaq, np.concatenate([G.transpose(0, 2, 1) @ Vq, G @ Ua], axis=1), config.lr)
+    return [ClusterModel("metric_encoder", W[b, :-1], W[b, -1]) for b in range(B)]
+
+
+def _train_clusters(clusters: list[list[TaskDataset]], rngs, kind: str,
+                    config: TrainConfig) -> list[ClusterModel]:
+    """One model of the kind per cluster, in order, cluster k drawing from
+    rngs[k]: clusters of equal _stack_key train as one stack."""
+    models: list = [None] * len(clusters)
+    for ids in _stacks(_stack_key(cluster, kind) for cluster in clusters):
+        stack = _train_stack([clusters[k] for k in ids], [rngs[k] for k in ids], kind, config)
+        for k, model in zip(ids, stack):
+            models[k] = model
+    return models
 
 
 def train_tasks(datasets: list[TaskDataset], config: TrainConfig | None = None) -> list[ClusterModel]:
     """Jointly train encoder and classifier on each task's training split,
-    one shared_classifier model per task.
+    one shared_classifier model per task: the model of the task as a
+    one-task cluster, drawn from the task's own "single" stream.
 
-    Tasks with the same training shape are stepped together as one stack.
-    Each task draws from its own stream, so its model is the same whatever
-    other tasks are trained with it.
+    Tasks with the same training shape are stepped together as one stack,
+    so a task's model is the same whatever other tasks are trained with it.
     """
     config = config or TrainConfig()
     for ds in datasets:
         if ds.train[0].shape[0] == 0:
             raise InputError("empty-train", f"task {ds.task_id} has no training data")
-    models: list = [None] * len(datasets)
-    for members in _stacks((ds.train[0].shape, ds.label_count) for ds in datasets):
-        stack = [datasets[pos] for pos in members]
-        rngs = [derive_rng(config.seed, "single", ds.task_id) for ds in stack]
-        We, Wc = _train_encoders(np.stack([ds.train[0] for ds in stack]),
-                                 np.stack([ds.train[1] for ds in stack]),
-                                 stack[0].label_count, rngs, config)
-        for b, pos in enumerate(members):
-            models[pos] = ClusterModel("shared_classifier", We[b, :-1], We[b, -1], Wc[b, :-1], Wc[b, -1])
-    return models
+    rngs = [derive_rng(config.seed, "single", ds.task_id) for ds in datasets]
+    return _train_clusters([[ds] for ds in datasets], rngs, "shared_classifier", config)
 
 
 def train_single_task(dataset: TaskDataset, config: TrainConfig | None = None) -> ClusterModel:
     """Jointly train encoder and classifier on the task's training split."""
     return train_tasks([dataset], config)[0]
+
+
+def train_cluster_models(
+    clusters: list[list[TaskDataset]],
+    kind: str,
+    config: TrainConfig | None = None,
+) -> list[ClusterModel]:
+    """One model of the requested kind per cluster, in the order of clusters.
+
+    Every cluster is checked before any trains. Clusters of the same shape
+    train as one stack, at most _STACK_LIMIT of them: for metric_encoder the
+    shape is the cluster size, the dim and each member's training row count
+    and distinct-label count, so equal-sized clusters of one family step
+    their episodes together. Each cluster draws from its own stream in the
+    order it would alone, so every model equals
+    train_cluster_model(clusters[k], kind, config, cluster_id=k).
+    """
+    config = config or TrainConfig()
+    for cluster in clusters:
+        _check_cluster(cluster, kind)
+    rngs = [derive_rng(config.seed, "cluster", k, kind) for k in range(len(clusters))]
+    return _train_clusters(clusters, rngs, kind, config)
+
+
+def train_cluster_model(
+    cluster: list[TaskDataset],
+    kind: str,
+    config: TrainConfig | None = None,
+    cluster_id: int = 0,
+) -> ClusterModel:
+    """Fit one model of the requested kind on all tasks in the cluster, from
+    the random stream that cluster_id names."""
+    config = config or TrainConfig()
+    _check_cluster(cluster, kind)
+    return _train_stack([cluster], [derive_rng(config.seed, "cluster", cluster_id, kind)], kind, config)[0]
 
 
 def transfer_score(source: ClusterModel, target: TaskDataset) -> float:

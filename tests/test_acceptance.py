@@ -25,7 +25,7 @@ from taskclust.completion import (
     default_lambda,
 )
 from taskclust.filtering import FilterParams, filter_scores
-from taskclust.learning import adaptive_fsl, fsl_combine, train_cluster_model
+from taskclust.learning import adaptive_fsl, fsl_combine
 from taskclust.spectral import adjusted_rand_index, cluster_scores
 from taskclust.synthdata import (
     FamilyConfig,
@@ -34,7 +34,8 @@ from taskclust.synthdata import (
     make_task_family,
     synthetic_transfer_matrix,
 )
-from taskclust.transfer import TrainConfig, TransferMatrix, build_transfer_matrix, sample_task_pairs
+from taskclust.transfer import (TrainConfig, TransferMatrix, build_transfer_matrix, sample_task_pairs,
+                                train_cluster_model)
 
 
 def report(capsys, label: str, passed: bool, detail: str) -> None:

@@ -10,10 +10,9 @@ from taskclust import bench, cli, fileio
 from taskclust.cli import main, stage_seed
 from taskclust.completion import complete_similarity
 from taskclust.filtering import FilterParams, filter_scores
-from taskclust.learning import train_cluster_model
 from taskclust.spectral import adjusted_rand_index, spectral_cluster
 from taskclust.synthdata import balanced_membership, synthetic_transfer_matrix
-from taskclust.transfer import TrainConfig, TransferMatrix
+from taskclust.transfer import TrainConfig, TransferMatrix, train_cluster_model
 
 
 def run(capsys, *argv):

@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskclust import learning, transfer
+from taskclust import transfer
 from taskclust.errors import InputError
 from taskclust.learning import (
     CombineConfig,
     MixturePredictor,
     adaptive_fsl,
     fsl_combine,
-    train_cluster_model,
-    train_cluster_models,
     train_support_only,
 )
 from taskclust.seeding import derive_rng
@@ -31,6 +29,8 @@ from taskclust.transfer import (
     TrainConfig,
     accuracy,
     softmax,
+    train_cluster_model,
+    train_cluster_models,
     train_single_task,
 )
 
@@ -374,13 +374,13 @@ class TestMetricStacks:
     def test_stacked_episodes_are_the_per_episode_loop(self, cases, limit, stacks, monkeypatch):
         monkeypatch.setattr(transfer, "_STACK_LIMIT", limit)
         seen = []
-        stack_trainer = learning._train_stack
+        stack_trainer = transfer._train_stack
 
-        def recording(stack, ids, *args):
-            seen.append(list(ids))
-            return stack_trainer(stack, ids, *args)
+        def recording(stack, *args):
+            seen.append([next(k for k, c in enumerate(clusters) if c is s) for s in stack])
+            return stack_trainer(stack, *args)
 
-        monkeypatch.setattr(learning, "_train_stack", recording)
+        monkeypatch.setattr(transfer, "_train_stack", recording)
         for clusters, cfg in cases:
             seen.clear()
             models = train_cluster_models(clusters, "metric_encoder", cfg)
@@ -411,7 +411,7 @@ class TestMetricStacks:
         def no_training(*args):
             raise AssertionError("an episode ran before the clusters were checked")
 
-        monkeypatch.setattr(learning, "_train_metric_stack", no_training)
+        monkeypatch.setattr(transfer, "_train_metric_stack", no_training)
         clusters, _ = cases[0]
         first = clusters[0][0]
         d = first.dim

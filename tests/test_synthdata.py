@@ -82,6 +82,21 @@ class TestAnchoredPairs:
             _anchored_pairs(membership, 5, derive_rng(0, "t"))
         assert exc.value.code == "infeasible-budget"
 
+    def test_budget_above_every_pair_rejected(self):
+        membership = balanced_membership(6, 2)
+        with pytest.raises(InputError) as exc:
+            _anchored_pairs(membership, 16, derive_rng(0, "t"))
+        assert exc.value.code == "budget-too-large"
+        assert exc.value.message == "asked for 16 pairs but only 15 exist"
+        with pytest.raises(InputError) as exc:
+            synthetic_transfer_matrix(6, 2, 100, sampling="anchored")
+        assert exc.value.code == "budget-too-large"
+
+    def test_budget_of_every_pair_returns_every_pair(self):
+        membership = balanced_membership(6, 2)
+        pairs = _anchored_pairs(membership, 15, derive_rng(0, "t"))
+        assert np.array_equal(pairs, np.triu(np.ones((6, 6), dtype=bool), 1))
+
 
 class TestSyntheticTransferMatrix:
     @pytest.mark.parametrize("sampling, scores_sha, observed_sha", [

@@ -19,6 +19,7 @@ from taskclust.transfer import (
     build_transfer_matrix,
     sample_task_pairs,
     softmax,
+    train_cluster_models,
     train_single_task,
     train_tasks,
     transfer_score,
@@ -508,3 +509,40 @@ class TestBatchInvariance:
             tm = build_transfer_matrix(tasks, pair_mask(len(tasks), *pairs), cfg)
             for (s, t), score in expected.items():
                 assert tm.scores[s, t] == score
+
+
+def models_digest(models):
+    """sha256 over the bytes of every weight array of every model, in order."""
+    h = hashlib.sha256()
+    for m in models:
+        arrays = [m.W_enc, m.b_enc] + ([] if m.W_cls is None else [m.W_cls, m.b_cls])
+        for a in arrays + [a for tid in m.heads for a in m.heads[tid]]:
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestRecordedModels:
+    """Pinned weights at the default TrainConfig on make_task_family(12, 3,
+    seed=0): every per-task model, and every cluster model of each kind on
+    the planted clusters. A rewrite of the trainer must reproduce them bit
+    for bit. The bits are those of the float64 matmuls numpy runs, so a BLAS
+    build that rounds them differently needs the digests re-recorded."""
+
+    @pytest.fixture(scope="class")
+    def family(self):
+        return make_task_family(12, 3, seed=0)
+
+    def test_task_models_match_recorded_weights(self, family):
+        tasks, _ = family
+        assert models_digest(train_tasks(tasks)) == (
+            "e95a7bbcf4fad7b6cf00a8f8efa8e1e3dad3761e469e2ba088770bf209c4ea4b")
+
+    @pytest.mark.parametrize("kind, digest", [
+        ("shared_classifier", "7c3ae3ac8f97ff2c1fffd064d0f8ce36fb86e5a29857a0d94fbc2baf2031d69d"),
+        ("shared_encoder_multihead", "02b82a7063f659af6ca5d610fbb85a18ae0e4c1514e512893aff558a79b433d3"),
+        ("metric_encoder", "88e9dd9b0042445588fa42f2e7cbe75d1e523090a3b3aaf587956e19f6b94f3a"),
+    ])
+    def test_cluster_models_match_recorded_weights(self, family, kind, digest):
+        tasks, membership = family
+        clusters = [[t for t, c in zip(tasks, membership) if c == k] for k in range(3)]
+        assert models_digest(train_cluster_models(clusters, kind)) == digest
