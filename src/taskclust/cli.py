@@ -24,7 +24,7 @@ from . import fileio
 from .bench import phase_sweep
 from .completion import SolverConfig, complete_similarity
 from .errors import InputError, NumericalError, TaskClustError
-from .filtering import MODES, FilterParams, filter_scores
+from .filtering import FilterParams, filter_scores
 from .learning import adaptive_fsl, fsl_combine
 from .seeding import derive_rng
 from .spectral import cluster_scores
@@ -174,9 +174,8 @@ def cmd_estimate(args) -> int:
 
 
 def _filter_params(s: dict) -> FilterParams:
-    """FilterParams from the p1, p2, mode and include_diagonal settings."""
-    return _pick({k: s[k] for k in ("p1", "p2", "mode", "include_diagonal") if k in s},
-                 FilterParams, include_diagonal="include_diagonal_in_stats")
+    """FilterParams from the p1, p2 and include_diagonal settings."""
+    return _pick(s, FilterParams, include_diagonal="include_diagonal_in_stats")
 
 
 def cmd_filter(args) -> int:
@@ -353,7 +352,6 @@ def _add_filter_flags(sub):
     """FilterParams' settings: filter and cluster."""
     sub.add_argument("--p1", type=float, help="high threshold: mu + p1*sigma of the target column")
     sub.add_argument("--p2", type=float, help="low threshold: mu - p2*sigma of the target column")
-    sub.add_argument("--mode", choices=MODES)
     sub.add_argument(
         "--exclude-diagonal", dest="include_diagonal", action="store_const", const=False,
         help="leave the diagonal scores out of the column statistics",

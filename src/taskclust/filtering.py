@@ -3,10 +3,9 @@
 A pair of tasks is marked similar (1) when each direction's transfer score
 clears a high threshold derived from the score distribution of the target
 column, dissimilar (0) when both fall below a low threshold, and left
-unobserved otherwise. The extra-large-scale variant decides every sampled
-pair with a single mean-based disjunction so that no entry is left undecided.
-Each rule is stated once, as a boolean matrix over the sampled upper
-triangle, not pair by pair.
+unobserved otherwise, so only reliable pairs reach completion. The rule is
+stated once, as a boolean matrix over the sampled upper triangle, not pair
+by pair.
 """
 
 from __future__ import annotations
@@ -18,21 +17,16 @@ import numpy as np
 from .errors import InputError
 from .transfer import TransferMatrix
 
-MODES = ("standard", "xl")
-
 
 @dataclass
 class FilterParams:
     p1: float = 0.5
     p2: float = 0.5
-    mode: str = "standard"
     include_diagonal_in_stats: bool = True
 
     def __post_init__(self):
         if not (0 <= self.p1 < np.inf and 0 <= self.p2 < np.inf):  # NaN fails the test too
             raise InputError("bad-params", "p1 and p2 must be finite and nonnegative")
-        if self.mode not in MODES:
-            raise InputError("bad-params", f"mode must be one of {MODES}")
 
 
 @dataclass
@@ -90,26 +84,20 @@ def column_stats(S: TransferMatrix, j: int, params: FilterParams) -> tuple[float
 def filter_scores(S: TransferMatrix, params: FilterParams | None = None) -> PartialSimilarity:
     """Apply the dynamic-threshold rule to every sampled pair of S.
 
-    Each rule is one boolean matrix, built from the column statistics mu_j,
-    sigma_j of column_stats and kept on the sampled upper triangle. Standard mode marks a pair 1
-    (``hi``) only when S_ij > mu_j + p1*sigma_j and S_ji > mu_i + p1*sigma_i
-    both hold strictly, 0 (``lo``) only when both scores sit strictly below
-    their mu - p2*sigma lines, and leaves the pair unobserved otherwise. XL
-    mode instead decides every sampled pair: 1 (``hi``) when S_ij >= mu_j or
-    S_ji >= mu_i, else 0 (``lo``, the complement). The diagonal is always 1.
+    Each outcome is one boolean matrix, built from the column statistics
+    mu_j, sigma_j of column_stats and kept on the sampled upper triangle. A
+    pair is 1 (``hi``) only when S_ij > mu_j + p1*sigma_j and
+    S_ji > mu_i + p1*sigma_i both hold strictly, 0 (``lo``) only when both
+    scores sit strictly below their mu - p2*sigma lines, and unobserved
+    otherwise. The diagonal is always 1.
     """
     params = params or FilterParams()
     mu, sd = np.array([column_stats(S, j, params) for j in range(S.n)]).T
     # entry [i, j] tests S_ij against column j's line; its transpose tests S_ji against column i's
-    if params.mode == "xl":
-        reach = S.scores >= mu
-        hi = reach | reach.T
-        lo = ~hi
-    else:
-        above = S.scores > mu + params.p1 * sd
-        below = S.scores < mu - params.p2 * sd
-        hi = above & above.T
-        lo = below & below.T
+    above = S.scores > mu + params.p1 * sd
+    below = S.scores < mu - params.p2 * sd
+    hi = above & above.T
+    lo = below & below.T
     sampled = np.triu(S.observed, 1)
     hi, decided = hi & sampled, (hi | lo) & sampled
     eye = np.eye(S.n, dtype=bool)

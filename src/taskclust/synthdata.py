@@ -40,14 +40,15 @@ def _anchored_pairs(membership: np.ndarray, budget: int, rng) -> np.ndarray:
 
     A uniform sample this small routinely leaves tasks with no within-cluster
     pair, and no method can then place them. Spend the budget on a random
-    spanning tree inside each cluster, then one cross-cluster pair per task,
-    then uniform draws from the remaining pairs, taken in row-major order.
+    spanning tree inside each cluster, then one cross-cluster pair per task
+    (none for a one-cluster plant), then uniform draws from the remaining
+    pairs, taken in row-major order.
     A budget above the n(n-1)/2 pairs that exist is budget-too-large.
     """
     n = membership.size
     K = membership.max() + 1
     clusters = [np.flatnonzero(membership == c) for c in range(K)]
-    need = sum(max(len(c) - 1, 0) for c in clusters) + (n + 1) // 2
+    need = sum(max(len(c) - 1, 0) for c in clusters) + ((n + 1) // 2 if K > 1 else 0)
     if budget < need:
         raise InputError(
             "infeasible-budget",
@@ -61,7 +62,7 @@ def _anchored_pairs(membership: np.ndarray, budget: int, rng) -> np.ndarray:
         path = rng.permutation(members)
         pairs[np.minimum(path[:-1], path[1:]), np.maximum(path[:-1], path[1:])] = True
     covered = np.zeros(n, dtype=bool)
-    for i in rng.permutation(n):
+    for i in rng.permutation(n) if K > 1 else ():
         if covered[i]:
             continue
         others = np.flatnonzero(membership != membership[i])

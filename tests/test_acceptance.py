@@ -106,7 +106,7 @@ def test_planted_similarity_matrices_have_rank_k(capsys):
     assert elapsed < 10
 
 
-def reference_filter(scores, p1, p2, mode, include_diagonal):
+def reference_filter(scores, p1, p2, include_diagonal):
     """Line-by-line reimplementation of the thresholding rule in plain Python."""
     n = len(scores)
     mu, sd = [], []
@@ -120,9 +120,7 @@ def reference_filter(scores, p1, p2, mode, include_diagonal):
         out[i][i] = 1
         for j in range(i + 1, n):
             s_ij, s_ji = scores[i][j], scores[j][i]
-            if mode == "xl":
-                out[i][j] = out[j][i] = 1 if (s_ij >= mu[j] or s_ji >= mu[i]) else 0
-            elif s_ij > mu[j] + p1 * sd[j] and s_ji > mu[i] + p1 * sd[i]:
+            if s_ij > mu[j] + p1 * sd[j] and s_ji > mu[i] + p1 * sd[i]:
                 out[i][j] = out[j][i] = 1
             elif s_ij < mu[j] - p2 * sd[j] and s_ji < mu[i] - p2 * sd[i]:
                 out[i][j] = out[j][i] = 0
@@ -131,7 +129,7 @@ def reference_filter(scores, p1, p2, mode, include_diagonal):
 
 def test_filter_agrees_with_line_by_line_reference(capsys):
     """Module thresholding is identical to an independent reimplementation on
-    1000 random fully observed score matrices, in both modes."""
+    1000 random fully observed score matrices."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
     n = 10
@@ -142,16 +140,14 @@ def test_filter_agrees_with_line_by_line_reference(capsys):
         tm = TransferMatrix(scores=scores, observed=np.ones((n, n), dtype=bool))
         p1, p2 = float(rng.uniform(0, 1.5)), float(rng.uniform(0, 1.5))
         include = bool(trial % 2)
-        for mode in ("standard", "xl"):
-            ps = filter_scores(tm, FilterParams(p1=p1, p2=p2, mode=mode,
-                                                include_diagonal_in_stats=include))
-            ref = np.array(reference_filter(scores.tolist(), p1, p2, mode, include))
-            agree &= np.array_equal(ps.observed, ref != -1)
-            agree &= np.array_equal(ps.values[ps.observed], ref[ref != -1])
+        ps = filter_scores(tm, FilterParams(p1=p1, p2=p2, include_diagonal_in_stats=include))
+        ref = np.array(reference_filter(scores.tolist(), p1, p2, include))
+        agree &= np.array_equal(ps.observed, ref != -1)
+        agree &= np.array_equal(ps.values[ps.observed], ref[ref != -1])
     elapsed = time.perf_counter() - t0
     ok = agree and elapsed < 10
     report(capsys, "filter-oracle", ok,
-           f"1000 matrices x 2 modes identical to the reference "
+           f"1000 matrices identical to the reference "
            f"({elapsed:.1f}s of 10s)")
     assert agree
     assert elapsed < 10

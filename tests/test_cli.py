@@ -218,17 +218,6 @@ class TestFilterAndComplete:
         assert E.shape == (12, 12) and np.array_equal(E, E.T)
         assert fileio.read_json(tmp_path / "diag.json")["e_support"] == np.count_nonzero(E)
 
-    def test_xl_mode_flag_routes_to_the_disjunction_rule(self, scores_csv, tmp_path, capsys):
-        out = tmp_path / "xl.csv"
-        code, _, _ = run(capsys, "filter", "--scores", scores_csv, "--out", out,
-                         "--mode", "xl", "--seed", 0)
-        assert code == 0
-        tm = fileio.read_transfer_csv(scores_csv)
-        expected = filter_scores(tm, FilterParams(mode="xl"))
-        ref = tmp_path / "ref.csv"
-        fileio.write_partial_csv(expected, ref)
-        assert out.read_bytes() == ref.read_bytes()
-
     def test_complete_rerun_is_byte_identical(self, scores_csv, tmp_path, capsys):
         sim = tmp_path / "sim.csv"
         run(capsys, "filter", "--scores", scores_csv, "--out", sim,
@@ -356,9 +345,10 @@ class TestCluster:
         assert iterations[1e-3] < iterations[1e-7]
 
     def test_degenerate_laplacian_warns_without_changing_the_partition(self, tmp_path, capsys):
-        # Scores where no pair transfers: xl mode decides every pair 0, the
-        # completed X is 0, and every eigenvalue of L but the first is 1, so
-        # eigenvalues 3 and 4 coincide and stderr warns. Four planted
+        # Scores where no pair transfers: the unit diagonal lifts every
+        # column mean above each 0.05-0.15 score, so p2 = 0 decides all 66
+        # pairs 0, the completed X is 0, and every eigenvalue of L but the
+        # first is 1, so eigenvalues 3 and 4 coincide and stderr warns. Four planted
         # clusters asked for four keep a gap near 1 - tau/(4 + tau) = 0.5
         # (mean degree tau = 4) and no warning.
         rng = np.random.default_rng(0)
@@ -368,7 +358,7 @@ class TestCluster:
         planted, _ = synthetic_transfer_matrix(16, 4, 40, seed=0, sampling="anchored")
         diag = tmp_path / "diag.json"
         for tm, K, flags, params, degenerate in (
-                (silent, 3, ("--mode", "xl"), FilterParams(mode="xl"), True),
+                (silent, 3, ("--p2", "0"), FilterParams(p2=0.0), True),
                 (planted, 4, ("--exclude-diagonal",), FilterParams(include_diagonal_in_stats=False),
                  False)):
             scores, out = tmp_path / f"scores-{K}.csv", tmp_path / f"partition-{K}.json"
@@ -380,7 +370,7 @@ class TestCluster:
             ps = filter_scores(tm, params)
             X = complete_similarity(ps.values, ps.observed)[0]
             if degenerate:
-                assert not X.any()
+                assert ps.observed.all() and not X.any()
                 assert gap <= cli.LAPLACIAN_GAP_WARNING
                 assert stderr_record(err)["warning"] == "degenerate-embedding"
             else:
@@ -738,9 +728,12 @@ class TestConfigTypes:
         ("complete", {"lambda_override": 0.05}),
         ("filter", {"include_diagonal_in_stats": False}),  # FilterParams' name for include_diagonal
         ("sweep", {"tol": 1e-3}),                   # a solver setting sweep does not take
+        ("filter", {"mode": "xl"}),                 # the filter has one rule
+        ("cluster", {"mode": "xl"}),
     ], ids=["mtl-epoch", "mtl-reuse", "estimate-transfer_epochs", "mtl-transfer_epochs",
             "synth-valid_per_class", "fsl-steps",
-            "complete-lambda_override", "filter-include_diagonal_in_stats", "sweep-tol"])
+            "complete-lambda_override", "filter-include_diagonal_in_stats", "sweep-tol",
+            "filter-mode", "cluster-mode"])
     def test_a_key_no_setting_reads_exits_two(self, argv, tmp_path, capsys, command, section):
         config = tmp_path / "config.json"
         fileio.write_json({command: section}, config)
@@ -749,6 +742,15 @@ class TestConfigTypes:
         record = stderr_record(err)
         assert record["error"] == "bad-config"
         assert repr(command) in record["message"] and repr(next(iter(section))) in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["filter", "cluster"])
+    def test_a_mode_flag_is_a_usage_error(self, argv, tmp_path, capsys, command):
+        """The filter has one rule, so --mode is refused, not ignored."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, *map(str, argv[command]), "--mode", "xl"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode xl" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_a_top_level_key_that_is_no_stage_exits_two(self, tmp_path, capsys):

@@ -13,7 +13,7 @@ from taskclust.transfer import TransferMatrix
 UNOBSERVED = -1  # sentinel used by the reference implementation below
 
 
-def reference_filter(scores, observed, p1, p2, mode, include_diag):
+def reference_filter(scores, observed, p1, p2, include_diag):
     """Line-by-line threshold rule, written independently of the module.
 
     Returns an int matrix over {1, 0, UNOBSERVED} using plain Python loops
@@ -41,15 +41,12 @@ def reference_filter(scores, observed, p1, p2, mode, include_diag):
                 continue
             mu_j, sig_j = stats(j)
             mu_i, sig_i = stats(i)
-            if mode == "standard":
-                if scores[i][j] > mu_j + p1 * sig_j and scores[j][i] > mu_i + p1 * sig_i:
-                    v = 1
-                elif scores[i][j] < mu_j - p2 * sig_j and scores[j][i] < mu_i - p2 * sig_i:
-                    v = 0
-                else:
-                    v = UNOBSERVED
+            if scores[i][j] > mu_j + p1 * sig_j and scores[j][i] > mu_i + p1 * sig_i:
+                v = 1
+            elif scores[i][j] < mu_j - p2 * sig_j and scores[j][i] < mu_i - p2 * sig_i:
+                v = 0
             else:
-                v = 1 if (scores[i][j] >= mu_j or scores[j][i] >= mu_i) else 0
+                v = UNOBSERVED
             out[i][j] = out[j][i] = v
     return out
 
@@ -130,28 +127,16 @@ def test_block_matrix_fully_resolved():
 
 def test_unsampled_pairs_stay_unobserved():
     tm = random_transfer(8, seed=1, density=0.5)
-    hidden = ~tm.observed
-    for mode in ("standard", "xl"):
-        ps = filter_scores(tm, FilterParams(mode=mode))
-        assert not ps.observed[hidden].any()
+    ps = filter_scores(tm, FilterParams())
+    assert not ps.observed[~tm.observed].any()
 
 
-def test_xl_observes_every_sampled_pair():
-    tm = random_transfer(9, seed=2, density=0.6)
-    ps = filter_scores(tm, FilterParams(mode="xl"))
-    off = ~np.eye(9, dtype=bool)
-    sampled = tm.observed & off
-    assert np.array_equal(ps.observed & off, sampled)
-    assert int((ps.observed & off).sum()) == int(sampled.sum())
-
-
-@pytest.mark.parametrize("mode", ["standard", "xl"])
-def test_oracle_equivalence_random_matrices(mode):
+def test_oracle_equivalence_random_matrices():
     for seed in range(60):
         tm = random_transfer(10, seed=seed)
-        ps = filter_scores(tm, FilterParams(mode=mode))
+        ps = filter_scores(tm, FilterParams())
         ref = reference_filter(
-            tm.scores.tolist(), tm.observed.tolist(), 0.5, 0.5, mode, True
+            tm.scores.tolist(), tm.observed.tolist(), 0.5, 0.5, True
         )
         assert np.array_equal(as_reference(ps), np.array(ref)), f"seed {seed}"
 
@@ -162,20 +147,19 @@ def test_oracle_equivalence_partial_and_excluded_diagonal():
         params = FilterParams(p1=0.3, p2=0.8, include_diagonal_in_stats=False)
         ps = filter_scores(tm, params)
         ref = reference_filter(
-            tm.scores.tolist(), tm.observed.tolist(), 0.3, 0.8, "standard", False
+            tm.scores.tolist(), tm.observed.tolist(), 0.3, 0.8, False
         )
         assert np.array_equal(as_reference(ps), np.array(ref)), f"seed {seed}"
 
 
-@pytest.mark.parametrize("mode", ["standard", "xl"])
 @pytest.mark.parametrize("include_diag", [True, False])
-def test_oracle_equivalence_on_anchored_samples(mode, include_diag):
+def test_oracle_equivalence_on_anchored_samples(include_diag):
     """Realistic masks: planted scores at n = 60 with about 4 n ln n pairs sampled."""
     for seed in range(3):
         tm, _ = synthetic_transfer_matrix(60, 3, 491, seed=seed, sampling="anchored")
-        ps = filter_scores(tm, FilterParams(mode=mode, include_diagonal_in_stats=include_diag))
+        ps = filter_scores(tm, FilterParams(include_diagonal_in_stats=include_diag))
         ref = reference_filter(
-            tm.scores.tolist(), tm.observed.tolist(), 0.5, 0.5, mode, include_diag
+            tm.scores.tolist(), tm.observed.tolist(), 0.5, 0.5, include_diag
         )
         assert np.array_equal(as_reference(ps), np.array(ref)), f"seed {seed}"
 
@@ -190,26 +174,25 @@ PARTNER_HI = [1.0, 0.25, 0.25, 0.25]  # S_01 clears mu_1 + sigma_1
 PARTNER_LO = [0.0, 0.75, 0.75, 0.75]  # S_01 sits below mu_1 - sigma_1
 
 
-@pytest.mark.parametrize("mode, p1, p2, col0, col1, line, expected", [
-    ("xl", 0.5, 0.5, MEAN_TIE, PARTNER_LO, 0.0, 1),                  # >= mu_0 holds
-    ("standard", 0.0, 0.5, MEAN_TIE, PARTNER_HI, 0.0, UNOBSERVED),   # > mu_0 fails
-    ("standard", 0.5, 0.0, MEAN_TIE, PARTNER_LO, 0.0, UNOBSERVED),   # < mu_0 fails
-    ("standard", 1.0, 0.5, SIGMA_HI, PARTNER_HI, 1.0, UNOBSERVED),   # > mu_0 + sigma_0 fails
-    ("standard", 0.5, 1.0, SIGMA_LO, PARTNER_LO, -1.0, UNOBSERVED),  # < mu_0 - sigma_0 fails
-], ids=["xl-mean", "hi-mean", "lo-mean", "hi-sigma", "lo-sigma"])
-def test_score_on_a_threshold_line(mode, p1, p2, col0, col1, line, expected):
+@pytest.mark.parametrize("p1, p2, col0, col1, line, expected", [
+    (0.0, 0.5, MEAN_TIE, PARTNER_HI, 0.0, UNOBSERVED),   # > mu_0 fails
+    (0.5, 0.0, MEAN_TIE, PARTNER_LO, 0.0, UNOBSERVED),   # < mu_0 fails
+    (1.0, 0.5, SIGMA_HI, PARTNER_HI, 1.0, UNOBSERVED),   # > mu_0 + sigma_0 fails
+    (0.5, 1.0, SIGMA_LO, PARTNER_LO, -1.0, UNOBSERVED),  # < mu_0 - sigma_0 fails
+], ids=["hi-mean", "lo-mean", "hi-sigma", "lo-sigma"])
+def test_score_on_a_threshold_line(p1, p2, col0, col1, line, expected):
     n = 5
     scores = np.where(np.add.outer(range(n), range(n)) % 2, 0.25, 0.75)
     scores[1:, 0] = col0
     scores[[0, 2, 3, 4], 1] = col1
     np.fill_diagonal(scores, 1.0)
     tm = TransferMatrix(scores=scores, observed=np.ones((n, n), dtype=bool))
-    params = FilterParams(p1=p1, p2=p2, mode=mode, include_diagonal_in_stats=False)
+    params = FilterParams(p1=p1, p2=p2, include_diagonal_in_stats=False)
     mu, sigma = column_stats(tm, 0, params)
     assert scores[1, 0] == mu + line * sigma
     got = as_reference(filter_scores(tm, params))
     assert got[0, 1] == got[1, 0] == expected
-    ref = reference_filter(scores.tolist(), tm.observed.tolist(), p1, p2, mode, False)
+    ref = reference_filter(scores.tolist(), tm.observed.tolist(), p1, p2, False)
     assert np.array_equal(got, np.array(ref))
 
 
@@ -250,18 +233,11 @@ def test_raising_p2_never_creates_zeros(seed, p2, bump):
     assert not (zeros_hi & ~zeros_lo).any()
 
 
-def test_bad_mode_rejected():
-    with pytest.raises(InputError):
-        FilterParams(mode="huge")
-    with pytest.raises(InputError):
-        FilterParams(p1=-0.1)
-
-
 @pytest.mark.parametrize("field", ["p1", "p2"])
-@pytest.mark.parametrize("value", [math.nan, math.inf])
-def test_a_non_finite_p_is_rejected(field, value):
-    """A NaN p passes `p < 0`, and an infinite p times a zero column sigma
-    is a NaN threshold: neither may reach the filter."""
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.1])
+def test_a_bad_p_is_rejected(field, value):
+    """A negative p, a NaN p (which passes `p < 0`) and an infinite p (times
+    a zero column sigma, a NaN threshold) may not reach the filter."""
     with pytest.raises(InputError) as err:
         FilterParams(**{field: value})
     assert err.value.code == "bad-params"

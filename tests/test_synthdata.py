@@ -97,6 +97,23 @@ class TestAnchoredPairs:
         pairs = _anchored_pairs(membership, 15, derive_rng(0, "t"))
         assert np.array_equal(pairs, np.triu(np.ones((6, 6), dtype=bool), 1))
 
+    def test_one_cluster_is_a_spanning_path_plus_uniform_draws(self):
+        """A one-cluster plant has no cross-cluster pair to draw, so the
+        budget is a random path through every task and then uniform draws."""
+        membership = balanced_membership(6, 1)
+        path = derive_rng(0, "t").permutation(6)
+        on_path = np.zeros((6, 6), dtype=bool)
+        on_path[np.minimum(path[:-1], path[1:]), np.maximum(path[:-1], path[1:])] = True
+        for budget in (5, 9):  # the path alone, then the path and 4 uniform draws
+            pairs = _anchored_pairs(membership, budget, derive_rng(0, "t"))
+            assert pairs.sum() == budget and not np.tril(pairs).any()
+            assert (pairs >= on_path).all()
+        with pytest.raises(InputError) as exc:
+            _anchored_pairs(membership, 4, derive_rng(0, "t"))
+        assert exc.value.code == "infeasible-budget"
+        tm, plant = synthetic_transfer_matrix(4, 1, 5, sampling="anchored")
+        assert np.triu(tm.observed, 1).sum() == 5 and not plant.any()
+
 
 class TestSyntheticTransferMatrix:
     @pytest.mark.parametrize("sampling, scores_sha, observed_sha", [
