@@ -1,10 +1,11 @@
 """Walk one synthetic problem through the full clustering pipeline.
 
 Fabricates planted two-level transfer scores, then spells out
-spectral.cluster_scores step by step: thresholds the scores into a partial
-binary similarity matrix, recovers the full matrix by robust completion and
-partitions it spectrally, printing what happened at every stage and the
-final agreement with the plant.
+filtering.filter_scores and spectral.cluster_scores step by step:
+thresholds the scores into a partial binary similarity matrix, recovers
+the full matrix by robust completion and partitions it spectrally,
+printing what happened at every stage and the final agreement with the
+plant.
 """
 
 import argparse

@@ -17,7 +17,7 @@ import numpy as np
 
 from .completion import CompletionProblem, complete, default_lambda
 from .errors import InputError, NumericalError
-from .filtering import FilterParams
+from .filtering import FilterParams, filter_scores
 from .learning import fsl_combine, train_support_only
 from .seeding import derive_rng
 from .spectral import adjusted_rand_index, cluster_scores
@@ -277,7 +277,7 @@ def fewshot_trial(seed: int, n_tasks: int = 10, targets: int = 6, shots: int = 1
     """One seed of the few-shot comparison on an opposed two-cluster family.
 
     The family is clustered from direct-evaluation scores on every pair by
-    cluster_scores, filtering without the diagonal.
+    filter_scores without the diagonal, then cluster_scores.
     Each target, alternating between the clusters, is then served from
     ``shots`` support examples per label in the three ways FewShotResult
     lists. Every model trains for ``epochs``.
@@ -285,8 +285,9 @@ def fewshot_trial(seed: int, n_tasks: int = 10, targets: int = 6, shots: int = 1
     tasks, membership = make_task_family(n_tasks, 2, FEWSHOT_FAMILY, seed=seed, opposed=True)
     every_pair = np.triu(np.ones((n_tasks, n_tasks), dtype=bool), 1)
     config = TrainConfig(epochs=epochs, seed=0)
-    part = cluster_scores(build_transfer_matrix(tasks, every_pair, config), 2,
-                          FilterParams(include_diagonal_in_stats=False), seed=seed)[0]
+    tm = build_transfer_matrix(tasks, every_pair, config)
+    part = cluster_scores(filter_scores(tm, FilterParams(include_diagonal_in_stats=False)), 2,
+                          seed=seed)[0]
     cluster_models = train_cluster_models(
         [[tasks[i] for i in part.members(k)] for k in range(2)], "shared_classifier", config)
     flat_models = train_cluster_models([[t] for t in tasks], "shared_classifier", config)

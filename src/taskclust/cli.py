@@ -223,10 +223,17 @@ def cmd_cluster(args) -> int:
     if K < 1:
         raise InputError("bad-K", "clusters must be >= 1")
     params, diagnostics_path = _filter_params(s), _get(s, "diagnostics", str)
-    tm = fileio.read_transfer_csv(s["scores"])
+    # No name holds the scores: they are freed once filtered, before the solve.
+    ps = filter_scores(fileio.read_transfer_csv(s["scores"]), params)
     solver = _pick(s, SolverConfig, **ALIASES)
-    part, diagnostics = cluster_scores(tm, K, params, _get(s, "lam", float | None), solver, s["seed"])
+    part, diagnostics = cluster_scores(ps, K, _get(s, "lam", float | None), solver, s["seed"])
     _check_converged(diagnostics)
+    if diagnostics["x_rank"] < K:
+        _report(
+            "warning", "low-rank-completion",
+            f"the completed matrix has rank {diagnostics['x_rank']}, below K = {K}, "
+            "so rounding alone tells at least two of the clusters apart",
+        )
     if part.laplacian_gap is not None and part.laplacian_gap <= LAPLACIAN_GAP_WARNING:
         _report(
             "warning", "degenerate-embedding",

@@ -29,7 +29,12 @@ gathered over Omega. Between steps the solve holds two dense n x n float64
 arrays, which swap roles each step: the shrink input M is built over the
 previous X, the shrink writes the new X into the other array, and M then
 takes M - X for the dual residual. The eigendecomposition adds its own
-copy, workspace and eigenvectors on top of those.
+copy, workspace and eigenvectors on top of those, and the shrink two
+n x r arrays at kept rank r (see _threshold). Over Omega the shrink runs
+beside four vectors only: P_Omega(Y), its flat indices, E and the
+multiplier. M's values on Omega are dropped once written, Lambda / rho is
+recomputed for the sparse step rather than kept across the shrink, and a
+step's other vectors are dropped before the next shrink.
 
 No step symmetrizes M. M is symmetric up to rounding by construction: off
 Omega it is the previous shrink V diag(s) V^T, and on Omega it is built
@@ -209,8 +214,9 @@ def _threshold(V, w, tau, out=None):
     (V diag(sign(w) (|w| - tau)_+) V^T, kept rank).
 
     Only the kept columns of V are scaled, so a step keeping r of n
-    eigenpairs forms an n x r product, not an n x n one. The product is
-    written into out when it is given.
+    eigenpairs forms an n x r product, not an n x n one. It holds two n x r
+    arrays: the kept columns Vk and one scaled copy of them. Vk^T is a view.
+    The product is written into out when it is given.
     """
     n = V.shape[0]
     X = np.empty((n, n)) if out is None else out
@@ -220,7 +226,8 @@ def _threshold(V, w, tau, out=None):
     if not rank:
         X.fill(0.0)
         return X, 0
-    return np.matmul(V[:, keep] * np.sign(w[keep]) * s[keep], V.T[keep], out=X), rank
+    Vk = V[:, keep]
+    return np.matmul(Vk * (np.sign(w[keep]) * s[keep]), Vk.T, out=X), rank
 
 
 def soft_threshold(M: np.ndarray, tau: float) -> np.ndarray:
@@ -333,17 +340,17 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
     rank = full_steps = 0
     it = 0
     for it in range(1, max_iter + 1):
-        mult_rho = mult / rho
-        m = y - e + mult_rho
+        m = y - e + mult / rho
         if not np.isfinite(m).all():  # off Omega M is X_prev, checked last step
             raise NumericalError("non-finite", "svt input contains NaN or inf")
         M = np.add(X, 0.0, out=X)  # the shrink input, over the previous X
         M.ravel()[idx] = m
+        del m  # over Omega the shrink holds only y, idx, e and mult
         X, rank, basis, full = _shrink_step(M, 1.0 / rho, basis, spare)
         full_steps += full
         yx = y - X.ravel()[idx]
         e_prev = e
-        e = soft_threshold(yx + mult_rho, lam / rho)
+        e = soft_threshold(yx + mult / rho, lam / rho)
         r = yx - e
         mult = mult + rho * r
         if not (np.isfinite(X).all() and np.isfinite(e).all()):
@@ -352,6 +359,7 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
         dE = np.subtract(M, X, out=M)  # E - E_prev off Omega, up to the sign of zeros
         dE.ravel()[idx] = e - e_prev
         dual = rho * np.linalg.norm(dE) / denom
+        del yx, e_prev, r  # not read by the next step
         spare = dE
         if residual < config.tol and dual < config.tol:
             if full:

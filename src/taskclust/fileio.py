@@ -177,12 +177,12 @@ def _read_entries(path, parse, upper: bool):
 
 def _write_entries(mask: np.ndarray, values: np.ndarray, path) -> None:
     """'#n=<n>' and one 'i,j,value' line per entry of ``mask``, in row-major
-    order, the value as repr writes it."""
-    lines = [f"#n={mask.shape[0]}"]
-    for i, row in enumerate(mask):
-        cols = np.flatnonzero(row)
-        lines += [f"{i},{j},{v!r}" for j, v in zip(cols.tolist(), values[i, cols].tolist())]
-    Path(path).write_text("\n".join(lines) + "\n")
+    order, the value as repr writes it. Written a row of ``mask`` at a time."""
+    with open(path, "w") as f:
+        f.write(f"#n={mask.shape[0]}\n")
+        for i, row in enumerate(mask):
+            cols = np.flatnonzero(row)
+            f.writelines(f"{i},{j},{v!r}\n" for j, v in zip(cols.tolist(), values[i, cols].tolist()))
 
 
 def write_transfer_csv(tm: TransferMatrix, path) -> None:
@@ -225,9 +225,11 @@ def read_partial_csv(path) -> PartialSimilarity:
 
 
 def write_dense_csv(M: np.ndarray, path) -> None:
+    """One line of _fmt's text per row of M, written a row at a time."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    lines = [",".join(map(repr, row)) for row in M.tolist()]  # _fmt's text, row by row
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as f:
+        for row in M:
+            f.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_dense_csv(path) -> np.ndarray:

@@ -17,7 +17,6 @@ import numpy as np
 
 from .completion import complete_similarity
 from .errors import InputError
-from .filtering import filter_scores
 from .seeding import derive_rng
 
 KMEANS_RESTARTS = 20
@@ -139,12 +138,17 @@ def spectral_cluster(X: np.ndarray, K: int, seed: int = 0) -> TaskPartition:
     return TaskPartition(n=n, K=K, assignment=labels, seed=seed, laplacian_gap=gap)
 
 
-def cluster_scores(tm, K: int, params=None, lam=None, solver=None, seed: int = 0):
-    """filter_scores, complete_similarity, then spectral_cluster: the partition
-    and complete_similarity's diagnostics plus the partition's laplacian_gap.
-    An unconverged X is clustered as is; diagnostics["converged"] says so.
+def cluster_scores(ps, K: int, lam=None, solver=None, seed: int = 0):
+    """complete_similarity, then spectral_cluster, on filter_scores' output:
+    the partition and complete_similarity's diagnostics plus the partition's
+    laplacian_gap. An unconverged X is clustered as is;
+    diagnostics["converged"] says so.
+
+    It takes the filtered pairs, not the transfer scores: a caller that
+    passes filter_scores(tm, params) and keeps no tm of its own frees the
+    n x n scores before the solve. Taking tm and dropping it inside would
+    not, because Python 3.10 keeps a call's arguments alive until it returns.
     """
-    ps = filter_scores(tm, params)
     # [:2] frees the solver's own X and E before the Laplacian is built
     X, diagnostics = complete_similarity(ps.values, ps.observed, lam, solver)[:2]
     part = spectral_cluster(X, K, seed=seed)

@@ -193,7 +193,8 @@ def test_pipeline_clusters_planted_scores_perfectly(capsys):
             n, K, budget, seed=seed, sampling="anchored",
             within=(0.9, 0.05), cross=(0.1, 0.05),
         )
-        part, _ = cluster_scores(tm, K, FilterParams(include_diagonal_in_stats=False), seed=seed)
+        ps = filter_scores(tm, FilterParams(include_diagonal_in_stats=False))
+        part, _ = cluster_scores(ps, K, seed=seed)
         perfect += adjusted_rand_index(part.assignment, membership) == 1.0
     elapsed = time.perf_counter() - t0
     ok = perfect >= 18 and elapsed < 120
@@ -217,7 +218,7 @@ def test_regularized_embedding_clusters_the_sampled_48_task_path(capsys):
         for pair_seed in range(12):
             tm = build_transfer_matrix(tasks, sample_task_pairs(48, 300, seed=pair_seed),
                                        TrainConfig(seed=pair_seed))
-            part, _ = cluster_scores(tm, 3, seed=2)
+            part, _ = cluster_scores(filter_scores(tm), 3, seed=2)
             aris.append(adjusted_rand_index(part.assignment, membership))
             gaps.append(part.laplacian_gap)
     elapsed = time.perf_counter() - t0

@@ -1,12 +1,13 @@
 """End-to-end tests of the command-line pipeline, run in process."""
 
 import json
+import weakref
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from taskclust import bench, cli, fileio
+from taskclust import bench, cli, fileio, spectral
 from taskclust.cli import main, stage_seed
 from taskclust.completion import complete_similarity
 from taskclust.filtering import FilterParams, filter_scores
@@ -148,7 +149,8 @@ class TestEstimate:
 
     def test_the_benchmark_family_clusters_from_default_scores(self, tmp_path, capsys):
         """The benchmark's tasks48 family (48 tasks in 3 clusters, 300 sampled
-        pairs): the default estimate scores separate the clusters."""
+        pairs): the default estimate scores separate the clusters, and X
+        completes to rank 3, so cluster warns of nothing."""
         tasks, scores, part = tmp_path / "tasks", tmp_path / "scores.csv", tmp_path / "p.json"
         for argv in (["synth", "--out", tasks, "--n-tasks", 48, "--clusters", 3, "--seed", 0],
                      ["estimate", "--tasks", tasks, "--out", scores, "--pairs", 300, "--seed", 1],
@@ -156,6 +158,7 @@ class TestEstimate:
                       "--diagnostics", tmp_path / "diag.json"]):
             code, _, err = run(capsys, *argv)
             assert code == 0, err
+        assert err == "" and fileio.read_json(tmp_path / "diag.json")["x_rank"] == 3
         membership = fileio.read_json(tasks / "membership.json")["membership"]
         assert adjusted_rand_index(fileio.read_partition_json(part).assignment, membership) >= 0.9
 
@@ -378,6 +381,63 @@ class TestCluster:
             part = spectral_cluster(X, K, seed=0)
             assert fileio.read_partition_json(out).assignment.tolist() == part.assignment.tolist()
             assert part.laplacian_gap == gap
+
+    def test_the_scores_are_freed_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        """No name holds the TransferMatrix that read_transfer_csv returns
+        once filter_scores has read it, so its n x n scores are gone when
+        complete_similarity runs."""
+        read, complete = fileio.read_transfer_csv, spectral.complete_similarity
+        refs = []
+
+        def reading(path):
+            tm = read(path)
+            refs.append(weakref.ref(tm))
+            return tm
+
+        def completing(*args):
+            assert len(refs) == 1 and refs[0]() is None
+            return complete(*args)
+
+        monkeypatch.setattr(fileio, "read_transfer_csv", reading)
+        monkeypatch.setattr(spectral, "complete_similarity", completing)
+        tm, _ = synthetic_transfer_matrix(12, 3, 19, seed=0, sampling="anchored")
+        fileio.write_transfer_csv(tm, tmp_path / "scores.csv")
+        code, _, err = run(capsys, "cluster", "--scores", tmp_path / "scores.csv",
+                           "--out", tmp_path / "p.json", "--clusters", 3, "--seed", 0)
+        assert code == 0, err
+
+    def test_a_completion_below_rank_k_warns_without_changing_the_partition(self, tmp_path,
+                                                                           capsys):
+        """48 tasks in 3 clusters (synth seed 2) from 300 pairs (estimate seed
+        9): the completed X has rank 2 and two clusters merge (ARI 0.544).
+        cluster exits 0 with the partition cluster_scores gives, and warns."""
+        tasks, scores, out = tmp_path / "tasks", tmp_path / "scores.csv", tmp_path / "p.json"
+        for argv in (["synth", "--out", tasks, "--n-tasks", 48, "--clusters", 3, "--seed", 2],
+                     ["estimate", "--tasks", tasks, "--out", scores, "--pairs", 300, "--seed", 9]):
+            assert run(capsys, *argv)[0] == 0
+        code, _, err = run(capsys, "cluster", "--scores", scores, "--out", out, "--clusters", 3,
+                           "--seed", 2, "--diagnostics", tmp_path / "diag.json")
+        assert code == 0
+        record = stderr_record(err)
+        assert record["warning"] == "low-rank-completion" and len(err.splitlines()) == 1
+        assert record["message"].startswith("the completed matrix has rank 2, below K = 3")
+        assert fileio.read_json(tmp_path / "diag.json")["x_rank"] == 2
+        part, _ = spectral.cluster_scores(filter_scores(fileio.read_transfer_csv(scores)), 3, seed=2)
+        assert fileio.read_partition_json(out).assignment.tolist() == part.assignment.tolist()
+        membership = fileio.read_json(tasks / "membership.json")["membership"]
+        assert round(adjusted_rand_index(part.assignment, membership), 3) == 0.544
+
+    def test_no_rank_warning_on_the_quick_start(self, tmp_path, capsys):
+        """The README quick start (12 tasks, 40 pairs) completes to rank 3:
+        stderr stays empty."""
+        tasks, scores, diag = tmp_path / "tasks", tmp_path / "scores.csv", tmp_path / "diag.json"
+        for argv in (["synth", "--out", tasks, "--n-tasks", 12, "--clusters", 3, "--seed", 0],
+                     ["estimate", "--tasks", tasks, "--out", scores, "--pairs", 40, "--seed", 1]):
+            assert run(capsys, *argv)[0] == 0
+        code, _, err = run(capsys, "cluster", "--scores", scores, "--out", tmp_path / "p.json",
+                           "--clusters", 3, "--seed", 2, "--diagnostics", diag)
+        assert code == 0 and err == ""
+        assert fileio.read_json(diag)["x_rank"] == 3
 
     def test_diagnostics_are_written_only_when_asked(self, tmp_path, capsys, monkeypatch):
         tm, _ = synthetic_transfer_matrix(12, 3, 19, seed=0, sampling="anchored")

@@ -618,10 +618,11 @@ def test_peak_memory_is_a_few_n_by_n_arrays():
     """Between steps the solve holds two n x n float64 arrays that
     tracemalloc sees: the previous X, which takes the shrink input, and the
     buffer the new X is written into. A full step adds the eigenvectors, and
-    an early step that keeps many eigenpairs adds its scaled kept columns
-    and kept rows of V^T (about one more here). Vectors over Omega (15% of
-    n x n here) add about 1.4 more; LAPACK's own workspace is not traced.
-    The int8 Y is never copied to float64."""
+    an early step that keeps many eigenpairs adds _threshold's two n x r
+    arrays (about one more here). The shrink runs beside four vectors over
+    Omega (15% of n x n here), about 0.6 more; LAPACK's own workspace is not
+    traced. The peak is 4.7 n x n arrays (5.5 while the shrink also kept
+    five more vectors over Omega). The int8 Y is never copied to float64."""
     n = 200
     _, plan, _ = planted_problem(n, 3, 0.15, 0.02, 0)
     problem = CompletionProblem(plan.Y.astype(np.int8), plan.omega, observation_lambda(plan.omega))
@@ -635,6 +636,27 @@ def test_peak_memory_is_a_few_n_by_n_arrays():
         tracemalloc.stop()
     assert res.converged
     assert peak < 6 * n * n * 8
+
+
+def test_threshold_holds_two_n_by_r_arrays():
+    """At kept rank r, _threshold holds the kept columns Vk of V and one
+    scaled copy of them, and multiplies by the view Vk^T: two n x r arrays.
+    The slack is numpy's ufunc buffer for the broadcast scaling
+    (np.getbufsize() float64s) and a few length-n vectors."""
+    n = 400
+    w, V = np.linalg.eigh(symmetrize(np.random.default_rng(0).standard_normal((n, n))))
+    tau = np.sort(np.abs(w))[n // 2 - 1]  # keeps the n/2 eigenvalues largest in magnitude
+    out = np.empty((n, n))
+    completion._threshold(V, w, tau, out)  # first-call set-up is not counted
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        X, r = completion._threshold(V, w, tau, out)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert r == n // 2 and X is out
+    assert peak < 2 * n * r * 8 + 8 * np.getbufsize() + 8 * 8 * n
 
 
 def test_default_rho0_is_the_lambda_scaled_spectral_rule():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,29 @@ def test_dense_csv_writes_the_fmt_text(tmp_path, M):
     rows = np.atleast_2d(np.asarray(M, dtype=float))
     expect = "\n".join(",".join(fileio._fmt(v) for v in row) for row in rows) + "\n"
     assert path.read_bytes() == expect.encode()
+
+
+@pytest.mark.parametrize("writer", ["write_dense_csv", "write_transfer_csv"])
+def test_matrix_writers_never_hold_the_whole_text(tmp_path, writer):
+    """X and the scores are written a row at a time. The whole text of a
+    300 x 300 matrix, built before writing, traced 7 and 17 times X.nbytes;
+    a row at a time the peak is under half of X.nbytes (the transfer writer's
+    n x n bool masks are a quarter)."""
+    n = 300
+    X = np.random.default_rng(0).uniform(size=(n, n))
+    np.fill_diagonal(X, 1.0)
+    arg = X if writer == "write_dense_csv" else TransferMatrix(X, np.ones((n, n), dtype=bool))
+    write, path = getattr(fileio, writer), tmp_path / "m.csv"
+    write(arg, path)  # first-call set-up is not counted
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write(arg, path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes / 2
+    assert path.stat().st_size > 2 * X.nbytes  # the text is larger than the matrix
 
 
 def test_dense_csv_rejects_ragged(tmp_path):

@@ -247,8 +247,8 @@ def test_peak_memory_is_two_n_by_n_arrays():
 ])
 def test_cluster_scores_is_the_hand_written_chain(params, lam, solver):
     tm, _ = synthetic_transfer_matrix(24, 3, 80, seed=3, sampling="anchored")
-    part, diagnostics = cluster_scores(tm, 3, params, lam, solver, seed=5)
     ps = filter_scores(tm, params)
+    part, diagnostics = cluster_scores(ps, 3, lam, solver, seed=5)
     X, ref_diagnostics, _ = complete_similarity(ps.values, ps.observed, lam, solver)
     ref = spectral_cluster(X, 3, seed=5)
     assert part.assignment.tolist() == ref.assignment.tolist()
@@ -259,7 +259,7 @@ def test_cluster_scores_is_the_hand_written_chain(params, lam, solver):
 
 def test_cluster_scores_clusters_an_unconverged_solve():
     tm, _ = synthetic_transfer_matrix(24, 3, 80, seed=3, sampling="anchored")
-    part, diagnostics = cluster_scores(tm, 3, solver=SolverConfig(max_iter=1))
+    part, diagnostics = cluster_scores(filter_scores(tm), 3, solver=SolverConfig(max_iter=1))
     assert diagnostics["converged"] is False and diagnostics["iterations"] == 1
     assert part.n == 24 and part.K == 3
 
@@ -281,7 +281,7 @@ def test_cluster_scores_frees_the_solve_before_the_laplacian(monkeypatch):
     monkeypatch.setattr(spectral, "complete_similarity", completing)
     monkeypatch.setattr(spectral, "spectral_cluster", clustering)
     tm, _ = synthetic_transfer_matrix(24, 3, 80, seed=3, sampling="anchored")
-    assert cluster_scores(tm, 3)[0].n == 24
+    assert cluster_scores(filter_scores(tm), 3)[0].n == 24
 
 
 def test_partition_validation():
