@@ -35,8 +35,6 @@ from .transfer import (KINDS, PER_TASK_KINDS, TrainConfig, accuracy, build_trans
 STAGES = ("synth", "estimate", "filter", "complete", "cluster", "mtl", "fsl", "sweep")
 # cluster warns on stderr when the Laplacian's eigengap at K is this small.
 LAPLACIAN_GAP_WARNING = 1e-9
-# Config keys that name the same setting as another key: key -> that setting.
-ALIASES = {"solver_tol": "tol", "solver_max_iter": "max_iter"}
 # The dataclass each stage builds with _pick: a section may set its fields
 # as well as the stage's flags. (FilterParams is built only from flags.)
 SECTION_CLASSES = {"synth": FamilyConfig, "estimate": TrainConfig, "complete": SolverConfig,
@@ -77,11 +75,10 @@ def _get(settings: dict, key: str, kind, default=None):
 def _settings(args, stage: str, *required: str) -> dict:
     """Stage settings: config-file section overridden by explicit flags.
 
-    Every name in ``required`` is a path that one or the other must set. A
-    section may name a setting once (under one of its ALIASES), and a flag
-    overrides it under either name. The top level holds stage sections and
-    the master ``seed``; a section holds the stage's flag names and the
-    fields of its SECTION_CLASSES entry. Any other key is bad-config.
+    Every name in ``required`` is a path that one or the other must set.
+    The top level holds stage sections and the master ``seed``; a section
+    holds the stage's flag names (each flag's dest) and the fields of its
+    SECTION_CLASSES entry. Any other key is bad-config.
     """
     config = _load_config(args.config)
     for key in config:
@@ -93,22 +90,14 @@ def _settings(args, stage: str, *required: str) -> dict:
     known = set(vars(args)) - {"config", "command", "func"}  # the flags, seed included
     if stage in SECTION_CLASSES:
         known.update(f.name for f in fields(SECTION_CLASSES[stage]))
-    merged = dict(section)
-    keys = {}  # setting -> the section key that names it
     for key in section:
         if key not in known:
             raise InputError("bad-config", f"config section {stage!r} has key {key!r}, "
                                            f"which no {stage} setting reads")
-        setting = ALIASES.get(key, key)
-        if setting in keys:
-            raise InputError("bad-config", f"config section {stage!r} names one setting twice: "
-                                           f"{keys[setting]!r} and {key!r}")
-        keys[setting] = key
+    merged = dict(section)
     for key, value in vars(args).items():
-        if key in ("config", "command", "func") or value is None:
-            continue
-        merged.pop(keys.get(ALIASES.get(key, key)), None)  # whichever name the section used
-        merged[key] = value
+        if key not in ("config", "command", "func") and value is not None:
+            merged[key] = value
     for key in required:
         if key not in merged:
             raise InputError("missing-setting", f"required setting {key!r} was not provided")
@@ -202,7 +191,7 @@ def cmd_complete(args) -> int:
     s = _settings(args, "complete", "similarity", "out_x", "out_e")
     diagnostics_path = _get(s, "diagnostics", str)
     ps = fileio.read_partial_csv(s["similarity"])
-    solver = _pick(s, SolverConfig, **ALIASES)
+    solver = _pick(s, SolverConfig)
     lam = _get(s, "lam", float | None)
     X, diagnostics, result = complete_similarity(ps.values, ps.observed, lam, solver)
     _check_converged(diagnostics)
@@ -225,7 +214,7 @@ def cmd_cluster(args) -> int:
     params, diagnostics_path = _filter_params(s), _get(s, "diagnostics", str)
     # No name holds the scores: they are freed once filtered, before the solve.
     ps = filter_scores(fileio.read_transfer_csv(s["scores"]), params)
-    solver = _pick(s, SolverConfig, **ALIASES)
+    solver = _pick(s, SolverConfig)
     part, diagnostics = cluster_scores(ps, K, _get(s, "lam", float | None), solver, s["seed"])
     _check_converged(diagnostics)
     if diagnostics["x_rank"] < K:
@@ -369,8 +358,8 @@ def _add_solver_flags(sub):
     """The completion step's settings: complete and cluster."""
     sub.add_argument("--diagnostics", help="output JSON for solver diagnostics (none written without it)")
     sub.add_argument("--lam", type=float, help="sparsity weight (default: observation-aware)")
-    sub.add_argument("--solver-tol", dest="solver_tol", type=float)
-    sub.add_argument("--solver-max-iter", dest="solver_max_iter", type=int)
+    sub.add_argument("--solver-tol", dest="tol", type=float)
+    sub.add_argument("--solver-max-iter", dest="max_iter", type=int)
 
 
 def _add_model_flags(sub):

@@ -16,9 +16,10 @@ multiplication of the previous step's basis, then a Rayleigh-Ritz step on
 it. A full eigendecomposition runs whenever that basis cannot be trusted,
 and always on the step that confirms convergence.
 
-The penalty starts at rho0 = 1.25 * lambda * sqrt(n) / ||P_Omega(Y)||_2,
-Lin, Chen & Ma's initial penalty scaled so that the first sparse threshold
-lambda / rho0 is theirs at any lambda (see complete()).
+The penalty schedule is fixed: rho starts at RHO_SCALE * lambda * sqrt(n) /
+||P_Omega(Y)||_2 with RHO_SCALE = 1.25, Lin, Chen & Ma's initial penalty
+scaled so that the first sparse threshold is theirs at any lambda, then
+moves by RHO_STEP = 1.2 within [RHO_FLOOR, RHO_CAP] = [1e-7, 1e7].
 
 Off Omega the sparse error E is exactly -X and the multiplier and the
 primal residual are exactly 0, so complete() keeps those three as vectors
@@ -52,6 +53,9 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 
+RHO_SCALE = 1.25
+RHO_STEP = 1.2
+RHO_FLOOR = 1e-7
 RHO_CAP = 1e7
 # The warm basis carries this many eigenpairs past the kept rank, so that a
 # rank increase shows as a buffer Ritz value above the threshold.
@@ -66,10 +70,9 @@ CLIP_TOL = 1e-3
 
 @dataclass
 class SolverConfig:
-    # None: 1.25 * lambda * sqrt(n) / ||P_Omega(Y)||_2, the spectral norm of
-    # the observed values (1.0 if they are all 0); see complete()
-    rho0: float | None = None
-    rho_growth: float = 1.2
+    """The stopping rule. The penalty schedule is no setting: RHO_SCALE = 1.25,
+    RHO_STEP = 1.2, RHO_FLOOR = 1e-7 and RHO_CAP = 1e7 fix it (see complete())."""
+
     tol: float = 1e-7
     max_iter: int | None = None  # None: max(500, 2n)
 
@@ -78,10 +81,6 @@ class SolverConfig:
             raise InputError("bad-tol", "tol must be positive and finite")
         if self.max_iter is not None and self.max_iter < 1:
             raise InputError("bad-max-iter", "max_iter must be >= 1")
-        if not 1 <= self.rho_growth < np.inf:
-            raise InputError("bad-rho-growth", "rho_growth must be finite and >= 1")
-        if self.rho0 is not None and not self.rho0 > 0:  # NaN fails the test too
-            raise InputError("bad-rho0", "rho0 must be positive")
 
 
 @dataclass
@@ -266,23 +265,24 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
     Off-Omega positions of E absorb the residual exactly each step, so
     unobserved entries impose no constraint and the multiplier stays zero
     there. The penalty rho is rebalanced (Boyd et al., sec. 3.4.1): grow by
-    rho_growth when the primal residual dominates, shrink when the dual one
-    does. A monotone rho schedule drives the primal residual to zero while
-    the iterate is still far from optimal, so both residuals must be small
+    RHO_STEP = 1.2 (up to RHO_CAP = 1e7) when the primal residual dominates,
+    shrink by it (down to RHO_FLOOR = 1e-7) when the dual one does. A
+    monotone rho schedule drives the primal residual to zero while the
+    iterate is still far from optimal, so both residuals must be small
     before we stop. The reported X and E are symmetrized (the iterates are
     symmetric only up to rounding), and E is 0 off Omega.
 
-    Unless config.rho0 is set, rho starts at 1.25 * lambda * sqrt(n) /
-    ||P_Omega(Y)||_2. At lambda = 1/sqrt(n), default_lambda, that is the
-    initial penalty of Lin, Chen & Ma's inexact ALM (arXiv:1009.5055). The
-    factor lambda * sqrt(n) keeps their first sparse threshold, lambda / rho0
-    = 0.8 ||P_Omega(Y)||_2 / sqrt(n), whatever lambda is. Without it, lambda =
-    1 starts that threshold sqrt(n) times higher and some solves take
-    thousands of iterations. Nor may rho0 be much larger: the threshold
-    1/rho0 on X would then keep almost every eigenvalue, and the first steps
-    would all be full decompositions. config.max_iter defaults to
-    max(500, 2n): solves take about 0.75-0.9 n iterations from n = 720 to
-    n = 2000.
+    rho starts at RHO_SCALE * lambda * sqrt(n) / ||P_Omega(Y)||_2 with
+    RHO_SCALE = 1.25, or at 1.0 when P_Omega(Y) is 0. At lambda = 1/sqrt(n),
+    default_lambda, that is the initial penalty of Lin, Chen & Ma's inexact
+    ALM (arXiv:1009.5055). The factor lambda * sqrt(n) keeps their first
+    sparse threshold, lambda / rho = 0.8 ||P_Omega(Y)||_2 / sqrt(n), whatever
+    lambda is. Without it, lambda = 1 starts that threshold sqrt(n) times
+    higher and some solves take thousands of iterations. Nor may the initial
+    rho be much larger: the threshold 1/rho on X would then keep almost every
+    eigenvalue, and the first steps would all be full decompositions.
+    config.max_iter defaults to max(500, 2n): solves take about 0.75-0.9 n
+    iterations from n = 720 to n = 2000.
 
     E, the multiplier and the primal residual are vectors over Omega's
     flat indices, because off Omega they are known exactly: E = 0 - X,
@@ -315,13 +315,9 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
     y_norm = np.linalg.norm(Yp)
     denom = max(1.0, y_norm)
 
-    if config.rho0 is not None:
-        rho = float(config.rho0)
-    else:
-        spectral = np.abs(np.linalg.eigvalsh(Yp)).max()  # ||P_Omega(Y)||_2
-        rho = 1.25 * lam * np.sqrt(n) / spectral if spectral > 0 else 1.0
+    spectral = np.abs(np.linalg.eigvalsh(Yp)).max()  # ||P_Omega(Y)||_2
+    rho = RHO_SCALE * lam * np.sqrt(n) / spectral if spectral > 0 else 1.0
     rho_initial = rho
-    rho_floor = 1e-7
     max_iter = max(500, 2 * n) if config.max_iter is None else config.max_iter
 
     # A fully observed Omega is indexed by a slice: the same entries, copied
@@ -367,9 +363,9 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
                 break
             basis = None  # confirm on a full step before stopping
         if residual > 10.0 * dual:
-            rho = min(rho * config.rho_growth, RHO_CAP)
+            rho = min(rho * RHO_STEP, RHO_CAP)
         elif dual > 10.0 * residual:
-            rho = max(rho / config.rho_growth, rho_floor)
+            rho = max(rho / RHO_STEP, RHO_FLOOR)
 
     X = np.add(X, X.T, out=spare)  # symmetrized once, into the spare buffer
     X /= 2.0
@@ -394,10 +390,12 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
 
 def clip_to_unit(X: np.ndarray) -> tuple[np.ndarray, float]:
     """Clip to [0, 1] for clustering; also report the fraction of entries
-    that lay more than CLIP_TOL outside [0, 1]."""
+    that lay more than CLIP_TOL outside [0, 1]. Beside X it holds the clipped
+    copy, one n x n distance buffer and a bool mask."""
     clipped = np.clip(X, 0.0, 1.0)
-    frac = float(np.mean(np.abs(clipped - X) > CLIP_TOL))
-    return clipped, frac
+    d = np.subtract(clipped, X)
+    np.abs(d, out=d)
+    return clipped, int(np.count_nonzero(d > CLIP_TOL)) / d.size
 
 
 def complete_similarity(

@@ -8,7 +8,6 @@ the same object always produces byte-identical files.
 
 from __future__ import annotations
 
-import itertools
 import json
 from pathlib import Path
 
@@ -143,11 +142,11 @@ def read_task_dir(path) -> list[TaskDataset]:
 # transfer scores and filtered similarities
 
 
-def _read_entries(path, parse, upper: bool):
-    """The '#n=<n>' size of a file that _write_entries wrote and an iterator
-    over its rows as (i, j, parse(value)), blank lines skipped. A row is
-    bad-format unless it has three fields, parse accepts its value, and i and
-    j are distinct indices in [0, n), with i < j when ``upper``."""
+def _read_entries(path, partial: bool):
+    """The '#n=<n>' size of a file that _write_entries wrote and its rows as
+    arrays i, j and v, blank lines skipped. A row is bad-format unless it
+    has three fields, i and j are distinct integers in [0, n) and v is a
+    float; in a partial similarity file (``partial``) i < j and v is 0 or 1."""
     p = require_file(path)
     lines = p.read_text().splitlines()
     if not lines or not lines[0].startswith("#n="):
@@ -158,21 +157,26 @@ def _read_entries(path, parse, upper: bool):
         raise InputError("bad-format", f"{p} has a malformed size header") from exc
     if n < 1:
         raise InputError("bad-format", f"{p} declares a non-positive size")
+    body = [line for line in lines[1:] if line.strip()]
+    dtype = [("i", np.intp), ("j", np.intp), ("v", np.intp if partial else float)]
+    rows = _parse_rows(body, dtype) if body else np.empty(0, dtype)  # loadtxt warns on no rows
+    if rows is None:
+        bad = next(line for line in body if _parse_rows([line], dtype) is None)
+        raise InputError("bad-format", f"{p}: bad row {bad!r}")
+    i, j, v = rows["i"], rows["j"], rows["v"]
+    ok = (0 <= i) & (i < n) & (0 <= j) & (j < n)
+    ok &= ((i < j) & ((v == 0) | (v == 1))) if partial else (i != j)
+    if not ok.all():
+        raise InputError("bad-format", f"{p}: bad row {body[np.argmin(ok)]!r}")
+    return n, i, j, v
 
-    def rows():
-        for line in itertools.islice(lines, 1, None):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            try:
-                i, j, v = int(parts[0]), int(parts[1]), parse(parts[2])
-            except (IndexError, ValueError) as exc:
-                raise InputError("bad-format", f"{p}: bad row {line!r}") from exc
-            if len(parts) != 3 or not (0 <= i < n and 0 <= j < n) or (i >= j if upper else i == j):
-                raise InputError("bad-format", f"{p}: bad row {line!r}")
-            yield i, j, v
 
-    return n, rows()
+def _parse_rows(lines: list[str], dtype):
+    """The 'i,j,v' rows of ``lines`` as one structured array, or None if a row does not parse."""
+    try:
+        return np.loadtxt(lines, dtype, comments=None, delimiter=",", ndmin=1)
+    except ValueError:
+        return None
 
 
 def _write_entries(mask: np.ndarray, values: np.ndarray, path) -> None:
@@ -191,12 +195,11 @@ def write_transfer_csv(tm: TransferMatrix, path) -> None:
 
 
 def read_transfer_csv(path) -> TransferMatrix:
-    n, rows = _read_entries(path, float, upper=False)
+    n, i, j, v = _read_entries(path, partial=False)
     scores = np.eye(n)
     observed = np.eye(n, dtype=bool)
-    for i, j, v in rows:
-        scores[i, j] = v
-        observed[i, j] = True
+    scores[i, j] = v
+    observed[i, j] = True
     return TransferMatrix(scores=scores, observed=observed)
 
 
@@ -205,18 +208,12 @@ def write_partial_csv(ps: PartialSimilarity, path) -> None:
     _write_entries(np.triu(ps.observed, 1), ps.values, path)
 
 
-def _bit(text: str) -> int:
-    """int(text) if that is 0 or 1; ValueError otherwise."""
-    return (0, 1).index(int(text))
-
-
 def read_partial_csv(path) -> PartialSimilarity:
-    n, rows = _read_entries(path, _bit, upper=True)
+    n, i, j, v = _read_entries(path, partial=True)
     values = np.eye(n, dtype=np.int8)
     observed = np.eye(n, dtype=bool)
-    for i, j, v in rows:
-        values[i, j] = values[j, i] = v
-        observed[i, j] = observed[j, i] = True
+    values[i, j] = values[j, i] = v
+    observed[i, j] = observed[j, i] = True
     return PartialSimilarity(values=values, observed=observed)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .transfer import (PER_TASK_KINDS, ClusterModel, TaskDataset, TrainConfig, accuracy, softmax,
-                       train_single_task)
+                       train_tasks)
 
 
 @dataclass
@@ -75,8 +75,8 @@ def train_support_only(task: TaskDataset, config: TrainConfig | None = None) -> 
     adaptive_fsl's fallback and the few-shot baseline that uses no cluster
     model."""
     _check_support(task)
-    model = train_single_task(replace(task, task_id="support-only"), config)
-    return MixturePredictor([model], np.zeros(1), task, used_fallback=True)
+    models = train_tasks([replace(task, task_id="support-only")], config)
+    return MixturePredictor(models, np.zeros(1), task, used_fallback=True)
 
 
 def _compatible(model: ClusterModel, task: TaskDataset) -> bool:

@@ -449,11 +449,6 @@ def train_tasks(datasets: list[TaskDataset], config: TrainConfig | None = None) 
     return _train_clusters([[ds] for ds in datasets], rngs, "shared_classifier", config)
 
 
-def train_single_task(dataset: TaskDataset, config: TrainConfig | None = None) -> ClusterModel:
-    """Jointly train encoder and classifier on the task's training split."""
-    return train_tasks([dataset], config)[0]
-
-
 def train_cluster_models(
     clusters: list[list[TaskDataset]],
     kind: str,

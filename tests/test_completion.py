@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -343,17 +344,19 @@ def test_shrink_step_falls_back_when_the_rank_outgrows_the_basis():
 
 def test_solver_falls_back_when_the_rank_jumps(monkeypatch):
     # Eight equal clusters give eight equal eigenvalues, so all of them clear
-    # the threshold in the same step, more than the warm basis can hold.
-    inst = generate_planted(64, 8, equal_sizes(64, 8), seed=0)
-    problem = CompletionProblem(inst.X_star, np.ones((64, 64), dtype=bool), default_lambda(64))
-    config = SolverConfig(rho0=0.01, rho_growth=10.0)
+    # the threshold in the same step, more than the warm basis can hold. At
+    # lambda sqrt(n) = 0.75 < 1 / RHO_SCALE the first threshold lies above
+    # ||Y||_2, so step 1 keeps rank 0 and its basis holds only _BUFFER vectors.
+    n = 120
+    inst = generate_planted(n, 8, equal_sizes(n, 8), seed=0)
+    problem = CompletionProblem(inst.X_star, np.ones((n, n), dtype=bool), 0.75 / np.sqrt(n))
     steps = record_steps(monkeypatch)
-    warm = complete(problem, config)
-    assert any(warm_basis and full for warm_basis, full in steps)
+    warm = complete(problem)
+    assert steps[:2] == [(False, True), (True, True)]  # rank 0, then the jump to 8
     assert warm.converged and warm.x_rank == 8
     with monkeypatch.context() as m:
         all_full(m)
-        full = complete(problem, config)
+        full = complete(problem)
     assert np.abs(warm.X - full.X).max() < 1e-5
     assert np.abs(warm.X - inst.X_star).max() < 1e-3
 
@@ -409,7 +412,7 @@ def dense_reference(problem, config=None):
     The reference the Omega-vector loop must match bit for bit. The finite
     check on the whole M is the one _shrink_step made then. Its primal
     residual is the norm of R over Omega in row-major order, the squares
-    complete() sums. Its default rho0 and max_iter follow complete()'s.
+    complete() sums. Its penalty schedule and default max_iter follow complete()'s.
     """
     config = config or SolverConfig()
     omega = problem.omega
@@ -420,13 +423,9 @@ def dense_reference(problem, config=None):
     y_norm = np.linalg.norm(Yp)
     denom = max(1.0, y_norm)
 
-    if config.rho0 is not None:
-        rho = float(config.rho0)
-    else:
-        spectral = np.abs(np.linalg.eigvalsh(Yp)).max()
-        rho = 1.25 * lam * np.sqrt(n) / spectral if spectral > 0 else 1.0
+    spectral = np.abs(np.linalg.eigvalsh(Yp)).max()
+    rho = completion.RHO_SCALE * lam * np.sqrt(n) / spectral if spectral > 0 else 1.0
     rho_initial = rho
-    rho_floor = 1e-7
     max_iter = max(500, 2 * n) if config.max_iter is None else config.max_iter
 
     X = np.zeros((n, n))
@@ -459,9 +458,9 @@ def dense_reference(problem, config=None):
                 break
             basis = None
         if residual > 10.0 * dual:
-            rho = min(rho * config.rho_growth, completion.RHO_CAP)
+            rho = min(rho * completion.RHO_STEP, completion.RHO_CAP)
         elif dual > 10.0 * residual:
-            rho = max(rho / config.rho_growth, rho_floor)
+            rho = max(rho / completion.RHO_STEP, completion.RHO_FLOOR)
 
     X = (X + X.T) / 2.0
     E = np.where(omega, E, 0.0)
@@ -550,15 +549,16 @@ def test_omega_loop_matches_the_dense_loop_on_full_and_sparse_omega(m1_frac, see
 
 
 def test_omega_loop_matches_the_dense_loop_while_x_is_zero(monkeypatch):
-    # A tiny rho0 makes the threshold 1/rho huge, so X stays exactly zero:
-    # every entry of M off Omega is a zero whose sign must be the old one.
-    # Some observed entries are -0.0 too.
-    _, plan, problem = planted_problem(24, 3, 0.5, 0.02, 0)
+    # A tiny lambda makes the initial rho tiny and so the threshold 1/rho
+    # huge, and the solve converges to X = 0 with X exactly zero at every
+    # step: every entry of M off Omega is a zero whose sign must be the old
+    # one. Some observed entries are -0.0 too.
+    _, plan, _ = planted_problem(24, 3, 0.5, 0.02, 0)
     Y = np.where(plan.omega & (plan.Y == 0.0), -0.0, plan.Y)
     assert np.signbit(Y[plan.omega]).any()
-    problem = CompletionProblem(Y, plan.omega, problem.lam)
-    res = assert_bit_for_bit(problem, SolverConfig(rho0=1e-6, max_iter=25), monkeypatch)
-    assert res.x_rank == 0 and not res.X.any() and not res.converged
+    problem = CompletionProblem(Y, plan.omega, 1e-3)
+    res = assert_bit_for_bit(problem, None, monkeypatch)
+    assert res.x_rank == 0 and not res.X.any() and res.converged
 
 
 def test_omega_loop_matches_the_dense_loop_at_max_iter(monkeypatch):
@@ -567,30 +567,25 @@ def test_omega_loop_matches_the_dense_loop_at_max_iter(monkeypatch):
     assert res.iterations == 20 and not res.converged
 
 
-def test_omega_loop_matches_the_dense_loop_with_rho0_set(monkeypatch):
-    _, _, problem = planted_problem(48, 3, 0.7, 0.02, 1)
-    res = assert_bit_for_bit(problem, SolverConfig(rho0=0.05, rho_growth=1.5), monkeypatch)
-    assert res.converged
-
-
 @pytest.mark.parametrize(
-    "scale, rho0, code, shrinks",
+    "scale, code, shrinks",
     [
-        # ||P_Omega(Y)||_2 overflows, so the default rho0 is 0 and M is NaN
-        (6e307, None, "non-finite", 0),
-        # rho0 = inf: the first step passes, then Lambda/rho = inf * 0 / inf
-        (1.0, np.inf, "non-finite", 1),
-        # M is finite but its eigenvalues overflow, so the shrink step raises
-        (6e307, 1.0, "diverged", 1),
-        # M is finite and near the float64 limit: its eigenvalues overflow too
-        (1e308, 1.0, "diverged", 1),
+        # ||P_Omega(Y)||_2 overflows, so the initial rho is 0 and M is NaN
+        (6e307, "non-finite", 0),
+        # ||P_Omega(Y)||_2 is subnormal, so the initial rho overflows to inf:
+        # the first step passes, then Lambda/rho = inf * 0 / inf
+        (1e-310, "non-finite", 1),
+        # The first step passes, but the second M's eigenvalues overflow, so
+        # the shrink step raises. (The first M is P_Omega(Y), whose spectral
+        # norm the initial rho has already found finite.)
+        (4e307, "diverged", 2),
     ],
 )
-def test_omega_loop_fails_like_the_dense_loop(scale, rho0, code, shrinks, monkeypatch):
+def test_omega_loop_fails_like_the_dense_loop(scale, code, shrinks, monkeypatch):
     _, plan, _ = planted_problem(12, 3, 0.7, 0.02, 3)
     problem = CompletionProblem(plan.Y * scale, plan.omega, 0.5)
     with np.errstate(all="ignore"):
-        ref, ref_inputs, err, inputs = run_both(problem, SolverConfig(rho0=rho0), monkeypatch)
+        ref, ref_inputs, err, inputs = run_both(problem, None, monkeypatch)
     assert isinstance(ref, NumericalError) and isinstance(err, NumericalError)
     assert (err.code, err.message) == (ref.code, ref.message)
     assert err.code == code and len(ref_inputs) == shrinks
@@ -666,8 +661,6 @@ def test_default_rho0_is_the_lambda_scaled_spectral_rule():
         res = complete(CompletionProblem(plan.Y, plan.omega, lam), SolverConfig(max_iter=1))
         # the first sparse threshold lam / rho0 is 0.8 ||P_Omega(Y)||_2 / sqrt(n) for any lam
         assert res.rho_initial == pytest.approx(1.25 * lam * np.sqrt(24) / spectral, rel=1e-12)
-    res = complete(problem, SolverConfig(rho0=0.3, max_iter=1))
-    assert res.rho_initial == 0.3
 
 
 def test_default_rho0_adds_no_lambda_one_tail():
@@ -750,25 +743,36 @@ def test_clip_to_unit_reports_fraction():
     assert clip_to_unit(np.array([1 + 2 * tol, -tol / 2, -2 * tol]))[1] == pytest.approx(2 / 3)
 
 
+def test_clip_to_unit_holds_one_distance_buffer():
+    """Beside X, clip_to_unit holds the clipped copy, one n x n buffer that
+    takes clipped - X and then its magnitude, and the bool mask of that
+    buffer: 2.125 n x n float64 arrays, not 3 with the difference and its
+    magnitude in separate arrays. The fraction is the same number."""
+    n = 300
+    X = np.random.default_rng(0).uniform(-0.5, 1.5, size=(n, n))
+    clip_to_unit(X[:4, :4])  # first-call set-up is not counted
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        clipped, frac = clip_to_unit(X)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * n * n * 8
+    assert frac == float(np.mean(np.abs(clipped - X) > completion.CLIP_TOL))
+
+
 def test_solver_config_validation():
+    # The stopping rule is the only setting; the penalty schedule is fixed.
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["tol", "max_iter"]
     with pytest.raises(InputError):
         SolverConfig(tol=0.0)
     with pytest.raises(InputError):
         SolverConfig(max_iter=0)
-    with pytest.raises(InputError):
-        SolverConfig(rho_growth=0.5)
-    for field, code in (("tol", "bad-tol"), ("rho_growth", "bad-rho-growth")):
-        for value in (np.nan, np.inf):
-            with pytest.raises(InputError) as err:
-                SolverConfig(**{field: value})
-            assert err.value.code == code
-
-
-@pytest.mark.parametrize("rho0", [-1.0, 0.0, np.nan])
-def test_solver_config_rejects_a_nonpositive_rho0(rho0):
-    with pytest.raises(InputError) as err:
-        SolverConfig(rho0=rho0)
-    assert err.value.code == "bad-rho0"
+    for value in (np.nan, np.inf):
+        with pytest.raises(InputError) as err:
+            SolverConfig(tol=value)
+        assert err.value.code == "bad-tol"
 
 
 def test_complete_similarity_is_the_hand_written_chain():

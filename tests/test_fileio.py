@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,33 @@ def test_entry_readers_skip_blank_lines(tmp_path, read, body):
     result = read(path)
     assert result.observed[0, 1] and result.observed[1, 0]
     assert int(result.observed.sum()) == 5
+
+
+@pytest.mark.parametrize("read, body, bad", [
+    (fileio.read_transfer_csv, "0,1,0.5\n0,2\n1,2,0.5\n", "0,2"),
+    (fileio.read_transfer_csv, "0,1,0.5\n2,2,0.5\n1,2,x\n", "1,2,x"),  # parsing comes first
+    (fileio.read_transfer_csv, "0,1,0.5\n0,1_0,0.5\n", "0,1_0,0.5"),
+    (fileio.read_partial_csv, "0,1,1\n1,2,1\n0,2,2\n", "0,2,2"),
+    (fileio.read_partial_csv, "0,1,1\n2,1,0\n", "2,1,0"),
+], ids=["short-row", "unparsed-row", "underscore", "value-2", "i>j"])
+def test_entry_readers_name_the_bad_row(tmp_path, read, body, bad):
+    path = tmp_path / "entries.csv"
+    path.write_text("#n=3\n" + body)
+    with pytest.raises(InputError) as err:
+        read(path)
+    assert err.value.code == "bad-format"
+    assert str(path) in err.value.message and repr(bad) in err.value.message
+
+
+@pytest.mark.parametrize("read", [fileio.read_transfer_csv, fileio.read_partial_csv],
+                         ids=["transfer", "partial"])
+def test_entry_readers_take_a_header_without_rows(tmp_path, read):
+    path = tmp_path / "entries.csv"
+    path.write_text("#n=3\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = read(path)
+    assert np.array_equal(result.observed, np.eye(3, dtype=bool))
 
 
 def test_missing_file_error():

@@ -31,7 +31,7 @@ from taskclust.transfer import (
     softmax,
     train_cluster_model,
     train_cluster_models,
-    train_single_task,
+    train_tasks,
 )
 
 FC = FamilyConfig(dim=10, label_count=3, train_per_class=12, separation=1.8,
@@ -72,7 +72,7 @@ class TestClusterTraining:
         for seed in range(3):
             ds = make_target_task(0, 2, FC, seed=seed)
             cfg = TrainConfig(epochs=60, seed=seed)
-            single = train_single_task(ds, cfg)
+            single = train_tasks([ds], cfg)[0]
             multi = train_cluster_model([ds], "shared_encoder_multihead", cfg)
             X, y = ds.train
             acc_single = accuracy(single.logits(X), y)
@@ -87,7 +87,7 @@ class TestClusterTraining:
             ds = make_target_task(0, 2, fc, seed=seed)
             copy = TaskDataset("copy", 3, ds.train, ds.test)
             cfg = TrainConfig(epochs=60, seed=seed)
-            single = train_single_task(ds, cfg)
+            single = train_tasks([ds], cfg)[0]
             pooled = train_cluster_model([ds, copy], "shared_classifier", cfg)
             X, y = ds.train
             acc_single = accuracy(single.logits(X), y)
@@ -712,7 +712,7 @@ class TestAdaptiveFallback:
         assert np.array_equal(predictor.models[0].W_enc, alone.W_enc)
         assert np.array_equal(predictor.models[0].W_cls, alone.W_cls)
         # the support-only model trains on the "support-only" stream
-        single = train_single_task(TaskDataset("support-only", fs.label_count, fs.train, fs.test))
+        single = train_tasks([TaskDataset("support-only", fs.label_count, fs.train, fs.test)])[0]
         assert np.array_equal(alone.W_enc, single.W_enc)
         assert np.array_equal(alone.W_cls, single.W_cls)
         P = predictor.predict_proba(fs.test[0])

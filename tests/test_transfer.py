@@ -20,7 +20,6 @@ from taskclust.transfer import (
     sample_task_pairs,
     softmax,
     train_cluster_models,
-    train_single_task,
     train_tasks,
     transfer_score,
 )
@@ -118,21 +117,21 @@ class TestSingleTaskTraining:
         Xtr, ytr = ds.train
         oracle = best_linear_accuracy(Xtr, ytr)
         assert oracle >= 0.95, "blob construction should be linearly separable"
-        model = train_single_task(ds, TrainConfig(seed=1))
+        model = train_tasks([ds], TrainConfig(seed=1))[0]
         assert accuracy(model.logits(Xtr), ytr) >= 0.95
 
     def test_single_example_per_class_memorized(self):
         X = np.array([[0.0, 5.0], [5.0, 0.0], [-5.0, -5.0]])
         y = np.array([0, 1, 2])
         ds = TaskDataset("memorize", 3, (X, y), (X, y))
-        model = train_single_task(ds, TrainConfig(epochs=400, seed=0))
+        model = train_tasks([ds], TrainConfig(epochs=400, seed=0))[0]
         assert accuracy(model.logits(X), y) == 1.0
 
     def test_training_is_bitwise_deterministic(self):
         ds = make_blobs(seed=3)
         cfg = TrainConfig(epochs=40, seed=7)
-        m1 = train_single_task(ds, cfg)
-        m2 = train_single_task(ds, cfg)
+        m1 = train_tasks([ds], cfg)[0]
+        m2 = train_tasks([ds], cfg)[0]
         for a, b in zip(
             (m1.W_enc, m1.b_enc, m1.W_cls, m1.b_cls),
             (m2.W_enc, m2.b_enc, m2.W_cls, m2.b_cls),
@@ -143,7 +142,7 @@ class TestSingleTaskTraining:
         empty = np.zeros((0, 2)), np.zeros(0, dtype=int)
         ds = TaskDataset("empty", 2, empty, empty)
         with pytest.raises(InputError) as exc:
-            train_single_task(ds)
+            train_tasks([ds])
         assert exc.value.code == "empty-train"
 
 
@@ -166,7 +165,7 @@ class TestTaskDataset:
 class TestTransferScore:
     def test_self_transfer_tracks_own_validation_accuracy(self):
         ds = make_blobs(seed=5, n_per=60)
-        model = train_single_task(ds, TrainConfig(seed=0))
+        model = train_tasks([ds], TrainConfig(seed=0))[0]
         own = accuracy(model.logits(ds.test[0]), ds.test[1])
         score = transfer_score(model, ds)
         assert abs(score - own) <= 0.05
@@ -175,7 +174,7 @@ class TestTransferScore:
         """The unchanged model names the permuted classes wrongly: a row
         counts only where the model already erred on the original labels."""
         ds = make_blobs(seed=8, n_per=60, labels=3)
-        model = train_single_task(ds, TrainConfig(seed=0))
+        model = train_tasks([ds], TrainConfig(seed=0))[0]
         perm = np.array([2, 0, 1])
         relabeled = TaskDataset("relabeled", 3, (ds.train[0], perm[ds.train[1]]), ds.test)
         base = transfer_score(model, ds)
@@ -185,12 +184,12 @@ class TestTransferScore:
     def test_reuse_mode_scores_source_model_directly(self):
         ds = make_blobs(seed=13, n_per=50)
         other = make_blobs(seed=14, n_per=50, task_id="other")
-        model = train_single_task(ds, TrainConfig(seed=0))
+        model = train_tasks([ds], TrainConfig(seed=0))[0]
         assert transfer_score(model, other) == accuracy(model.logits(other.train[0]), other.train[1])
 
     def test_a_task_model_is_a_shared_classifier_scored_by_its_logits(self):
         ds = make_blobs(seed=13, n_per=50, labels=3)
-        model = train_single_task(ds)
+        model = train_tasks([ds])[0]
         assert isinstance(model, ClusterModel) and model.kind == "shared_classifier"
         for seed in (14, 15, 16):
             t = make_blobs(seed=seed, n_per=30, labels=3, sep=2.0, task_id=f"t{seed}")
@@ -209,7 +208,7 @@ class TestTransferScore:
 
     def test_the_test_split_is_never_read(self):
         ds = make_blobs(seed=11, n_per=50)
-        model = train_single_task(ds, TrainConfig(seed=0))
+        model = train_tasks([ds], TrainConfig(seed=0))[0]
         empty = np.zeros((0, 2)), np.zeros(0, dtype=int)
         hollow = TaskDataset("hollow", 2, ds.train, empty)
         assert transfer_score(model, hollow) == transfer_score(model, ds)
@@ -218,7 +217,7 @@ class TestTransferScore:
         """A 3-label head scored task 1 relabelled to y % 2 at 0.667 whether
         the task declared 2 labels or 5; both are label-mismatch."""
         tasks, _ = make_task_family(4, 2, seed=0)
-        model = train_single_task(tasks[0], TrainConfig(epochs=50))
+        model = train_tasks([tasks[0]], TrainConfig(epochs=50))[0]
         splits = [(X, y % 2) for X, y in (tasks[1].train, tasks[1].test)]
         for labels in (2, 5):
             relabelled = TaskDataset("relabelled", labels, *splits)
@@ -231,7 +230,7 @@ class TestTransferScore:
 
     def test_dimension_mismatch_rejected(self):
         ds = make_blobs(seed=2)
-        model = train_single_task(ds, TrainConfig(epochs=5))
+        model = train_tasks([ds], TrainConfig(epochs=5))[0]
         wide = make_blobs(seed=2, dim=5, task_id="wide")
         with pytest.raises(InputError) as exc:
             transfer_score(model, wide)
@@ -240,7 +239,7 @@ class TestTransferScore:
     def test_scoring_never_mutates_the_source_model(self):
         ds = make_blobs(seed=4)
         tgt = make_blobs(seed=6, task_id="tgt")
-        model = train_single_task(ds, TrainConfig(seed=0))
+        model = train_tasks([ds], TrainConfig(seed=0))[0]
         before = tuple(
             arr.tobytes() for arr in (model.W_enc, model.b_enc, model.W_cls, model.b_cls)
         )
@@ -347,10 +346,10 @@ class TestBuildTransferMatrix:
         """Building scores must not perturb any trained encoder it reuses."""
         tasks = [make_blobs(seed=s, n_per=30, task_id=f"t{s}") for s in range(3)]
         cfg = TrainConfig(epochs=30, seed=0)
-        reference = {i: train_single_task(tasks[i], cfg) for i in range(3)}
+        reference = {i: train_tasks([tasks[i]], cfg)[0] for i in range(3)}
         tm = build_transfer_matrix(tasks, pair_mask(3, (0, 1), (1, 2)), cfg)
         for i, model in reference.items():
-            fresh = train_single_task(tasks[i], cfg)
+            fresh = train_tasks([tasks[i]], cfg)[0]
             assert model.W_enc.tobytes() == fresh.W_enc.tobytes()
             assert model.b_enc.tobytes() == fresh.b_enc.tobytes()
         assert tm.observed.sum() == 4 + 3
@@ -480,7 +479,7 @@ class TestBatchInvariance:
                 expected = reference_train(ds, cfg)
                 assert_same_model(a, expected)
                 assert_same_model(b, expected)
-                assert_same_model(train_single_task(ds, cfg), expected)
+                assert_same_model(train_tasks([ds], cfg)[0], expected)
 
     def test_augmented_loops_agree_with_the_separate_bias_loops(self, stack_cases):
         for family, cfg in stack_cases:
@@ -502,7 +501,7 @@ class TestBatchInvariance:
             expected = {}
             for i, j in pairs:
                 for s, t in ((i, j), (j, i)):
-                    source = train_single_task(tasks[s], cfg)
+                    source = train_tasks([tasks[s]], cfg)[0]
                     expected[s, t] = transfer_score(source, tasks[t])
                     reference = reference_train(tasks[s], cfg)
                     assert expected[s, t] == accuracy(reference.logits(tasks[t].train[0]), tasks[t].train[1])
