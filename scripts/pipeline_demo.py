@@ -39,7 +39,7 @@ def main():
     print(f"scores: {args.n} tasks, {budget}/{total_pairs} pairs sampled, "
           f"levels {args.within}/{args.cross} +- {args.noise}")
 
-    ps = filter_scores(tm, FilterParams(include_diagonal_in_stats=False))
+    ps = filter_scores(tm, FilterParams(include_diagonal=False))
     off_diagonal = int(ps.observed.sum()) - ps.n
     ones = int(ps.values[ps.observed].sum()) - ps.n
     print(f"filter: {off_diagonal} off-diagonal entries decided "

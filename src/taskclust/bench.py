@@ -286,7 +286,7 @@ def fewshot_trial(seed: int, n_tasks: int = 10, targets: int = 6, shots: int = 1
     every_pair = np.triu(np.ones((n_tasks, n_tasks), dtype=bool), 1)
     config = TrainConfig(epochs=epochs, seed=0)
     tm = build_transfer_matrix(tasks, every_pair, config)
-    part = cluster_scores(filter_scores(tm, FilterParams(include_diagonal_in_stats=False)), 2,
+    part = cluster_scores(filter_scores(tm, FilterParams(include_diagonal=False)), 2,
                           seed=seed)[0]
     cluster_models = train_cluster_models(
         [[tasks[i] for i in part.members(k)] for k in range(2)], "shared_classifier", config)

@@ -25,7 +25,7 @@ from .bench import phase_sweep
 from .completion import SolverConfig, complete_similarity
 from .errors import InputError, NumericalError, TaskClustError
 from .filtering import FilterParams, filter_scores
-from .learning import adaptive_fsl, fsl_combine
+from .learning import adaptive_fsl, check_threshold, fsl_combine
 from .seeding import derive_rng
 from .spectral import cluster_scores
 from .synthdata import FamilyConfig, fewshot_from_dataset, make_task_family
@@ -36,7 +36,7 @@ STAGES = ("synth", "estimate", "filter", "complete", "cluster", "mtl", "fsl", "s
 # cluster warns on stderr when the Laplacian's eigengap at K is this small.
 LAPLACIAN_GAP_WARNING = 1e-9
 # The dataclass each stage builds with _pick: a section may set its fields
-# as well as the stage's flags. (FilterParams is built only from flags.)
+# as well as the stage's flags. (FilterParams' fields are the filter flags.)
 SECTION_CLASSES = {"synth": FamilyConfig, "estimate": TrainConfig, "complete": SolverConfig,
                    "cluster": SolverConfig, "mtl": TrainConfig, "fsl": TrainConfig}
 
@@ -107,15 +107,10 @@ def _settings(args, stage: str, *required: str) -> dict:
     return merged
 
 
-def _pick(settings: dict, cls, **renames):
+def _pick(settings: dict, cls):
     """Build a config dataclass from the matching keys of ``settings``, type-checked."""
     types = typing.get_type_hints(cls)
-    kwargs = {}
-    for key in settings:
-        name = renames.get(key, key)
-        if name in types:
-            kwargs[name] = _get(settings, key, types[name])
-    return cls(**kwargs)
+    return cls(**{key: _get(settings, key, types[key]) for key in settings if key in types})
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +157,10 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _filter_params(s: dict) -> FilterParams:
-    """FilterParams from the p1, p2 and include_diagonal settings."""
-    return _pick(s, FilterParams, include_diagonal="include_diagonal_in_stats")
-
-
 def cmd_filter(args) -> int:
     s = _settings(args, "filter", "scores", "out")
     tm = fileio.read_transfer_csv(s["scores"])
-    ps = filter_scores(tm, _filter_params(s))
+    ps = filter_scores(tm, _pick(s, FilterParams))
     fileio.write_partial_csv(ps, s["out"])
     kept = int(ps.observed.sum() - ps.n)
     print(f"kept {kept} off-diagonal entries of {ps.n}x{ps.n} -> {s['out']}")
@@ -211,7 +201,7 @@ def cmd_cluster(args) -> int:
     K = _get(s, "clusters", int, 0)
     if K < 1:
         raise InputError("bad-K", "clusters must be >= 1")
-    params, diagnostics_path = _filter_params(s), _get(s, "diagnostics", str)
+    params, diagnostics_path = _pick(s, FilterParams), _get(s, "diagnostics", str)
     # No name holds the scores: they are freed once filtered, before the solve.
     ps = filter_scores(fileio.read_transfer_csv(s["scores"]), params)
     solver = _pick(s, SolverConfig)
@@ -277,8 +267,11 @@ def cmd_fsl(args) -> int:
     shots = _get(s, "shots", int, 5)
     adaptive = _get(s, "adaptive", bool, False)
     threshold = _get(s, "threshold", float, 0.20)
+    check_threshold(threshold)
     kind, config, clusters = _cluster_inputs(s)
     targets = fileio.read_task_dir(s["targets"])
+    # Every few-shot task is drawn before any model trains, so a bad shots fails first.
+    fewshot = [fewshot_from_dataset(ds, shots=shots, seed=s["seed"]) for ds in targets]
     if kind in PER_TASK_KINDS:
         # Per-task heads cannot score an unseen target: train nothing.
         if not adaptive:
@@ -288,8 +281,7 @@ def cmd_fsl(args) -> int:
     else:
         models = train_cluster_models(clusters, kind, config)
     rows = []
-    for ds in targets:
-        fs = fewshot_from_dataset(ds, shots=shots, seed=s["seed"])
+    for ds, fs in zip(targets, fewshot):
         if adaptive:
             predictor = adaptive_fsl(models, fs, threshold=threshold, fallback_config=config)
             method = "adaptive-fsl"

@@ -2,8 +2,9 @@
 
 Formats are deliberately plain so stage outputs can be inspected or edited
 by hand: CSV for matrices and sweep grids, JSON for everything structured.
-Floats are serialized with repr (shortest round-trip form), so rewriting
-the same object always produces byte-identical files.
+Task files are one line as json.dumps writes them; the smaller documents
+are indented. Floats are serialized with repr (shortest round-trip form),
+so rewriting the same object always produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -64,37 +65,24 @@ def read_json(path):
 # task datasets
 
 
-def _indented_list(items: list[str], depth: int) -> str:
-    """json.dumps's indent=2 text of a list at nesting depth ``depth`` whose
-    items are given as text."""
-    if not items:
-        return "[]"
-    pad = "\n" + "  " * (depth + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
-
-
 def write_task_json(ds: TaskDataset, path) -> None:
-    """The task document as write_json writes it, byte for byte.
+    """The task as one line of json: label_count, task_id, and each split as
+    a list of {"x": [...], "y": label} records, keys sorted.
 
-    json's encoder runs in pure Python when it indents, so the indented text
-    is built here: each split is a list of {"x": [...], "y": label} records,
-    keys sorted, floats as repr writes them (json's text for the finite
-    floats a TaskDataset holds).
+    Unindented, json.dumps runs its C encoder; write_json's indent=2 would
+    run the pure-Python one over every feature value.
     """
-    splits = []
-    for name in sorted(SPLITS):
+    splits = {}
+    for name in SPLITS:
         X, y = getattr(ds, name)
-        rows = [list(map(repr, row)) for row in X.tolist()]
-        records = [f'{{\n        "x": {_indented_list(row, 4)},\n        "y": {label}\n      }}'
-                   for row, label in zip(rows, y.tolist())]
-        splits.append(f'    "{name}": {_indented_list(records, 2)}')
-    text = (f'{{\n  "label_count": {int(ds.label_count)},\n  "splits": {{\n' + ",\n".join(splits)
-            + f'\n  }},\n  "task_id": {json.dumps(ds.task_id)}\n}}\n')
-    Path(path).write_text(text)
+        splits[name] = [{"x": x, "y": label} for x, label in zip(X.tolist(), y.tolist())]
+    doc = {"label_count": int(ds.label_count), "splits": splits, "task_id": ds.task_id}
+    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def read_task_json(path) -> TaskDataset:
-    """The task in a file write_task_json wrote. Keys it does not read are ignored."""
+    """The task in a file write_task_json wrote, in any json layout. Keys it
+    does not read are ignored."""
     doc = read_json(path)
     try:
         splits = {}
@@ -102,8 +90,8 @@ def read_task_json(path) -> TaskDataset:
             rows = doc["splits"][name]
             X = np.array([r["x"] for r in rows], dtype=float)
             y = np.array([r["y"] for r in rows], dtype=int)
-            if X.size == 0:
-                X = X.reshape(0, _first_dim(doc))
+            if not rows:  # as wide as the other split's rows
+                X = X.reshape(0, next((len(r["x"]) for s in SPLITS for r in doc["splits"][s]), 0))
             splits[name] = (X, y)
         return TaskDataset(
             task_id=str(doc["task_id"]),
@@ -113,13 +101,6 @@ def read_task_json(path) -> TaskDataset:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("bad-format", f"{path} is not a task dataset file: {exc}") from exc
-
-
-def _first_dim(doc) -> int:
-    for name in SPLITS:
-        for r in doc["splits"][name]:
-            return len(r["x"])
-    return 0
 
 
 def read_task_dir(path) -> list[TaskDataset]:
@@ -161,8 +142,13 @@ def _read_entries(path, partial: bool):
     dtype = [("i", np.intp), ("j", np.intp), ("v", np.intp if partial else float)]
     rows = _parse_rows(body, dtype) if body else np.empty(0, dtype)  # loadtxt warns on no rows
     if rows is None:
-        bad = next(line for line in body if _parse_rows([line], dtype) is None)
-        raise InputError("bad-format", f"{p}: bad row {bad!r}")
+        # A row parses or not whatever rows surround it, so bisect for the
+        # first bad one: body[:lo] parses and body[lo:hi] does not.
+        lo, hi = 0, len(body)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _parse_rows(body[lo:mid], dtype) is None else (mid, hi)
+        raise InputError("bad-format", f"{p}: bad row {body[lo]!r}")
     i, j, v = rows["i"], rows["j"], rows["v"]
     ok = (0 <= i) & (i < n) & (0 <= j) & (j < n)
     ok &= ((i < j) & ((v == 0) | (v == 1))) if partial else (i != j)

@@ -29,7 +29,7 @@ from .transfer import TransferMatrix
 class FilterParams:
     p1: float = 0.5
     p2: float = 0.5
-    include_diagonal_in_stats: bool = True
+    include_diagonal: bool = True
 
     def __post_init__(self):
         if not (0 <= self.p1 < np.inf and 0 <= self.p2 < np.inf):  # NaN fails the test too
@@ -68,12 +68,12 @@ class PartialSimilarity:
 def column_stats(S: TransferMatrix, j: int, params: FilterParams) -> tuple[float, float]:
     """Mean and population std of the observed entries in column j.
 
-    The diagonal score S_jj = 1 is counted only when
-    params.include_diagonal_in_stats is set; with few observations it drags
-    both thresholds upward, which is why the flag exists.
+    The diagonal score S_jj = 1 is counted only when params.include_diagonal
+    is set; with few observations it drags both thresholds upward, which is
+    why the setting exists.
     """
     mask = S.observed[:, j].copy()
-    if not params.include_diagonal_in_stats:
+    if not params.include_diagonal:
         mask[j] = False
     col = S.scores[mask, j]
     if col.size < 2:

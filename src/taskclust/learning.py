@@ -128,6 +128,12 @@ def _combine(models, probs, task, config=None) -> MixturePredictor:
     return MixturePredictor(models, logits, task)
 
 
+def check_threshold(threshold: float) -> None:
+    """bad-threshold unless adaptive_fsl can take ``threshold``: it lies in [0, 1)."""
+    if not 0 <= threshold < 1:
+        raise InputError("bad-threshold", "threshold must lie in [0, 1)")
+
+
 def adaptive_fsl(
     models: list[ClusterModel],
     task: TaskDataset,
@@ -140,8 +146,7 @@ def adaptive_fsl(
     clusters evidently do not cover the task, so a fresh model is trained on
     the support set instead (train_support_only).
     """
-    if not 0 <= threshold < 1:
-        raise InputError("bad-threshold", "threshold must lie in [0, 1)")
+    check_threshold(threshold)
     compatible, probs = _support_probs(models, task)
     best = max((accuracy(P, task.train[1]) for P in probs), default=0.0)
     if best <= threshold:

@@ -460,28 +460,15 @@ def train_cluster_models(
     train as one stack, at most _STACK_LIMIT of them: for metric_encoder the
     shape is the cluster size, the dim and each member's training row count
     and distinct-label count, so equal-sized clusters of one family step
-    their episodes together. Each cluster draws from its own stream in the
-    order it would alone, so every model equals
-    train_cluster_model(clusters[k], kind, config, cluster_id=k).
+    their episodes together. Cluster k draws from its own stream,
+    derive_rng(config.seed, "cluster", k, kind), in the order it would
+    alone, so a model does not depend on the clusters trained beside it.
     """
     config = config or TrainConfig()
     for cluster in clusters:
         _check_cluster(cluster, kind)
     rngs = [derive_rng(config.seed, "cluster", k, kind) for k in range(len(clusters))]
     return _train_clusters(clusters, rngs, kind, config)
-
-
-def train_cluster_model(
-    cluster: list[TaskDataset],
-    kind: str,
-    config: TrainConfig | None = None,
-    cluster_id: int = 0,
-) -> ClusterModel:
-    """Fit one model of the requested kind on all tasks in the cluster, from
-    the random stream that cluster_id names."""
-    config = config or TrainConfig()
-    _check_cluster(cluster, kind)
-    return _train_stack([cluster], [derive_rng(config.seed, "cluster", cluster_id, kind)], kind, config)[0]
 
 
 def transfer_score(source: ClusterModel, target: TaskDataset) -> float:

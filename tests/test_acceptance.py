@@ -35,7 +35,7 @@ from taskclust.synthdata import (
     synthetic_transfer_matrix,
 )
 from taskclust.transfer import (TrainConfig, TransferMatrix, build_transfer_matrix, sample_task_pairs,
-                                train_cluster_model)
+                                train_cluster_models)
 
 
 def report(capsys, label: str, passed: bool, detail: str) -> None:
@@ -140,7 +140,7 @@ def test_filter_agrees_with_line_by_line_reference(capsys):
         tm = TransferMatrix(scores=scores, observed=np.ones((n, n), dtype=bool))
         p1, p2 = float(rng.uniform(0, 1.5)), float(rng.uniform(0, 1.5))
         include = bool(trial % 2)
-        ps = filter_scores(tm, FilterParams(p1=p1, p2=p2, include_diagonal_in_stats=include))
+        ps = filter_scores(tm, FilterParams(p1=p1, p2=p2, include_diagonal=include))
         ref = np.array(reference_filter(scores.tolist(), p1, p2, include))
         agree &= np.array_equal(ps.observed, ref != -1)
         agree &= np.array_equal(ps.values[ps.observed], ref[ref != -1])
@@ -193,7 +193,7 @@ def test_pipeline_clusters_planted_scores_perfectly(capsys):
             n, K, budget, seed=seed, sampling="anchored",
             within=(0.9, 0.05), cross=(0.1, 0.05),
         )
-        ps = filter_scores(tm, FilterParams(include_diagonal_in_stats=False))
+        ps = filter_scores(tm, FilterParams(include_diagonal=False))
         part, _ = cluster_scores(ps, K, seed=seed)
         perfect += adjusted_rand_index(part.assignment, membership) == 1.0
     elapsed = time.perf_counter() - t0
@@ -259,11 +259,8 @@ def test_adaptive_fallback_at_least_matches_plain_mixture(capsys):
     wins = 0
     for seed in range(20):
         tasks, membership = make_task_family(8, 2, fc, seed=seed)
-        models = [
-            train_cluster_model([t for t, c in zip(tasks, membership) if c == k],
-                                "shared_classifier", cfg, cluster_id=k)
-            for k in range(2)
-        ]
+        clusters = [[t for t, c in zip(tasks, membership) if c == k] for k in range(2)]
+        models = train_cluster_models(clusters, "shared_classifier", cfg)
         adaptive_accs, plain_accs = [], []
         for tag in range(4):
             adversarial = make_adversarial_task(tag % 2, 2, fc, seed=seed, tag=tag)

@@ -11,13 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from taskclust import bench, cli, fileio, spectral
+from taskclust import bench, cli, fileio, spectral, transfer
 from taskclust.cli import main, stage_seed
 from taskclust.completion import complete_similarity
 from taskclust.filtering import FilterParams, filter_scores
 from taskclust.spectral import adjusted_rand_index, spectral_cluster
 from taskclust.synthdata import balanced_membership, synthetic_transfer_matrix
-from taskclust.transfer import TrainConfig, TransferMatrix, train_cluster_model
+from taskclust.transfer import TrainConfig, TransferMatrix, train_cluster_models
 
 
 def run(capsys, *argv):
@@ -353,7 +353,7 @@ class TestCluster:
         diag = tmp_path / "diag.json"
         for tm, K, flags, params, degenerate in (
                 (silent, 3, ("--p2", "0"), FilterParams(p2=0.0), True),
-                (planted, 4, ("--exclude-diagonal",), FilterParams(include_diagonal_in_stats=False),
+                (planted, 4, ("--exclude-diagonal",), FilterParams(include_diagonal=False),
                  False)):
             scores, out = tmp_path / f"scores-{K}.csv", tmp_path / f"partition-{K}.json"
             fileio.write_transfer_csv(tm, scores)
@@ -489,8 +489,7 @@ class TestLearningCommands:
         assert code == 0
         doc = fileio.read_json(report)
         tasks = fileio.read_task_dir(tasks_dir)
-        pooled = train_cluster_model(tasks, "shared_classifier",
-                                     TrainConfig(epochs=30, seed=0), cluster_id=0)
+        pooled = train_cluster_models([tasks], "shared_classifier", TrainConfig(epochs=30, seed=0))[0]
         for row, ds in zip(doc["tasks"], tasks):
             X, y = ds.test
             acc = float(np.mean(pooled.predict_proba(X).argmax(axis=1) == y))
@@ -585,6 +584,30 @@ class TestLearningCommands:
         assert code == 0
         for row in fileio.read_json(report)["tasks"]:
             assert row["method"] == "adaptive-fsl" and row["alpha"] == []
+
+    @pytest.mark.parametrize("flags, code_name", [
+        (["--shots", 0], "bad-config"),
+        (["--shots", 2, "--threshold", 1.5], "bad-threshold"),
+        (["--shots", 2, "--threshold", 1.5, "--adaptive"], "bad-threshold"),
+        (["--shots", 2, "--threshold", -0.1, "--adaptive"], "bad-threshold"),
+    ], ids=["shots-0", "threshold-1.5", "adaptive-threshold-1.5", "adaptive-threshold-negative"])
+    def test_fsl_rejects_a_bad_setting_before_training(self, pipeline, tmp_path, capsys,
+                                                       monkeypatch, flags, code_name):
+        tasks, part = pipeline
+        targets = tmp_path / "targets"
+        run(capsys, "synth", "--out", targets, "--n-tasks", 2, "--clusters", 2,
+            "--dim", 5, "--seed", 9)
+
+        def untrainable(*args, **kwargs):
+            raise AssertionError("a cluster model trained before the settings were checked")
+
+        monkeypatch.setattr(transfer, "_train_clusters", untrainable)
+        report = tmp_path / "fsl.json"
+        code, _, err = run(capsys, "fsl", "--tasks", tasks, "--partition", part,
+                           "--targets", targets, "--out", report, *flags, "--seed", 0)
+        assert code == 2
+        assert stderr_record(err)["error"] == code_name
+        assert not report.exists()
 
 
 class TestSweep:
@@ -762,7 +785,7 @@ class TestConfigTypes:
         ("synth", {"valid_per_class": 8}),          # the split synth no longer draws
         ("fsl", {"steps": 1}),                      # the mixture fit's step count is no setting
         ("complete", {"lambda_override": 0.05}),
-        ("filter", {"include_diagonal_in_stats": False}),  # FilterParams' name for include_diagonal
+        ("filter", {"include_diagonal_in_stats": False}),  # the library's old name for include_diagonal
         ("sweep", {"tol": 1e-3}),                   # a solver setting sweep does not take
         ("filter", {"mode": "xl"}),                 # the filter has one rule
         ("cluster", {"mode": "xl"}),

@@ -779,7 +779,7 @@ def test_complete_similarity_is_the_hand_written_chain():
     """lambda default, complete() and clip_to_unit, in one call, with the
     solver's scalars and the clipped fraction as its diagnostics."""
     tm, _ = synthetic_transfer_matrix(12, 3, 19, seed=0, sampling="anchored")
-    ps = filter_scores(tm, FilterParams(include_diagonal_in_stats=False))
+    ps = filter_scores(tm, FilterParams(include_diagonal=False))
     X, diagnostics, result = complete_similarity(ps.values, ps.observed)
     lam = observation_lambda(ps.observed)
     ref = complete(CompletionProblem(ps.values.astype(float), ps.observed.copy(), lam))
@@ -802,7 +802,7 @@ def test_complete_similarity_output_clusters_where_the_raw_x_is_rejected(seed):
     """At n = 60 the raw X holds entries just below 0, which spectral_cluster
     rejects; the clipped X clusters the planted families exactly."""
     tm, membership = synthetic_transfer_matrix(60, 3, 491, seed=seed, sampling="anchored")
-    ps = filter_scores(tm, FilterParams(include_diagonal_in_stats=False))
+    ps = filter_scores(tm, FilterParams(include_diagonal=False))
     X, _, result = complete_similarity(ps.values, ps.observed)
     assert result.converged and (result.X < 0).any()
     with pytest.raises(InputError) as err:

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -146,7 +147,8 @@ def test_entry_readers_skip_blank_lines(tmp_path, read, body):
     (fileio.read_transfer_csv, "0,1,0.5\n0,1_0,0.5\n", "0,1_0,0.5"),
     (fileio.read_partial_csv, "0,1,1\n1,2,1\n0,2,2\n", "0,2,2"),
     (fileio.read_partial_csv, "0,1,1\n2,1,0\n", "2,1,0"),
-], ids=["short-row", "unparsed-row", "underscore", "value-2", "i>j"])
+    (fileio.read_transfer_csv, "0,1,0.5\n0,2,0.5,7\n1,2\n", "0,2,0.5,7"),  # the first of two
+], ids=["short-row", "unparsed-row", "underscore", "value-2", "i>j", "long-then-short"])
 def test_entry_readers_name_the_bad_row(tmp_path, read, body, bad):
     path = tmp_path / "entries.csv"
     path.write_text("#n=3\n" + body)
@@ -154,6 +156,20 @@ def test_entry_readers_name_the_bad_row(tmp_path, read, body, bad):
         read(path)
     assert err.value.code == "bad-format"
     assert str(path) in err.value.message and repr(bad) in err.value.message
+
+
+def test_a_bad_last_row_is_found_in_log_rows_parses(tmp_path, monkeypatch):
+    """One parse of the whole body, then a bisection: not one parse per row."""
+    n, calls = 65, []
+    rows = [f"{i},{j},0.5" for i in range(n) for j in range(n) if i != j][:4095] + ["0,1,x"]
+    path = tmp_path / "scores.csv"
+    path.write_text(f"#n={n}\n" + "\n".join(rows) + "\n")
+    parse = fileio._parse_rows
+    monkeypatch.setattr(fileio, "_parse_rows", lambda lines, dtype: calls.append(1) or parse(lines, dtype))
+    with pytest.raises(InputError) as err:
+        fileio.read_transfer_csv(path)
+    assert repr("0,1,x") in err.value.message
+    assert len(calls) <= 2 + math.ceil(math.log2(len(rows)))
 
 
 @pytest.mark.parametrize("read", [fileio.read_transfer_csv, fileio.read_partial_csv],
@@ -272,11 +288,11 @@ def test_task_json_round_trip(tmp_path):
 
 
 def json_task_text(ds):
-    """The task document through json.dumps, as write_json writes it."""
+    """The task document through json.dumps, unindented, keys sorted."""
     splits = {name: [{"x": [float(v) for v in row], "y": int(lab)}
                      for row, lab in zip(*getattr(ds, name))] for name in fileio.SPLITS}
     doc = {"task_id": ds.task_id, "label_count": ds.label_count, "splits": splits}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def test_task_json_is_the_json_dumps_text(tmp_path):
@@ -290,6 +306,23 @@ def test_task_json_is_the_json_dumps_text(tmp_path):
     for ds in tasks:
         fileio.write_task_json(ds, path)
         assert path.read_text() == json_task_text(ds)
+
+
+def test_an_empty_split_and_a_zero_feature_task_read_back_as_written(tmp_path):
+    """An empty split takes the other split's width; a zero-feature split
+    with rows keeps its rows."""
+    ds = make_task_family(1, 1, seed=0)[0][0]
+    tasks = [TaskDataset("empty-test", 3, ds.train, (np.zeros((0, ds.dim)), np.zeros(0, dtype=int))),
+             TaskDataset("empty-train", 3, (np.zeros((0, ds.dim)), np.zeros(0, dtype=int)), ds.test),
+             TaskDataset("no-features", 2, (np.zeros((2, 0)), np.array([0, 1])),
+                         (np.zeros((0, 0)), np.zeros(0, dtype=int)))]
+    path = tmp_path / "task.json"
+    for ds in tasks:
+        fileio.write_task_json(ds, path)
+        back = fileio.read_task_json(path)
+        for name in fileio.SPLITS:
+            for a, b in zip(getattr(back, name), getattr(ds, name)):
+                assert a.shape == b.shape and np.array_equal(a, b)
 
 
 def test_a_task_file_with_a_valid_split_reads_its_train_and_test(tmp_path):

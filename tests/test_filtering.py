@@ -86,7 +86,7 @@ def test_column_stats_constant_without_diagonal():
     scores = np.full((4, 4), 0.7)
     np.fill_diagonal(scores, 1.0)
     tm = TransferMatrix(scores=scores, observed=np.ones((4, 4), dtype=bool))
-    mu, sigma = column_stats(tm, 2, FilterParams(include_diagonal_in_stats=False))
+    mu, sigma = column_stats(tm, 2, FilterParams(include_diagonal=False))
     assert mu == pytest.approx(0.7)
     assert sigma == 0.0
 
@@ -99,7 +99,7 @@ def test_column_stats_degenerate():
     np.fill_diagonal(scores, 1.0)
     lonely = TransferMatrix(scores=scores, observed=observed)
     with pytest.raises(InputError) as err:
-        column_stats(lonely, 3, FilterParams(include_diagonal_in_stats=False))
+        column_stats(lonely, 3, FilterParams(include_diagonal=False))
     assert err.value.code == "degenerate-column"
 
 
@@ -108,7 +108,7 @@ def test_constant_columns_give_unobserved_ties():
     scores = np.full((5, 5), 0.6)
     np.fill_diagonal(scores, 1.0)
     tm = TransferMatrix(scores=scores, observed=np.ones((5, 5), dtype=bool))
-    ps = filter_scores(tm, FilterParams(include_diagonal_in_stats=False))
+    ps = filter_scores(tm, FilterParams(include_diagonal=False))
     off = ~np.eye(5, dtype=bool)
     assert not ps.observed[off].any()
 
@@ -119,7 +119,7 @@ def test_block_matrix_fully_resolved():
     scores = np.where(member[:, None] == member[None, :], 0.9, 0.1)
     np.fill_diagonal(scores, 1.0)
     tm = TransferMatrix(scores=scores, observed=np.ones((n, n), dtype=bool))
-    ps = filter_scores(tm, FilterParams(include_diagonal_in_stats=False))
+    ps = filter_scores(tm, FilterParams(include_diagonal=False))
     assert ps.observed.all()
     expect = (member[:, None] == member[None, :]).astype(int)
     assert np.array_equal(ps.values, expect)
@@ -144,7 +144,7 @@ def test_oracle_equivalence_random_matrices():
 def test_oracle_equivalence_partial_and_excluded_diagonal():
     for seed in range(30):
         tm = random_transfer(10, seed=100 + seed, density=0.7)
-        params = FilterParams(p1=0.3, p2=0.8, include_diagonal_in_stats=False)
+        params = FilterParams(p1=0.3, p2=0.8, include_diagonal=False)
         ps = filter_scores(tm, params)
         ref = reference_filter(
             tm.scores.tolist(), tm.observed.tolist(), 0.3, 0.8, False
@@ -157,7 +157,7 @@ def test_oracle_equivalence_on_anchored_samples(include_diag):
     """Realistic masks: planted scores at n = 60 with about 4 n ln n pairs sampled."""
     for seed in range(3):
         tm, _ = synthetic_transfer_matrix(60, 3, 491, seed=seed, sampling="anchored")
-        ps = filter_scores(tm, FilterParams(include_diagonal_in_stats=include_diag))
+        ps = filter_scores(tm, FilterParams(include_diagonal=include_diag))
         ref = reference_filter(
             tm.scores.tolist(), tm.observed.tolist(), 0.5, 0.5, include_diag
         )
@@ -187,7 +187,7 @@ def test_score_on_a_threshold_line(p1, p2, col0, col1, line, expected):
     scores[[0, 2, 3, 4], 1] = col1
     np.fill_diagonal(scores, 1.0)
     tm = TransferMatrix(scores=scores, observed=np.ones((n, n), dtype=bool))
-    params = FilterParams(p1=p1, p2=p2, include_diagonal_in_stats=False)
+    params = FilterParams(p1=p1, p2=p2, include_diagonal=False)
     mu, sigma = column_stats(tm, 0, params)
     assert scores[1, 0] == mu + line * sigma
     got = as_reference(filter_scores(tm, params))

@@ -29,7 +29,6 @@ from taskclust.transfer import (
     TrainConfig,
     accuracy,
     softmax,
-    train_cluster_model,
     train_cluster_models,
     train_tasks,
 )
@@ -45,11 +44,8 @@ def identity_metric_model(d):
 def family_models(seed, n_tasks=9, K=3, epochs=60, kind="shared_classifier", fc=FC):
     tasks, membership = make_task_family(n_tasks, K, fc, seed=seed)
     cfg = TrainConfig(epochs=epochs, seed=0)
-    return [
-        train_cluster_model([t for t, c in zip(tasks, membership) if c == k],
-                            kind, cfg, cluster_id=k)
-        for k in range(K)
-    ]
+    clusters = [[t for t, c in zip(tasks, membership) if c == k] for k in range(K)]
+    return train_cluster_models(clusters, kind, cfg)
 
 
 def support_cross_entropies(predictor):
@@ -73,7 +69,7 @@ class TestClusterTraining:
             ds = make_target_task(0, 2, FC, seed=seed)
             cfg = TrainConfig(epochs=60, seed=seed)
             single = train_tasks([ds], cfg)[0]
-            multi = train_cluster_model([ds], "shared_encoder_multihead", cfg)
+            multi = train_cluster_models([[ds]], "shared_encoder_multihead", cfg)[0]
             X, y = ds.train
             acc_single = accuracy(single.logits(X), y)
             acc_multi = float(np.mean(
@@ -88,7 +84,7 @@ class TestClusterTraining:
             copy = TaskDataset("copy", 3, ds.train, ds.test)
             cfg = TrainConfig(epochs=60, seed=seed)
             single = train_tasks([ds], cfg)[0]
-            pooled = train_cluster_model([ds, copy], "shared_classifier", cfg)
+            pooled = train_cluster_models([[ds, copy]], "shared_classifier", cfg)[0]
             X, y = ds.train
             acc_single = accuracy(single.logits(X), y)
             acc_pooled = float(np.mean(pooled.predict_proba(X).argmax(axis=1) == y))
@@ -98,39 +94,39 @@ class TestClusterTraining:
         fc = FamilyConfig(dim=6, label_count=2, train_per_class=10,
                           separation=2.5, sample_spread=0.6)
         ds = make_target_task(0, 2, fc, seed=0)
-        model = train_cluster_model([ds], "metric_encoder", TrainConfig(epochs=60, seed=0))
+        model = train_cluster_models([[ds]], "metric_encoder", TrainConfig(epochs=60, seed=0))[0]
         fs = fewshot_from_dataset(ds, shots=3, seed=0)
         P = model.predict_proba(fs.train[0], support=fs.train)
         assert np.array_equal(P.argmax(axis=1), fs.train[1])
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(InputError) as exc:
-            train_cluster_model([], "shared_classifier")
+            train_cluster_models([[]], "shared_classifier")
         assert exc.value.code == "empty-cluster"
 
     def test_mixed_label_spaces_rejected_for_shared_classifier(self):
         a = make_target_task(0, 2, FamilyConfig(dim=5, label_count=2), seed=0)
         b = make_target_task(0, 2, FamilyConfig(dim=5, label_count=4), seed=0)
         with pytest.raises(InputError) as exc:
-            train_cluster_model([a, b], "shared_classifier")
+            train_cluster_models([[a, b]], "shared_classifier")
         assert exc.value.code == "label-space-mismatch"
 
     def test_mixed_dimensions_rejected(self):
         a = make_target_task(0, 2, FamilyConfig(dim=5), seed=0)
         b = make_target_task(0, 2, FamilyConfig(dim=7), seed=0)
         with pytest.raises(InputError) as exc:
-            train_cluster_model([a, b], "shared_encoder_multihead")
+            train_cluster_models([[a, b]], "shared_encoder_multihead")
         assert exc.value.code == "dim-mismatch"
 
     def test_unknown_kind_rejected(self):
         ds = make_target_task(0, 2, FamilyConfig(dim=5), seed=0)
         with pytest.raises(InputError) as exc:
-            train_cluster_model([ds], "transformer")
+            train_cluster_models([[ds]], "transformer")
         assert exc.value.code == "bad-kind"
 
     def test_multihead_prediction_requires_a_known_head(self):
         ds = make_target_task(0, 2, FamilyConfig(dim=5), seed=0)
-        model = train_cluster_model([ds], "shared_encoder_multihead", TrainConfig(epochs=5))
+        model = train_cluster_models([[ds]], "shared_encoder_multihead", TrainConfig(epochs=5))[0]
         with pytest.raises(InputError) as exc:
             model.predict_proba(ds.train[0], task_id="stranger")
         assert exc.value.code == "no-head"
@@ -259,18 +255,17 @@ class TestClusterStacks:
             if kind == "shared_encoder_multihead":
                 # one head per member cannot serve a task id held twice
                 for train in (lambda: train_cluster_models(clusters, kind, cfg),
-                              lambda: train_cluster_model(clusters[4], kind, cfg, cluster_id=4)):
+                              lambda: train_cluster_models([clusters[4]], kind, cfg)):
                     with pytest.raises(InputError) as exc:
                         train()
                     assert exc.value.code == "duplicate-task"
                 clusters = clusters[:4]
             models = train_cluster_models(clusters, kind, cfg)
             for k, (cluster, model) in enumerate(zip(clusters, models)):
-                alone = train_cluster_model(cluster, kind, cfg, cluster_id=k)
                 expected = reference_cluster_arrays(cluster, kind, cfg, k)
                 assert len(model_arrays(model)) == len(expected)
-                for a, b, c in zip(model_arrays(model), model_arrays(alone), expected):
-                    assert np.array_equal(a, c) and np.array_equal(b, c)
+                for a, c in zip(model_arrays(model), expected):
+                    assert np.array_equal(a, c)
 
     @pytest.mark.parametrize("kind", ["shared_classifier", "shared_encoder_multihead"])
     def test_augmented_loops_agree_with_the_separate_bias_loops(self, cases, kind):
@@ -280,13 +275,6 @@ class TestClusterStacks:
                 old = separate_bias_cluster_arrays(cluster, kind, cfg, k)
                 for a, b in zip(new, old):
                     assert np.abs(a - b).max() <= 1e-12
-
-    def test_metric_encoders_equal_one_call_per_cluster(self, cases):
-        for clusters, cfg in cases:
-            for k, model in enumerate(train_cluster_models(clusters, "metric_encoder", cfg)):
-                alone = train_cluster_model(clusters[k], "metric_encoder", cfg, cluster_id=k)
-                assert np.array_equal(model.W_enc, alone.W_enc)
-                assert np.array_equal(model.b_enc, alone.b_enc)
 
     def test_a_bad_cluster_is_reported_before_any_training(self, cases):
         clusters, _ = cases[0]
@@ -388,8 +376,6 @@ class TestMetricStacks:
             for k, (cluster, model) in enumerate(zip(clusters, models)):
                 W, b = reference_metric_encoder(cluster, cfg, k)
                 assert np.array_equal(model.W_enc, W) and np.array_equal(model.b_enc, b)
-                alone = train_cluster_model(cluster, "metric_encoder", cfg, cluster_id=k)
-                assert np.array_equal(alone.W_enc, W) and np.array_equal(alone.b_enc, b)
 
     def test_augmented_loop_agrees_with_the_separate_bias_loop(self, cases):
         """At the default shapes the clusters with a two-label or a one-label
@@ -417,7 +403,7 @@ class TestMetricStacks:
         d = first.dim
         empty = TaskDataset("empty", 3, (np.zeros((0, d)), np.zeros(0, dtype=int)), first.test)
         for call in (lambda: train_cluster_models(clusters + [[first, empty]], "metric_encoder"),
-                     lambda: train_cluster_model([first, empty], "metric_encoder")):
+                     lambda: train_cluster_models([[first, empty]], "metric_encoder")):
             with pytest.raises(InputError) as exc:
                 call()
             assert exc.value.code == "empty-train"
@@ -537,11 +523,8 @@ class TestFslCombine:
         for seed in range(10):
             tasks, membership = make_task_family(8, 2, FC, seed=seed, opposed=True)
             cfg = TrainConfig(epochs=80, seed=0)
-            models = [
-                train_cluster_model([t for t, c in zip(tasks, membership) if c == k],
-                                    "shared_classifier", cfg, cluster_id=k)
-                for k in range(2)
-            ]
+            clusters = [[t for t, c in zip(tasks, membership) if c == k] for k in range(2)]
+            models = train_cluster_models(clusters, "shared_classifier", cfg)
             tgt = make_target_task(1, 2, FC, seed=seed, tag=0, opposed=True)
             fs = fewshot_from_dataset(tgt, shots=2, seed=seed)
             predictor = fsl_combine(models, fs)
@@ -567,11 +550,8 @@ class TestFslCombine:
         interior optimum crushes both vertices even at default settings."""
         tasks, membership = make_task_family(8, 2, FC, seed=4, opposed=True)
         cfg = TrainConfig(epochs=80, seed=0)
-        models = [
-            train_cluster_model([t for t, c in zip(tasks, membership) if c == k],
-                                "shared_classifier", cfg, cluster_id=k)
-            for k in range(2)
-        ]
+        clusters = [[t for t, c in zip(tasks, membership) if c == k] for k in range(2)]
+        models = train_cluster_models(clusters, "shared_classifier", cfg)
         parts = [fewshot_from_dataset(make_target_task(c, 2, FC, seed=4, tag=c, opposed=True),
                                       shots=2, seed=4) for c in range(2)]
         support = (np.vstack([p.train[0] for p in parts]),
@@ -594,11 +574,8 @@ class TestFslCombine:
     def test_no_compatible_cluster_rejected(self):
         tasks, membership = make_task_family(4, 2, FC, seed=0)
         cfg = TrainConfig(epochs=5, seed=0)
-        models = [
-            train_cluster_model([t for t, c in zip(tasks, membership) if c == k],
-                                "shared_encoder_multihead", cfg, cluster_id=k)
-            for k in range(2)
-        ]
+        clusters = [[t for t, c in zip(tasks, membership) if c == k] for k in range(2)]
+        models = train_cluster_models(clusters, "shared_encoder_multihead", cfg)
         tgt = make_target_task(0, 2, FC, seed=0, tag=9)
         fs = fewshot_from_dataset(tgt, shots=1, seed=0)
         with pytest.raises(InputError) as exc:
@@ -646,11 +623,8 @@ class TestAdaptiveFallback:
     def test_confident_cluster_takes_the_combination_path(self):
         tasks, membership = make_task_family(8, 2, FC, seed=3)
         cfg = TrainConfig(epochs=80, seed=0)
-        models = [
-            train_cluster_model([t for t, c in zip(tasks, membership) if c == k],
-                                "shared_classifier", cfg, cluster_id=k)
-            for k in range(2)
-        ]
+        clusters = [[t for t, c in zip(tasks, membership) if c == k] for k in range(2)]
+        models = train_cluster_models(clusters, "shared_classifier", cfg)
         tgt = make_target_task(0, 2, FC, seed=3, tag=5)
         fs = fewshot_from_dataset(tgt, shots=2, seed=3)
         Xs, ys = fs.train
@@ -684,8 +658,8 @@ class TestAdaptiveFallback:
         weights are those of the mixture over those two alone."""
         first, second = family_models(seed=6, n_tasks=6, K=2, epochs=40)
         tasks, membership = make_task_family(6, 2, FC, seed=6)
-        multihead = train_cluster_model([t for t, c in zip(tasks, membership) if c == 0],
-                                        "shared_encoder_multihead", TrainConfig(epochs=40, seed=0))
+        multihead = train_cluster_models([[t for t, c in zip(tasks, membership) if c == 0]],
+                                         "shared_encoder_multihead", TrainConfig(epochs=40, seed=0))[0]
         fs = fewshot_from_dataset(make_target_task(1, 2, FC, seed=6, tag=0), shots=1, seed=6)
         for pair in ((first, second), (second, first)):
             predictor = adaptive_fsl([pair[0], multihead, pair[1]], fs, threshold=0.0)
@@ -699,7 +673,7 @@ class TestAdaptiveFallback:
         on a fresh 17-label task, far below the 20% bar, so a support-only
         model is trained instead."""
         src = random_label_task("src", seed=1)
-        model = train_cluster_model([src], "shared_classifier", TrainConfig(epochs=60, seed=0))
+        model = train_cluster_models([[src]], "shared_classifier", TrainConfig(epochs=60, seed=0))[0]
         tgt = random_label_task("tgt", seed=99)
         fs = fewshot_from_dataset(tgt, shots=2, seed=0)
         Xs, ys = fs.train

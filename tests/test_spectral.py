@@ -242,7 +242,7 @@ def test_peak_memory_is_two_n_by_n_arrays():
 @pytest.mark.parametrize("params, lam, solver", [
     (None, None, None),
     # each of the three settings alone changes the iterations or the partition here
-    (FilterParams(p1=1.0, p2=0.2, include_diagonal_in_stats=False), 0.4,
+    (FilterParams(p1=1.0, p2=0.2, include_diagonal=False), 0.4,
      SolverConfig(tol=1e-5, max_iter=300)),
 ])
 def test_cluster_scores_is_the_hand_written_chain(params, lam, solver):
