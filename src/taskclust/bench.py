@@ -5,13 +5,24 @@ cluster membership vectors, so rank(X*) equals the number of clusters. We
 observe m1 entries uniformly at random, corrupt m2 of them by bit-flips,
 run the completion solver, and check entrywise recovery of X*.
 
+phase_sweep runs its trials on every CPU the process may use, in forked
+workers with one BLAS thread each. It runs them one after another in this
+process on one CPU, where there is no fork, or where numpy has no bundled
+OpenBLAS whose thread count can be set. Each trial is fixed by its budget
+and seed, so the cells are the same either way. (On a 2-CPU machine the
+solves gave the same bits on one and two BLAS threads up to n = 120. At
+n = 150 X differed in its last bits, which changes a trial's outcome only
+if its error lies within that rounding of RECOVERY_TOL.)
+
 fewshot_trial runs the whole pipeline on a planted task family instead and
 compares few-shot predictors built with and without its clusters.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -206,14 +217,75 @@ def phase_sweep(
             budgets[ci, cj] = m1, int(round(f2 * m1))
             _check_budget(n, *budgets[ci, cj])
 
-    cells = []
-    for (ci, cj), (m1, m2) in budgets.items():
-        recovered = 0
-        for t in range(trials):
-            trial_seed = int(derive_rng(seed, "sweep", ci, cj, t).integers(2**63))
-            recovered += recovery_trial(inst, m1, m2, lam=lam, seed=trial_seed).recovered
-        cells.append(SweepCell(n=n, k=k, m1=m1, m2=m2, trials=trials, recovered_count=recovered))
-    return cells
+    # one job per trial, in cell order then trial order
+    jobs = [(m1, m2, int(derive_rng(seed, "sweep", ci, cj, t).integers(2**63)))
+            for (ci, cj), (m1, m2) in budgets.items() for t in range(trials)]
+    recovered = _run_trials(inst, lam, jobs)
+    return [SweepCell(n=n, k=k, m1=m1, m2=m2, trials=trials,
+                      recovered_count=sum(recovered[i * trials:(i + 1) * trials]))
+            for i, (m1, m2) in enumerate(budgets.values())]
+
+
+def _run_trials(inst: PlantedInstance, lam: float | None, jobs: list) -> list[bool]:
+    """recovery_trial(inst, m1, m2, lam, seed).recovered for each (m1, m2, seed)
+    job, in job order.
+
+    The pool has one worker per usable CPU, at most one per job. A forked
+    worker inherits inst and lam instead of unpickling them. It runs
+    OpenBLAS on one thread: with numpy's default of one thread per core in
+    each worker, the workers' BLAS threads contended, and a pool on 2 CPUs
+    ran the benchmark's sweep 3-6x slower than one process. Jobs go out one
+    at a time, because most of the work sits in a few cells. Results are
+    read in job order, so the first failing job raises, as in a loop.
+    """
+    import multiprocessing
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(jobs))
+    set_threads = _blas_thread_setter() if workers > 1 else None
+    if set_threads is None or "fork" not in multiprocessing.get_all_start_methods():
+        return [_trial(inst, lam, job) for job in jobs]
+    ctx = multiprocessing.get_context("fork")
+    # On an error, leaving the with block terminates the workers and joins them.
+    with ctx.Pool(workers, initializer=_start_worker, initargs=(set_threads, inst, lam)) as pool:
+        recovered = list(pool.imap(_worker_trial, jobs, chunksize=1))
+        pool.close()
+        pool.join()
+    return recovered
+
+
+def _trial(inst: PlantedInstance, lam: float | None, job) -> bool:
+    m1, m2, seed = job
+    return recovery_trial(inst, m1, m2, lam=lam, seed=seed).recovered
+
+
+# (inst, lam) of the sweep a pool worker serves; set in the worker only, by _start_worker.
+_worker_sweep = None
+
+
+def _start_worker(set_threads, inst: PlantedInstance, lam: float | None) -> None:
+    global _worker_sweep
+    set_threads(1)
+    _worker_sweep = inst, lam
+
+
+def _worker_trial(job) -> bool:
+    return _trial(*_worker_sweep, job)
+
+
+def _blas_thread_setter():
+    """numpy's bundled OpenBLAS thread-count setter, or None where there is none."""
+    import ctypes
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        lib = ctypes.CDLL(str(path))  # numpy loaded it already: the same handle
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            setter = lib.scipy_openblas_set_num_threads64_
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            return setter
+    return None
 
 
 def minimal_m1_for_recovery(

@@ -32,10 +32,10 @@ previous X, the shrink writes the new X into the other array, and M then
 takes M - X for the dual residual. The eigendecomposition adds its own
 copy, workspace and eigenvectors on top of those, and the shrink two
 n x r arrays at kept rank r (see _threshold). Over Omega the shrink runs
-beside four vectors only: P_Omega(Y), its flat indices, E and the
-multiplier. M's values on Omega are dropped once written, Lambda / rho is
-recomputed for the sparse step rather than kept across the shrink, and a
-step's other vectors are dropped before the next shrink.
+beside five vectors only: P_Omega(Y), its flat indices, E, the multiplier
+and Lambda / rho, which M and the sparse step both take. M's values on
+Omega are dropped once written, and a step's other vectors are dropped
+before the next shrink.
 
 No step symmetrizes M. M is symmetric up to rounding by construction: off
 Omega it is the previous shrink V diag(s) V^T, and on Omega it is built
@@ -193,24 +193,26 @@ def _shrink_step(M, tau, basis, out=None):
             Q = np.linalg.qr(M @ basis)[0]
             w, Z = np.linalg.eigh(Q.T @ M @ Q)
             V = Q @ Z
-            full = bool((np.abs(w) > tau).all())
+            size = np.abs(w)
+            full = bool((size > tau).all())
         if full:
             w, V = np.linalg.eigh(M)
+            size = np.abs(w)
     except np.linalg.LinAlgError as err:
         raise NumericalError("diverged", f"eigendecomposition failed: {err}") from err
     if not np.isfinite(w).all():
         raise NumericalError("diverged", "eigendecomposition gave a non-finite eigenvalue")
-    X, rank = _threshold(V, w, tau, out)
+    X, rank = _threshold(V, w, size, tau, out)
     width = rank + _BUFFER
     if width > _WARM_WIDTH_FRACTION * len(M):
         return X, rank, None, full
-    order = np.argsort(-np.abs(w), kind="stable")[:width]
+    order = np.argsort(-size, kind="stable")[:width]
     return X, rank, V[:, order], full
 
 
-def _threshold(V, w, tau, out=None):
+def _threshold(V, w, size, tau, out=None):
     """Shrink the eigenvalues w of V diag(w) V^T by tau in magnitude:
-    (V diag(sign(w) (|w| - tau)_+) V^T, kept rank).
+    (V diag(sign(w) (|w| - tau)_+) V^T, kept rank). size is |w|.
 
     Only the kept columns of V are scaled, so a step keeping r of n
     eigenpairs forms an n x r product, not an n x n one. It holds two n x r
@@ -219,7 +221,7 @@ def _threshold(V, w, tau, out=None):
     """
     n = V.shape[0]
     X = np.empty((n, n)) if out is None else out
-    s = np.maximum(np.abs(w) - tau, 0.0)
+    s = np.maximum(size - tau, 0.0)
     keep = s > 0
     rank = int(keep.sum())
     if not rank:
@@ -234,7 +236,11 @@ def soft_threshold(M: np.ndarray, tau: float) -> np.ndarray:
     if tau < 0:
         raise InputError("bad-tau", "tau must be nonnegative")
     M = np.asarray(M, dtype=float)
-    return np.sign(M) * np.maximum(np.abs(M) - tau, 0.0)
+    out = np.abs(M)
+    out -= tau
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(M)
+    return out
 
 
 def default_lambda(n: int) -> float:
@@ -336,26 +342,28 @@ def complete(problem: CompletionProblem, config: SolverConfig | None = None) -> 
     rank = full_steps = 0
     it = 0
     for it in range(1, max_iter + 1):
-        m = y - e + mult / rho
+        scaled = mult / rho  # Lambda / rho, for M and for the sparse step
+        m = y - e + scaled
         if not np.isfinite(m).all():  # off Omega M is X_prev, checked last step
             raise NumericalError("non-finite", "svt input contains NaN or inf")
         M = np.add(X, 0.0, out=X)  # the shrink input, over the previous X
         M.ravel()[idx] = m
-        del m  # over Omega the shrink holds only y, idx, e and mult
+        del m  # over Omega the shrink holds only y, idx, e, mult and scaled
         X, rank, basis, full = _shrink_step(M, 1.0 / rho, basis, spare)
         full_steps += full
         yx = y - X.ravel()[idx]
         e_prev = e
-        e = soft_threshold(yx + mult / rho, lam / rho)
+        e = soft_threshold(yx + scaled, lam / rho)
         r = yx - e
         mult = mult + rho * r
         if not (np.isfinite(X).all() and np.isfinite(e).all()):
             raise NumericalError("diverged", f"non-finite iterate at iteration {it}")
-        residual = np.linalg.norm(r) / denom
+        residual = np.sqrt(r.dot(r)) / denom  # np.linalg.norm's own sum, without its checks
         dE = np.subtract(M, X, out=M)  # E - E_prev off Omega, up to the sign of zeros
         dE.ravel()[idx] = e - e_prev
-        dual = rho * np.linalg.norm(dE) / denom
-        del yx, e_prev, r  # not read by the next step
+        flat = dE.ravel()
+        dual = rho * np.sqrt(flat.dot(flat)) / denom
+        del yx, e_prev, r, scaled  # not read by the next step
         spare = dE
         if residual < config.tol and dual < config.tol:
             if full:

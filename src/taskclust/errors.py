@@ -14,6 +14,11 @@ class TaskClustError(Exception):
         self.code = code
         self.message = message
 
+    def __reduce__(self):
+        # Exception pickles its args, the one formatted string, which
+        # __init__ cannot take back. A sweep worker's error crosses a pipe.
+        return type(self), (self.code, self.message)
+
 
 class InputError(TaskClustError):
     """Bad inputs, bad configuration, or violated preconditions (CLI exit 2)."""

@@ -1,8 +1,15 @@
+import ctypes
+import multiprocessing
+import os
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from taskclust import bench
 from taskclust.bench import (
+    TrialResult,
     equal_sizes,
     generate_planted,
     minimal_m1_for_recovery,
@@ -10,7 +17,7 @@ from taskclust.bench import (
     phase_sweep,
     recovery_trial,
 )
-from taskclust.errors import InputError
+from taskclust.errors import InputError, NumericalError
 from taskclust.seeding import derive_rng
 
 
@@ -121,6 +128,67 @@ def test_phase_sweep_empty_grid():
     with pytest.raises(InputError) as err:
         phase_sweep(10, 2, (), (0.0,), trials=2, seed=0)
     assert err.value.code == "empty-grid"
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """phase_sweep sees two usable CPUs, so it pools its trials wherever it can."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def openblas_threads():
+    """The thread count numpy's bundled OpenBLAS reports, or None without one."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            return lib.scipy_openblas_get_num_threads64_()
+    return None
+
+
+def test_task_errors_survive_pickling():
+    for error in (InputError("empty-mask", "no observed entries"), NumericalError("diverged", "x")):
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error)
+        assert (copy.code, copy.message, str(copy)) == (error.code, error.message, str(error))
+
+
+def test_sweep_trials_run_in_forked_single_thread_workers(two_cpus, monkeypatch):
+    if bench._blas_thread_setter() is None:
+        pytest.skip("numpy has no bundled OpenBLAS here, so the sweep runs serially")
+    parent = os.getpid()
+    monkeypatch.setattr(bench, "recovery_trial", lambda *a, **k: TrialResult(
+        recovered=os.getpid() != parent and openblas_threads() == 1, max_abs_err=0.0))
+    cells = phase_sweep(12, 3, (0.5, 1.0), (0.0,), trials=3, seed=0)
+    assert [c.recovered_count for c in cells] == [3, 3]
+    assert not multiprocessing.active_children()
+
+
+def test_phase_sweep_leaves_no_worker_running(two_cpus, monkeypatch):
+    phase_sweep(12, 3, (0.5, 1.0), (0.0,), trials=3, seed=0)
+    assert not multiprocessing.active_children()
+
+    def fails(*args, **kwargs):
+        raise ValueError("a trial failed")
+
+    monkeypatch.setattr(bench, "recovery_trial", fails)
+    with pytest.raises(ValueError, match="a trial failed"):
+        phase_sweep(12, 3, (0.5, 1.0), (0.0,), trials=3, seed=0)
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("serial", ["one-cpu", "no-thread-setter"])
+def test_the_serial_fallback_gives_the_pooled_cells(serial, two_cpus, monkeypatch):
+    grid = dict(n=12, k=3, m1_fracs=(0.35, 0.7, 1.0), m2_fracs=(0.0, 0.05), trials=3, seed=0)
+    pooled = phase_sweep(**grid)
+    counts = [c.recovered_count for c in pooled]
+    assert 0 in counts and 3 in counts  # recovered and failed cells both
+    if serial == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:
+        monkeypatch.setattr(bench, "_blas_thread_setter", lambda: None)
+    monkeypatch.setattr(multiprocessing, "get_context", None)  # a pool would fail
+    assert phase_sweep(**grid) == pooled
 
 
 def test_minimal_m1_bisection_small():

@@ -644,21 +644,32 @@ class TestSweep:
     def test_a_budget_outside_the_grid_exits_two_before_any_solve(self, tmp_path, capsys,
                                                                   monkeypatch):
         # The 0.2 cells are valid; the 1.5 cells ask for more than n^2 entries.
-        solves = []
-        solve = bench.complete
+        # A solve raises, also in a pool worker, where a count would not be seen.
+        def unsolvable(*args, **kwargs):
+            raise AssertionError("a budget outside the grid must be reported before any solve")
 
-        def counted(*args, **kwargs):
-            solves.append(1)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(bench, "complete", counted)
+        monkeypatch.setattr(bench, "complete", unsolvable)
         out = tmp_path / "s.csv"
         code, _, err = run(capsys, "sweep", "--out", out, "--n", 30, "--trials", 5,
                            "--m1-fracs", "0.2,1.5", "--m2-fracs", "0.0,0.05")
         assert code == 2
         assert len(err.strip().splitlines()) == 1
         assert stderr_record(err)["error"] == "bad-budget"
-        assert not solves and not out.exists()
+        assert not out.exists()
+
+    def test_an_error_inside_a_trial_exits_two(self, tmp_path):
+        """With no observed entry every trial raises empty-mask, in the pool's
+        workers where there are several CPUs. The error must reach the CLI; a
+        fresh process with a timeout turns a pool that hangs into a failure."""
+        out = tmp_path / "s.csv"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "taskclust.cli", "sweep", "--out", str(out),
+                               "--n", "12", "--m1-fracs", "0", "--trials", "2"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ['{"error": "empty-mask", "message": "no observed entries"}']
+        assert not out.exists()
 
     def test_malformed_grid_exits_two(self, tmp_path, capsys):
         code, _, err = run(capsys, "sweep", "--out", tmp_path / "s.csv",

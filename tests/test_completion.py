@@ -642,11 +642,12 @@ def test_threshold_holds_two_n_by_r_arrays():
     w, V = np.linalg.eigh(symmetrize(np.random.default_rng(0).standard_normal((n, n))))
     tau = np.sort(np.abs(w))[n // 2 - 1]  # keeps the n/2 eigenvalues largest in magnitude
     out = np.empty((n, n))
-    completion._threshold(V, w, tau, out)  # first-call set-up is not counted
+    size = np.abs(w)
+    completion._threshold(V, w, size, tau, out)  # first-call set-up is not counted
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        X, r = completion._threshold(V, w, tau, out)
+        X, r = completion._threshold(V, w, size, tau, out)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
