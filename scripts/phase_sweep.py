@@ -1,16 +1,17 @@
-"""Map recovery probability over the (observation, corruption) grid.
+"""Render a phase sweep as an ASCII heatmap of recovery probability.
 
-Runs the synthetic benchmark on a planted block matrix for every cell of an
-m1 x m2 fraction grid and renders the resulting probabilities as an ASCII
-heatmap, with the raw numbers written to CSV. Useful for eyeballing where
-the recovery phase transition sits for a given matrix size.
+Reads the CSV that `taskclust sweep` writes and prints one row per
+observation level m1, one glyph per corruption level m2, darker where more
+trials recovered the planted matrix. Useful for eyeballing where the
+recovery phase transition sits for a given matrix size:
+
+    taskclust sweep --out sweep.csv --n 30 --clusters 3 --trials 5
+    python scripts/phase_sweep.py sweep.csv
 """
 
 import argparse
-import time
 
-from taskclust.bench import phase_sweep
-from taskclust.fileio import write_sweep_csv
+from taskclust.fileio import read_sweep_csv
 
 GLYPHS = " .:-=+*#%@"
 
@@ -30,31 +31,10 @@ def render(cells):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=30, help="matrix size")
-    ap.add_argument("--clusters", type=int, default=3)
-    ap.add_argument("--trials", type=int, default=10, help="seeds per grid cell")
-    ap.add_argument("--m1-steps", type=int, default=8, help="observation grid points")
-    ap.add_argument("--m2-steps", type=int, default=5, help="corruption grid points")
-    ap.add_argument("--m2-max", type=float, default=0.10, help="largest corruption fraction")
-    ap.add_argument("--lam", type=float, default=None)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--out", default="sweep.csv")
-    args = ap.parse_args()
-
-    m1_fracs = [(i + 1) / args.m1_steps for i in range(args.m1_steps)]
-    m2_fracs = [args.m2_max * i / max(args.m2_steps - 1, 1) for i in range(args.m2_steps)]
-
-    t0 = time.perf_counter()
-    cells = phase_sweep(
-        n=args.n, k=args.clusters, m1_fracs=m1_fracs, m2_fracs=m2_fracs,
-        trials=args.trials, seed=args.seed, lam=args.lam,
-    )
-    elapsed = time.perf_counter() - t0
-
-    write_sweep_csv(cells, args.out)
-    print(render(cells))
-    print(f"\n{len(cells)} cells x {args.trials} trials in {elapsed:.1f}s -> {args.out}")
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("csv", help="a sweep CSV written by taskclust sweep")
+    print(render(read_sweep_csv(ap.parse_args().csv)))
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -75,27 +76,24 @@ def _weighted_unit_order(weights: np.ndarray, rng: np.random.Generator) -> np.nd
 
 
 def _take_units(order: np.ndarray, weights: np.ndarray, budget: int) -> np.ndarray:
-    """Prefix of ``order`` whose weights sum to exactly ``budget``."""
+    """Prefix of ``order`` whose weights (1 or 2) sum to exactly ``budget``.
+
+    A prefix one short takes the next weight-1 unit; where none is left, it
+    swaps its own last weight-1 unit for the next unit (+2 - 1 = +1). So an
+    odd budget needs a weight-1 unit somewhere in ``order``, which
+    observe_and_corrupt guarantees for both of its draws.
+    """
     cw = np.cumsum(weights[order])
     cut = int(np.searchsorted(cw, budget, side="right"))
     taken = order[:cut]
     short = budget - (cw[cut - 1] if cut > 0 else 0)
     if short == 0:
         return taken
-    # need one more position: pull the next weight-1 (diagonal) unit forward
     rest = order[cut:]
     singles = rest[weights[rest] == 1]
     if singles.size:
         return np.concatenate([taken, singles[:1]])
-    # every remaining unit is a mirrored pair: swap one sampled diagonal for
-    # the next pair instead, which changes the count by +2-1 = +1
-    taken_singles = weights[taken] == 1
-    if rest.size == 0 or not taken_singles.any():
-        raise InputError(
-            "infeasible-budget",
-            f"cannot hit odd budget {budget}: no diagonal slots left",
-        )
-    drop = np.flatnonzero(taken_singles)[-1]
+    drop = np.flatnonzero(weights[taken] == 1)[-1]
     return np.concatenate([np.delete(taken, drop), rest[:1]])
 
 
@@ -114,7 +112,8 @@ def observe_and_corrupt(
 
     Sampling mirrors how the pipeline produces Y, so Omega and Y are
     symmetric: an off-diagonal draw yields both (i,j) and (j,i), counting 2
-    toward m1, and flips hit both mirrored positions.
+    toward m1, and flips hit both mirrored positions. Every 0 <= m2 <= m1 <=
+    n^2 is drawn exactly: an odd m2 gets a diagonal cell to flip.
     """
     n = inst.n
     _check_budget(n, m1, m2)
@@ -127,6 +126,10 @@ def observe_and_corrupt(
     weights = np.concatenate([np.ones(n, dtype=int), np.full(iu.size, 2, dtype=int)])
     order = _weighted_unit_order(weights.astype(float), rng)
     chosen = _take_units(order, weights, m1)
+    if m2 % 2 and not (chosen < n).any():
+        # only mirrored pairs were drawn, so no odd count of them can be
+        # flipped: trade the last pair for the first two diagonal cells
+        chosen = np.concatenate([chosen[:-1], order[order < n][:2]])
     diag_units = chosen[chosen < n]
     pair_units = chosen[chosen >= n] - n
     omega[diag_units, diag_units] = True
@@ -230,25 +233,26 @@ def _run_trials(inst: PlantedInstance, lam: float | None, jobs: list) -> list[bo
     """recovery_trial(inst, m1, m2, lam, seed).recovered for each (m1, m2, seed)
     job, in job order.
 
-    The pool has one worker per usable CPU, at most one per job. A forked
-    worker inherits inst and lam instead of unpickling them. It runs
-    OpenBLAS on one thread: with numpy's default of one thread per core in
-    each worker, the workers' BLAS threads contended, and a pool on 2 CPUs
-    ran the benchmark's sweep 3-6x slower than one process. Jobs go out one
-    at a time, because most of the work sits in a few cells. Results are
-    read in job order, so the first failing job raises, as in a loop.
+    The pool has one worker per usable CPU, at most one per job, and each job
+    carries inst and lam. A worker runs OpenBLAS on one thread: with numpy's
+    default of one thread per core in each worker, the workers' BLAS threads
+    contended, and a pool on 2 CPUs ran the benchmark's sweep 3-6x slower
+    than one process. Jobs go out one at a time, because most of the work
+    sits in a few cells. Results are read in job order, so the first failing
+    job raises, as in a loop.
     """
     import multiprocessing
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(jobs))
     set_threads = _blas_thread_setter() if workers > 1 else None
+    trial = partial(_trial, inst, lam)
     if set_threads is None or "fork" not in multiprocessing.get_all_start_methods():
-        return [_trial(inst, lam, job) for job in jobs]
+        return [trial(job) for job in jobs]
     ctx = multiprocessing.get_context("fork")
     # On an error, leaving the with block terminates the workers and joins them.
-    with ctx.Pool(workers, initializer=_start_worker, initargs=(set_threads, inst, lam)) as pool:
-        recovered = list(pool.imap(_worker_trial, jobs, chunksize=1))
+    with ctx.Pool(workers, initializer=set_threads, initargs=(1,)) as pool:
+        recovered = list(pool.imap(trial, jobs, chunksize=1))
         pool.close()
         pool.join()
     return recovered
@@ -257,20 +261,6 @@ def _run_trials(inst: PlantedInstance, lam: float | None, jobs: list) -> list[bo
 def _trial(inst: PlantedInstance, lam: float | None, job) -> bool:
     m1, m2, seed = job
     return recovery_trial(inst, m1, m2, lam=lam, seed=seed).recovered
-
-
-# (inst, lam) of the sweep a pool worker serves; set in the worker only, by _start_worker.
-_worker_sweep = None
-
-
-def _start_worker(set_threads, inst: PlantedInstance, lam: float | None) -> None:
-    global _worker_sweep
-    set_threads(1)
-    _worker_sweep = inst, lam
-
-
-def _worker_trial(job) -> bool:
-    return _trial(*_worker_sweep, job)
 
 
 def _blas_thread_setter():

@@ -268,6 +268,8 @@ def write_sweep_csv(cells: list[SweepCell], path) -> None:
 
 
 def read_sweep_csv(path) -> list[SweepCell]:
+    """The cells of a sweep CSV; a row with trials < 1 or with recovered_count
+    outside [0, trials] is bad-format, like one that does not parse."""
     p = require_file(path)
     lines = p.read_text().splitlines()
     if not lines or lines[0] != "n,k,m1,m2,trials,recovered_count,prob":
@@ -281,7 +283,7 @@ def read_sweep_csv(path) -> list[SweepCell]:
             n, k, m1, m2, trials, rec = (int(v) for v in parts[:6])
         except (IndexError, ValueError) as exc:
             raise InputError("bad-format", f"{p}: bad row {line!r}") from exc
-        if len(parts) != 7:
+        if len(parts) != 7 or trials < 1 or not 0 <= rec <= trials:
             raise InputError("bad-format", f"{p}: bad row {line!r}")
         cells.append(SweepCell(n=n, k=k, m1=m1, m2=m2, trials=trials, recovered_count=rec))
     return cells

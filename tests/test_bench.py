@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskclust import bench
 from taskclust.bench import (
@@ -88,13 +90,26 @@ def test_odd_budgets_are_always_satisfiable():
             assert int(plan.omega.sum()) == m1
 
 
-def test_infeasible_odd_corruption():
-    # seed picked so the two observed positions are one mirrored pair; an
-    # odd flip count cannot be hit when flips must strike both mirrors
+def test_an_all_pairs_draw_still_flips_an_odd_count():
+    # seed picked so the two observed positions would be one mirrored pair;
+    # the draw trades it for the two diagonal cells, one of which is flipped
     inst = generate_planted(2, 2, (1, 1), seed=0)
-    with pytest.raises(InputError) as err:
-        observe_and_corrupt(inst, m1=2, m2=1, seed=2)
-    assert err.value.code == "infeasible-budget"
+    plan = observe_and_corrupt(inst, m1=2, m2=1, seed=2)
+    assert int(plan.omega.sum()) == 2
+    assert int(plan.delta.sum()) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_every_budget_in_range_is_drawn_exactly(data, n, seed):
+    m1 = data.draw(st.integers(0, n * n), label="m1")
+    m2 = data.draw(st.integers(0, m1), label="m2")
+    plan = observe_and_corrupt(generate_planted(n, 1, (n,), seed=0), m1, m2, seed=seed)
+    assert int(plan.omega.sum()) == m1
+    assert int(plan.delta.sum()) == m2
+    assert np.array_equal(plan.omega, plan.omega.T)
+    assert np.array_equal(plan.delta, plan.delta.T)
+    assert not (plan.delta & ~plan.omega).any()
 
 
 def test_recovery_trial_full_observation():

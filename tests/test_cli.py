@@ -621,6 +621,16 @@ class TestSweep:
         assert len(cells) == 2
         assert all(c.prob in (0.0, 1.0) for c in cells)
 
+    def test_the_default_grid_draws_an_odd_flip_count_after_an_all_pairs_draw(self, tmp_path,
+                                                                              capsys):
+        # at seed 5 the m1 = 58 cell has a trial whose 58 entries are all
+        # mirrored pairs, yet its m2 = round(0.05 * 58) = 3 is odd
+        out = tmp_path / "s.csv"
+        code, _, err = run(capsys, "sweep", "--out", out, "--n", 12, "--trials", 1,
+                           "--seed", 5)
+        assert (code, err) == (0, "")
+        assert [(c.m1, c.m2) for c in fileio.read_sweep_csv(out)][2:4] == [(58, 0), (58, 3)]
+
     @pytest.mark.parametrize("argv, code_name", [
         (("--trials", 0), "bad-config"),
         (("--clusters", 0), "bad-sizes"),

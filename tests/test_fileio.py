@@ -380,6 +380,16 @@ def test_sweep_csv_round_trip(tmp_path):
     assert path.read_text().splitlines()[0] == "n,k,m1,m2,trials,recovered_count,prob"
 
 
+@pytest.mark.parametrize("row", ["30,3,400,0,0,0,0.0", "30,3,400,0,5,6,1.2", "30,3,400,0,5,-1,-0.2"],
+                         ids=["no-trials", "more-recovered-than-trials", "negative-recovered"])
+def test_a_sweep_row_that_cannot_be_rendered_is_bad_format(row, tmp_path):
+    path = tmp_path / "sweep.csv"
+    path.write_text(f"n,k,m1,m2,trials,recovered_count,prob\n{row}\n")
+    with pytest.raises(InputError) as err:
+        fileio.read_sweep_csv(path)
+    assert err.value.code == "bad-format"
+
+
 def test_json_booleans_survive(tmp_path):
     path = tmp_path / "d.json"
     fileio.write_json({"converged": np.bool_(True), "count": np.int64(3)}, path)
